@@ -1,9 +1,6 @@
 """Command line front end: gen | verify | experiment | constants.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
-The HEIS_GMT_THREADS environment variable is a thread hint that is kept
-out of the reports: all reductions are deterministic, so report files are
-bit-identical for any thread count and fixed seed.
 """
 
 from __future__ import annotations
@@ -17,13 +14,6 @@ import numpy as np
 
 from . import delta_sets, experiments
 from .reports import ExperimentReport, write_manifest
-
-
-def _threads():
-    try:
-        return int(os.environ.get("HEIS_GMT_THREADS", "1"))
-    except ValueError:
-        return 1
 
 
 def _load_or_generate(args):
@@ -73,10 +63,6 @@ def _write_reports(report, out_dir, x_key):
 def cmd_experiment(args):
     fam = _load_or_generate(args)
     fam.validate()
-    # the thread hint never changes results (all reductions are
-    # deterministic), so it stays out of the report to keep reruns
-    # bit-identical across HEIS_GMT_THREADS settings
-    _threads()
     params = {
         "kind": fam.kind,
         "delta": fam.delta,

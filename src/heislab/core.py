@@ -27,6 +27,9 @@ import numpy as np
 # test suite re-derives both oracles.
 UNIT_BALL_VOLUME = math.pi ** 2 / 8
 
+# Candidate pairs per block of gauge_pairs; bounds its memory.
+PAIR_BLOCK = 1 << 20
+
 
 def _as_points(p):
     p = np.asarray(p, dtype=float)
@@ -83,6 +86,67 @@ def heis_dist_trunc(p, q, delta):
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     return np.maximum(heis_dist(p, q), delta)
+
+
+def gauge_pairs(queries, points, r):
+    """Yield every pair (i, j) with d = heis_dist(queries[i], points[j]) <= r.
+
+    Blocks (i, j, d), from about PAIR_BLOCK candidates each, come in query
+    order; the pairs of one query are consecutive, in one block.  Exact: an
+    index proposes candidates and heis_dist decides them.  If d(a, b) <= r,
+    b lies in one of the 9 cells of side h >= r around a's, and with c the
+    center of a's cell the group law bounds the sheared heights
+    k(w) = t_w + (c_y x_w - c_x y_w) / 2 by |k(a) - k(b)| <= r^2 / 4
+    + |z_a - c| r / 2.  Points are listed under the 9 cells around their
+    own, sorted by (cell, k), and a query reads one window of its cell.
+    """
+    q = _as_points(queries).reshape(-1, 3)
+    p = _as_points(points).reshape(-1, 3)
+    r = float(r)
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError("radius must be finite and nonnegative")
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        raise ValueError("coordinates must be finite")
+    if len(q) == 0 or len(p) == 0:
+        return
+    z = np.concatenate([q[:, :2], p[:, :2]])
+    lo = z.min(axis=0)
+    # r's margin absorbs rounding in the cells, heis_dist rounds no
+    # |z_a - z_b| above 1e-70 to 0, and 1024 cells a side keep keys precise
+    h = max(r * (1 + 1e-6), 1e-70, float((z.max(axis=0) - lo).max()) / 1024)
+    cell = np.floor((z - lo) / h).astype(np.int64) + 1
+    width = int(cell[:, 1].max()) + 2
+    near = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    lcell = (cell[None, len(q):] + near[:, None]).reshape(-1, 2)
+    lj = np.tile(np.arange(len(p)), 9)
+    # m bounds |k| and the scale of rounding in k and in heis_dist
+    amax = np.abs(np.concatenate([q, p])).max(axis=0)
+    zmax = float(amax[:2].max())
+    m = 1.0 + float(amax[2]) + (zmax + 2.0 * h) * zmax
+    bound = r * (r + 2.0 * h) / 4.0 + 1e-12 * m
+
+    def keys(cells, w):
+        # k and a per-cell offset: adding one offset is monotone, and the
+        # offsets keep the cells' ranges of k apart
+        c = lo + (cells - 0.5) * h
+        return (w[:, 2] + 0.5 * (c[:, 1] * w[:, 0] - c[:, 0] * w[:, 1]),
+                (cells[:, 0] * width + cells[:, 1]) * (3.0 * (m + bound)))
+
+    key = sum(keys(lcell, p[lj]))
+    order = np.argsort(key)
+    key, lj = key[order], lj[order]
+    qk, qoff = keys(cell[:len(q)], q)
+    first = np.searchsorted(key, (qk - bound) + qoff, side="left")
+    lens = np.searchsorted(key, (qk + bound) + qoff, side="right") - first
+    cum = np.cumsum(lens)
+    cuts = np.searchsorted(cum, np.arange(PAIR_BLOCK, cum[-1], PAIR_BLOCK))
+    for ids in np.split(np.arange(len(q)), cuts):
+        n = lens[ids]
+        i = np.repeat(ids, n)
+        j = lj[np.arange(len(i)) + np.repeat(first[ids] - np.cumsum(n) + n, n)]
+        d = heis_dist(q[i], p[j])
+        hit = d <= r
+        yield i[hit], j[hit], d[hit]
 
 
 def ball_volume(r):

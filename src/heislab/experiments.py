@@ -14,10 +14,10 @@ import numpy as np
 
 from . import plates
 from .core import HeisBall, dilate, gauge_norm, group_mul, heis_dist
-from .delta_sets import verify_delta_t_set
-from .duality import xray_transform, HorizontalLine
-from .projections import pi_e, pixel_keys, rho_e
-from .sampling import (ball_points, make_rng, monte_carlo_ball_volume,
+from .delta_sets import dyadic_ball_counts, verify_delta_t_set
+from .duality import HorizontalLine, LightRay, xray_transform
+from .projections import pack_pixels, pi_e, pixel_keys, rho_e
+from .sampling import (make_rng, monte_carlo_ball_volume,
                        quadrature_ball_volume, uniform_ball_points,
                        unit_ball_points)
 
@@ -85,23 +85,12 @@ def projection_exponent(areas_by_delta):
 def family_regularity_constant(family, exponent=3.0, max_centers=256,
                                seed=0):
     """Empirical C with |{B in F : B subset B(p, r)}| <= C (r / delta)^exponent."""
-    c = family.centers
-    n = len(c)
-    rng = make_rng(seed)
-    test = c if n <= max_centers else c[rng.choice(n, max_centers,
-                                                   replace=False)]
-    radii = []
-    r = 2.0 * family.delta
-    while r <= 2.0:
-        radii.append(r)
-        r *= 2.0
+    _, radii, blocks = dyadic_ball_counts(
+        family, 2.0 * family.delta, max_centers, seed, shrink=family.delta)
     worst = 0.0
-    block = max(1, int(4e6 // max(n, 1)))
-    for i in range(0, len(test), block):
-        d = heis_dist(test[i:i + block, None, :], c[None, :, :])
-        for r in radii:
-            counts = np.count_nonzero(d <= r - family.delta, axis=1)
-            worst = max(worst, float(counts.max())
+    for _, counts in blocks:
+        for r, cnt in zip(radii, counts):
+            worst = max(worst, float(cnt.max())
                         * (family.delta / r) ** exponent)
     return worst
 
@@ -161,9 +150,8 @@ def covering_count_2d(points, scale, metric="euclidean"):
         h = np.array([scale, scale * scale])
     else:
         raise ValueError("metric must be euclidean or parabolic")
-    keys = (np.floor(w[:, 0] / h[0]).astype(np.int64) << 32) \
-        ^ (np.floor(w[:, 1] / h[1]).astype(np.int64) & np.int64(0xFFFFFFFF))
-    return len(np.unique(keys))
+    return len(np.unique(pack_pixels(np.floor(w[:, 0] / h[0]),
+                                     np.floor(w[:, 1] / h[1]))))
 
 
 def greedy_net_2d(points, scale, metric="euclidean"):
@@ -305,7 +293,7 @@ def derive_constants(seed=0, n_balls=100, n_rays=10, n_pairs=2000):
         qs = group_mul(c, dilate(r * 0.999, uniform_ball_points(n_rays, rng)))
         for q in qs:
             uvy = plates.center_decomposition(q)
-            ray = _Ray(uvy[0], uvy[1], uvy[2])
+            ray = LightRay(uvy[0], uvy[1], uvy[2])
             tot += 1
             inc += bool(plate.contains_ray(ray))
         for _ in range(n_rays):
@@ -376,12 +364,3 @@ def derive_constants(seed=0, n_balls=100, n_rays=10, n_pairs=2000):
     put("sandwich_inner_c", best_c, 16 * 40 * 200,
         "largest c with the scale-cr modified plate inside the rigid plate")
     return entries
-
-
-class _Ray:
-    """Minimal (u, v, y) ray record for contains_ray."""
-
-    def __init__(self, u, v, y):
-        self.u = float(u)
-        self.v = float(v)
-        self.y = float(y)

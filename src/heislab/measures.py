@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ball_volume, gauge_norm, group_mul, heis_dist_trunc
+from .core import (ball_volume, gauge_norm, gauge_pairs, group_mul,
+                   heis_dist_trunc)
 from .sampling import make_rng
 
 
@@ -94,12 +95,10 @@ def heis_convolve(mu, nu, max_atoms=5_000_000):
 def ball_masses(mu, centers, radius):
     """mu(B(x, r)) for each center x, closed balls."""
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
-    out = np.empty(len(centers))
-    block = max(1, int(4e6 // max(len(mu), 1)))
-    for i in range(0, len(centers), block):
-        d = heis_dist_trunc(centers[i:i + block, None, :],
-                            mu.points[None, :, :], 0.0)
-        out[i:i + block] = (mu.weights[None, :] * (d <= radius)).sum(axis=1)
+    out = np.zeros(len(centers))
+    for i, j, _ in gauge_pairs(centers, mu.points, radius):
+        first = np.flatnonzero(np.diff(i, prepend=-1))
+        out[i[first]] = np.add.reduceat(mu.weights[j], first)
     return out
 
 
@@ -154,30 +153,17 @@ def rasterize(mu, spacing, origin=None, shape=None):
     return GridDensity(origin, spacing, values / float(np.prod(spacing)))
 
 
-def delta_measure_report(grid, delta, C=1.0, max_cells=4096, seed=0):
+def delta_measure_report(grid, delta, C=1.0):
     """Check the pointwise (delta, C) bound density <= C mu(B(x, delta)) / Leb(B(x, delta)).
 
-    Evaluated at occupied cell centers (a seeded subsample beyond
-    max_cells).  Returns the worst ratio density / (C * ball average).
+    Evaluated at every occupied cell center.  Returns the worst ratio
+    density / (C * ball average).
     """
     centers, dens = grid.occupied()
-    if len(centers) == 0:
-        return {"passes": True, "max_ratio": 0.0, "cells": 0}
-    if len(centers) > max_cells:
-        rng = make_rng(seed)
-        pick = rng.choice(len(centers), size=max_cells, replace=False)
-    else:
-        pick = np.arange(len(centers))
     vol = float(ball_volume(delta))
-    cellvol = grid.cell_volume
-    worst = 0.0
-    block = max(1, int(4e6 // max(len(centers), 1)))
-    for i in range(0, len(pick), block):
-        sel = pick[i:i + block]
-        d = heis_dist_trunc(centers[sel, None, :], centers[None, :, :], 0.0)
-        mass = ((d <= delta) * dens[None, :]).sum(axis=1) * cellvol
-        ratio = dens[sel] / (C * mass / vol)
-        worst = max(worst, float(ratio.max()))
+    mass = ball_masses(DiscreteMeasure(centers, dens), centers, delta) \
+        * grid.cell_volume
+    worst = float((dens / (C * mass / vol)).max(initial=0.0))
     return {"passes": worst <= 1.0 + 1e-9, "max_ratio": worst,
             "cells": int(len(centers))}
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HeisBall, gauge_norm, group_mul, heis_dist
+from .projections import pack_pixels
 from .sampling import make_rng
 
 
@@ -227,11 +228,6 @@ def plate_to_ball(plate, inflation=1.0):
     return HeisBall(tuple(center), inflation * plate.r / 2.0)
 
 
-def ray_base_point(u, v, y):
-    """The point whose dual ray is (0, u, v) + L_y."""
-    return compose_center(u, v, y)
-
-
 def same_direction_separation(ball1, ball2, n_samples=512, seed=0,
                               within=1.0):
     """Separation ratio d(p1, p2) / r for same-direction balls.
@@ -297,8 +293,7 @@ def count_memberships(u, v, y, r, pts, tol=1e-9):
         idx = order[starts[bi]:starts[bi + 1]]
         theta = (b + 0.5) * wb
         ub, vb = u[idx], v[idx]
-        pkey = (np.floor(ub / hu).astype(np.int64) << 32) \
-            ^ (np.floor(vb / hv).astype(np.int64) & np.int64(0xFFFFFFFF))
+        pkey = pack_pixels(np.floor(ub / hu), np.floor(vb / hv))
         porder = np.argsort(pkey, kind="stable")
         pkey_sorted = pkey[porder]
         idx_sorted = idx[porder]
@@ -309,8 +304,7 @@ def count_memberships(u, v, y, r, pts, tol=1e-9):
         sample_ids = np.arange(n_pts)
         for du in (0, 1):
             for dv in (0, 1):
-                key = ((iu0 + du) << 32) \
-                    ^ ((iv0 + dv) & np.int64(0xFFFFFFFF))
+                key = pack_pixels(iu0 + du, iv0 + dv)
                 lo = np.searchsorted(pkey_sorted, key, side="left")
                 hi = np.searchsorted(pkey_sorted, key, side="right")
                 lens = hi - lo

@@ -104,12 +104,19 @@ def project_measure(theta, points, weights):
     return PlanarMeasure(pi_e(theta, points), np.array(weights, dtype=float))
 
 
+def pack_pixels(ia, ib):
+    """One int64 key per pixel, from integer indices in the int32 range."""
+    lim = np.iinfo(np.int32)
+    for a in (ia, ib):
+        if a.size and not (lim.min <= a.min() and a.max() <= lim.max):
+            raise ValueError("pixel index outside the int32 range")
+    return (ia.astype(np.int64) << 32) ^ (ib.astype(np.int64) & 0xFFFFFFFF)
+
+
 def pixel_keys(w, pixel):
     """Integer pixel indices (floor grid) of chart points, as a single key."""
     w = np.asarray(w, dtype=float).reshape(-1, 2)
-    ia = np.floor(w[:, 0] / pixel).astype(np.int64)
-    ib = np.floor(w[:, 1] / pixel).astype(np.int64)
-    return (ia << 32) ^ (ib & np.int64(0xFFFFFFFF))
+    return pack_pixels(np.floor(w[:, 0] / pixel), np.floor(w[:, 1] / pixel))
 
 
 def pixel_area(w, pixel):

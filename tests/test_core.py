@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heislab.core
 from heislab.core import (UNIT_BALL_VOLUME, Direction, HeisBall, HeisPoint,
-                          ball_volume, dilate, gauge_norm, group_inv,
-                          group_mul, heis_dist, heis_dist_trunc)
+                          ball_volume, dilate, gauge_norm, gauge_pairs,
+                          group_inv, group_mul, heis_dist, heis_dist_trunc)
+from heislab.delta_sets import gen_heis_lattice
 from heislab.sampling import (ball_points, make_rng, monte_carlo_ball_volume,
                               quadrature_ball_volume, uniform_ball_points,
                               unit_ball_points)
@@ -151,3 +153,77 @@ def test_uniform_ball_points_deterministic():
     b = uniform_ball_points(50, make_rng(9))
     assert np.array_equal(a, b)
     assert np.all(gauge_norm(a) <= 1.0)
+
+
+def dense_pairs(queries, points, r):
+    """Oracle for gauge_pairs: every (i, j, d) from the full matrix."""
+    q = np.asarray(queries, dtype=float).reshape(-1, 3)
+    p = np.asarray(points, dtype=float).reshape(-1, 3)
+    d = heis_dist(q[:, None, :], p[None, :, :])
+    return {(i, j, d[i, j]) for i, j in zip(*np.nonzero(d <= r))}
+
+
+def fast_pairs(queries, points, r):
+    """gauge_pairs as a set; also checks the block layout it promises."""
+    blocks = list(gauge_pairs(queries, points, r))
+    if not blocks:
+        return set()
+    i = np.concatenate([b[0] for b in blocks])
+    assert np.all(np.diff(i) >= 0)  # query order, each query consecutive
+    return {(a, b, c) for blk in blocks for a, b, c in zip(*blk)}
+
+
+# points whose |z| is near 1, where the sheared height tilts most
+rim = st.tuples(st.floats(0, 2 * math.pi), st.floats(0.9, 1.0),
+                st.floats(-0.3, 0.3)).map(
+    lambda a: np.array([a[1] * math.cos(a[0]), a[1] * math.sin(a[0]), a[2]]))
+
+
+@given(st.lists(rim, min_size=1, max_size=40),
+       st.lists(rim, min_size=1, max_size=40), st.floats(0, 0.6))
+@settings(max_examples=200, deadline=None)
+def test_gauge_pairs_near_rim_match_dense(points, queries, r):
+    assert fast_pairs(queries, points, r) == dense_pairs(queries, points, r)
+
+
+@given(st.sampled_from([2.0 ** -3, 0.075, 0.1]),
+       st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8),
+                          st.integers(-20, 20)), min_size=1, max_size=50),
+       st.sampled_from([0.0, 1.0, 2.0, 3.0]))
+@settings(max_examples=200, deadline=None)
+def test_gauge_pairs_on_cell_edges_match_dense(delta, ijk, k):
+    # lattice points at distance exactly r sit on the edges of the cells
+    pts = np.array(ijk, dtype=float) * [delta, delta, delta ** 2]
+    r = k * delta
+    assert fast_pairs(pts, pts, r) == dense_pairs(pts, pts, r)
+
+
+@given(st.lists(point, min_size=1, max_size=20), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_gauge_pairs_radius_zero_finds_duplicates(pts, copies):
+    pts = np.concatenate([np.array(pts)] * copies)
+    got = fast_pairs(pts, pts, 0.0)
+    assert got == dense_pairs(pts, pts, 0.0)
+    assert len(got) >= len(pts)
+
+
+def test_gauge_pairs_lattice_and_small_blocks(monkeypatch):
+    pts = gen_heis_lattice(2.0 ** -3).centers
+    want = dense_pairs(pts, pts, 2.0 ** -2)
+    assert fast_pairs(pts, pts, 2.0 ** -2) == want
+    monkeypatch.setattr(heislab.core, "PAIR_BLOCK", 7)
+    assert fast_pairs(pts, pts, 2.0 ** -2) == want
+    # a radius beyond the diameter pairs everything
+    assert len(fast_pairs(pts[:50], pts, 3.0)) == 50 * len(pts)
+
+
+def test_gauge_pairs_empty_and_bad_input():
+    pts = np.zeros((3, 3))
+    assert list(gauge_pairs(np.zeros((0, 3)), pts, 1.0)) == []
+    assert list(gauge_pairs(pts, np.zeros((0, 3)), 1.0)) == []
+    with pytest.raises(ValueError):
+        list(gauge_pairs(np.array([[0.0, np.nan, 0.0]]), pts, 1.0))
+    with pytest.raises(ValueError):
+        list(gauge_pairs(pts, np.array([[np.inf, 0.0, 0.0]]), 1.0))
+    with pytest.raises(ValueError):
+        list(gauge_pairs(pts, pts, -1.0))

@@ -1,14 +1,34 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from heislab.core import gauge_norm, heis_dist
-from heislab.delta_sets import (BallFamily, brute_force_min_cover,
-                                covering_number, gen_heis_lattice,
+from heislab.core import gauge_norm, group_mul, heis_dist
+from heislab.delta_sets import (BallFamily, covering_number, gen_heis_lattice,
                                 gen_horizontal_line, gen_lattice_slab,
                                 gen_product, gen_random3, gen_t_axis,
                                 generate, read_family, verify_delta_t_set,
                                 write_family)
 from heislab.sampling import make_rng
+
+
+def brute_force_min_cover(points, delta):
+    """Exact minimum number of delta-balls centered at points covering them.
+
+    Exponential search; intended as a small-input oracle (n <= 12).
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    n = len(pts)
+    if n == 0:
+        return 0
+    if n > 14:
+        raise ValueError("brute force cover limited to 14 points")
+    cover = heis_dist(pts[:, None, :], pts[None, :, :]) <= delta + 1e-12
+    for k in range(1, n + 1):
+        for combo in itertools.combinations(range(n), k):
+            if np.all(np.any(cover[list(combo)], axis=0)):
+                return k
+    return n
 
 
 def test_validate_accepts_lattice():
@@ -28,9 +48,31 @@ def test_validate_rejects_bad_families():
         BallFamily(close, 0.1, 1, 4).validate()
 
 
-def test_validate_subsampled_path():
+def test_validate_exact_on_large_families():
+    # above 20,000 centers, where separation used to be sampled
     fam = gen_heis_lattice(2.0 ** -4)
-    assert fam.validate(max_pairs=10)  # forces the subsample branch
+    assert len(fam) > 60000
+    assert fam.validate()
+    assert gen_lattice_slab(2.0 ** -5).validate()
+
+
+def test_validate_finds_one_close_pair_in_large_lattice():
+    fam = gen_heis_lattice(2.0 ** -4)
+    c = fam.centers
+    extra = group_mul(c[len(c) // 3], [1e-4, 0.0, 0.0])
+    bad = BallFamily(np.concatenate([c, extra[None, :]]), fam.delta, 4, 8)
+    with pytest.raises(ValueError, match="separated"):
+        bad.validate()
+
+
+def test_covering_number_matches_dense_first_fit():
+    pts = gen_random3(0.075, seed=3).centers
+    for delta in (0.0, 0.075, 0.15, 0.6):
+        net = [pts[0]]
+        for p in pts[1:]:
+            if float(heis_dist(np.asarray(net), p).min()) > delta:
+                net.append(p)
+        assert covering_number(pts, delta) == len(net)
 
 
 def test_covering_number_basics():
@@ -148,6 +190,13 @@ def test_verifier_subsample_deterministic():
     assert r1 == r2
 
 
+@pytest.mark.parametrize("max_centers", [64, 512, 10 ** 6])
+def test_verifier_reports_centers_tested(max_centers):
+    fam = gen_random3(2.0 ** -4, seed=5)
+    report = verify_delta_t_set(fam, max_centers=max_centers)
+    assert report["centers_tested"] == min(len(fam), max_centers)
+
+
 def test_family_roundtrip_exact(tmp_path):
     fam = gen_random3(2.0 ** -3, seed=7)
     path = tmp_path / "fam.txt"
@@ -160,6 +209,17 @@ def test_family_roundtrip_exact(tmp_path):
     header = path.read_text().splitlines()[0].split()
     assert len(header) == 4
     assert int(header[3]) == len(fam)
+
+
+def test_empty_family_roundtrip(tmp_path):
+    path = tmp_path / "empty.txt"
+    write_family(path, BallFamily(np.zeros((0, 3)), 0.25, 3.0, 8.0))
+    back = read_family(path)
+    assert back.centers.shape == (0, 3)
+    assert (back.delta, back.claimed_t, back.claimed_C) == (0.25, 3.0, 8.0)
+    path.write_text(path.read_text() + "0 0 0\n")
+    with pytest.raises(ValueError):
+        read_family(path)
 
 
 def test_read_family_rejects_bad_files(tmp_path):

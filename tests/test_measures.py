@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heislab.core import group_mul, heis_dist_trunc
+from heislab.core import group_mul, heis_dist, heis_dist_trunc
 from heislab.delta_sets import gen_t_axis
 from heislab.measures import (DiscreteMeasure, GridDensity, augment_to_dim3,
                               ball_masses, delta_measure_report, grid_z,
@@ -105,6 +105,17 @@ def test_ball_masses():
     mu = DiscreteMeasure(pts, np.array([1.0, 2.0, 4.0]))
     m = ball_masses(mu, np.array([[0.0, 0.0, 0.0]]), 1.0)
     assert m[0] == pytest.approx(3.0)
+
+
+def test_ball_masses_match_dense_sum():
+    rng = make_rng(6)
+    mu = DiscreteMeasure(rng.random((700, 3)) * 2 - 1, rng.random(700))
+    centers = rng.random((300, 3)) * 2 - 1
+    d = heis_dist(centers[:, None, :], mu.points[None, :, :])
+    for r in (0.0, 0.1, 0.4, 1.0, 5.0):
+        want = ((d <= r) * mu.weights[None, :]).sum(axis=1)
+        assert np.allclose(ball_masses(mu, centers, r), want,
+                           rtol=1e-12, atol=0)
 
 
 def test_grid_density_mass_and_occupied():

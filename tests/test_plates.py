@@ -8,7 +8,7 @@ from heislab.duality import LightRay, dual_ray
 from heislab.plates import (ModifiedPlate, Plate, ball_to_modified_plate,
                             center_decomposition, compose_center,
                             count_memberships, count_memberships_bruteforce,
-                            direction_bin, plate_to_ball, ray_base_point,
+                            direction_bin, plate_to_ball,
                             rect_contains, same_direction_separation,
                             shear_matrix)
 from heislab.sampling import ball_points, make_rng
@@ -142,7 +142,7 @@ def test_plate_to_ball_roundtrip():
 
 def test_ray_base_point_duality():
     u, v, y = 0.3, -0.2, 0.7
-    p = ray_base_point(u, v, y)
+    p = compose_center(u, v, y)
     ray = dual_ray(tuple(p))
     assert np.allclose([ray.u, ray.v, ray.y], [u, v, y], atol=1e-12)
 

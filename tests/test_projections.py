@@ -128,3 +128,14 @@ def test_pixel_area_basics():
     assert pixel_area(w, 0.1) == pytest.approx(2 * 0.01)
     with pytest.raises(ValueError):
         pixel_area(w, 0.0)
+
+
+def test_pixel_area_rejects_indices_outside_int32():
+    # index 2^32 would share the key of index 0 in a 32-bit packing
+    p = 0.1
+    with pytest.raises(ValueError):
+        pixel_area(np.array([[0.0, 0.0], [2.0 ** 32 * p, 0.0]]), p)
+    with pytest.raises(ValueError):
+        pixel_area(np.array([[0.0, -(2.0 ** 31 + 1) * p]]), p)
+    assert pixel_area(np.array([[0.0, 0.0], [(2.0 ** 31 - 1) * p, 0.0]]),
+                      p) == pytest.approx(2 * p * p)
