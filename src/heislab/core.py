@@ -138,15 +138,26 @@ def gauge_pairs(queries, points, r):
     qk, qoff = keys(cell[:len(q)], q)
     first = np.searchsorted(key, (qk - bound) + qoff, side="left")
     lens = np.searchsorted(key, (qk + bound) + qoff, side="right") - first
-    cum = np.cumsum(lens)
-    cuts = np.searchsorted(cum, np.arange(PAIR_BLOCK, cum[-1], PAIR_BLOCK))
-    for ids in np.split(np.arange(len(q)), cuts):
-        n = lens[ids]
-        i = np.repeat(ids, n)
-        j = lj[np.arange(len(i)) + np.repeat(first[ids] - np.cumsum(n) + n, n)]
+    for i, k in window_blocks(first, lens, PAIR_BLOCK):
+        j = lj[k]
         d = heis_dist(q[i], p[j])
         hit = d <= r
         yield i[hit], j[hit], d[hit]
+
+
+def window_blocks(first, lens, block):
+    """Expand windows [first[w], first[w] + lens[w]) of a sorted array.
+
+    Yields (w, k): each window's id repeated once per position, and the
+    positions, in window order, from about `block` positions per block;
+    a window is never split between blocks.
+    """
+    cum = np.cumsum(lens)
+    cuts = np.searchsorted(cum, np.arange(block, cum[-1], block))
+    for ids in np.split(np.arange(len(lens)), cuts):
+        n = lens[ids]
+        w = np.repeat(ids, n)
+        yield w, np.arange(len(w)) + np.repeat(first[ids] - np.cumsum(n) + n, n)
 
 
 def ball_volume(r):

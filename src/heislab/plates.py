@@ -24,6 +24,25 @@ the free direction y': one linear band, one quadratic band and the box
 [y - r, y + r].  The feasible set is a union of at most two intervals
 whose endpoints are explicit, so membership is decided exactly by
 testing at most eight candidate values (no grid search).
+
+Counting.  If Pi_r(u, v, y) holds q = (s, q2, q3) on its ray of direction
+y' = y + e, |e| <= r, then w1 = q2 - u + s y' and w2 + y w1 =
+q3 - lam + y q2 + s y^2 / 2 - s e^2 / 2 with lam = v + y u, so (each
+bound widened by tol)
+
+    |q2 - u + s y| <= W1 = (r + tol)(1 + |s|),
+    |q3 - lam + y q2 + s y^2 / 2| <= W2 = r^2 + tol + |s| (r + tol)^2 / 2:
+
+the centers of the plates holding q lie in a tube r wide in u but r^2
+thin in lam.  count_memberships bins plates by direction into bins of
+width b = r and, in the bin centred at theta, sorts them by u-cell and
+lam_theta = v + theta u.  As |y - theta| <= b / 2, a member has u within
+W1 + |s| b / 2 of q2 + s theta and lam_theta within
+W2 + (b / 2) W1 + |s| b^2 / 8 of q3 + theta q2 + s theta^2 / 2.  A point
+reads these windows in every bin and keeps the pairs meeting both
+conditions at the plate's own y.  Windows and conditions only widen, by
+a margin above the rounding of every term too, so no member is dropped
+and the exact test decides the rest: the pairs read grow with the hits.
 """
 
 from __future__ import annotations
@@ -33,9 +52,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HeisBall, gauge_norm, group_mul, heis_dist
-from .projections import pack_pixels
+from .core import HeisBall, gauge_norm, heis_dist, window_blocks
 from .sampling import make_rng
+
+# Candidate pairs, and (point, direction bin) windows, per block of
+# count_memberships; the membership test tries eight directions a pair.
+PLATE_BLOCK = 1 << 16
 
 
 def shear_matrix(y):
@@ -142,40 +164,6 @@ class ModifiedPlate:
         return _modified_contains_arrays(self.u, self.v, self.y, self.r,
                                          q[..., 0], q[..., 1], q[..., 2], tol)
 
-    def contains_grid(self, q, n_grid=65, tol=1e-9):
-        """Grid + golden-section oracle for contains(); tests only.
-
-        Minimizes the rectangle violation over y' on an n_grid-point grid
-        and refines around the best grid point by golden-section search.
-        """
-        q = np.asarray(q, dtype=float)
-        s, q2, q3 = q[..., 0], q[..., 1], q[..., 2]
-
-        def violation(yp):
-            w1 = q2 - self.u + s * yp
-            w2 = q3 - self.v - 0.5 * s * yp ** 2
-            g = w2 + self.y * w1
-            return (np.maximum(np.abs(w1) - self.r, 0.0)
-                    + np.maximum(np.abs(g) - self.r ** 2, 0.0))
-
-        grid = np.linspace(self.y - self.r, self.y + self.r, n_grid)
-        vals = np.stack([violation(yp) for yp in grid])
-        best = np.argmin(vals, axis=0)
-        lo = grid[np.maximum(best - 1, 0)]
-        hi = grid[np.minimum(best + 1, n_grid - 1)]
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c = hi - invphi * (hi - lo)
-        d = hi - (hi - lo) * (1 - invphi)
-        fc, fd = violation(c), violation(d)
-        for _ in range(40):
-            take = fc < fd
-            hi = np.where(take, d, hi)
-            lo = np.where(take, lo, c)
-            c = hi - invphi * (hi - lo)
-            d = hi - (hi - lo) * (1 - invphi)
-            fc, fd = violation(c), violation(d)
-        return np.minimum(fc, fd) <= tol
-
     def contains_ray(self, ray, tol=1e-12):
         """Whole-ray membership of (0, u', v') + L_{y'}; exact algebra."""
         w1 = ray.u - self.u
@@ -263,85 +251,85 @@ def _uniform_euclidean_ball(n, rng, radius):
 def count_memberships(u, v, y, r, pts, tol=1e-9):
     """N(x) = number of modified plates Pi_r(u_i, v_i, y_i) containing x.
 
-    Plates share the scale r.  Uses direction bins of width r and a 2-D
-    hash on (u, v) windows so only nearby plates are tested exactly; the
-    windows are conservative, so counts equal the brute-force ones.
+    Plates share the scale r >= 0.  Exact, at a cost that grows with the
+    hits: the index of the module docstring proposes only plates meeting
+    widened necessary conditions, and the closed-form test decides each.
+    Raises ValueError for u, v and y of different lengths, a coordinate
+    or r that is not finite, or r < 0.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    y = np.asarray(y, dtype=float)
+    u, v, y = (np.asarray(a, dtype=float).ravel() for a in (u, v, y))
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    n_pts = len(pts)
-    counts = np.zeros(n_pts, dtype=np.int64)
-    if len(u) == 0 or n_pts == 0:
-        return counts
-    s, q2, q3 = pts[:, 0], pts[:, 1], pts[:, 2]
-    smax = float(np.abs(s).max())
-    wb = r
-    ymax = float(np.abs(y).max()) + wb + r
-    # containment forces u_i near q2 + s y' and v_i near q3 - s y'^2 / 2
-    hw_u = smax * (wb / 2 + r) + r + 1e-12
-    hw_v = smax * (wb / 2 + r) * (ymax + (wb / 2 + r)) + ymax * r + r * r + 1e-12
-    hu = max(2 * hw_u, 1e-9)
-    hv = max(2 * hw_v, 1e-9)
-    bins = np.floor(y / wb).astype(np.int64)
-    order = np.argsort(bins, kind="stable")
-    sorted_bins = bins[order]
-    uniq, starts = np.unique(sorted_bins, return_index=True)
-    starts = np.append(starts, len(order))
-    for bi, b in enumerate(uniq):
-        idx = order[starts[bi]:starts[bi + 1]]
-        theta = (b + 0.5) * wb
-        ub, vb = u[idx], v[idx]
-        pkey = pack_pixels(np.floor(ub / hu), np.floor(vb / hv))
-        porder = np.argsort(pkey, kind="stable")
-        pkey_sorted = pkey[porder]
-        idx_sorted = idx[porder]
-        cu = q2 + s * theta
-        cv = q3 - 0.5 * s * theta * theta
-        iu0 = np.floor((cu - hw_u) / hu).astype(np.int64)
-        iv0 = np.floor((cv - hw_v) / hv).astype(np.int64)
-        sample_ids = np.arange(n_pts)
-        for du in (0, 1):
-            for dv in (0, 1):
-                key = pack_pixels(iu0 + du, iv0 + dv)
-                lo = np.searchsorted(pkey_sorted, key, side="left")
-                hi = np.searchsorted(pkey_sorted, key, side="right")
-                lens = hi - lo
-                tot = int(lens.sum())
-                if tot == 0:
-                    continue
-                samp = np.repeat(sample_ids, lens)
-                offs = np.arange(tot) - np.repeat(
-                    np.cumsum(lens) - lens, lens)
-                plate = idx_sorted[np.repeat(lo, lens) + offs]
-                for i0 in range(0, tot, 2_000_000):
-                    sl = slice(i0, i0 + 2_000_000)
-                    pj, sj = plate[sl], samp[sl]
-                    up, vp, yp = u[pj], v[pj], y[pj]
-                    ss, a2, a3 = s[sj], q2[sj], q3[sj]
-                    # cheap necessary conditions at y' = y before the
-                    # full feasibility test
-                    A = a2 - up
-                    h0 = a3 - vp + yp * A + 0.5 * ss * yp * yp
-                    slack = 1.0 + np.abs(ss)
-                    near = (np.abs(A + ss * yp) <= r * slack + tol) \
-                        & (np.abs(h0) <= r * r * slack + tol)
-                    if not np.any(near):
-                        continue
-                    pj, sj = pj[near], sj[near]
-                    inside = _modified_contains_arrays(
-                        u[pj], v[pj], y[pj], r,
-                        s[sj], q2[sj], q3[sj], tol)
-                    counts += np.bincount(sj[inside], minlength=n_pts)
-    return counts
-
-
-def count_memberships_bruteforce(u, v, y, r, pts, tol=1e-9):
-    """Plate-by-plate count; oracle for count_memberships."""
-    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    r = float(r)
+    if not len(u) == len(v) == len(y):
+        raise ValueError("u, v and y must have the same length")
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError("r must be finite and nonnegative")
+    if not all(np.all(np.isfinite(a)) for a in (u, v, y, pts)):
+        raise ValueError("coordinates must be finite")
     counts = np.zeros(len(pts), dtype=np.int64)
-    for ui, vi, yi in zip(np.atleast_1d(u), np.atleast_1d(v), np.atleast_1d(y)):
-        counts += _modified_contains_arrays(
-            ui, vi, yi, r, pts[:, 0], pts[:, 1], pts[:, 2], tol).astype(np.int64)
+    for i, j, near in _plate_candidates(u, v, y, r, pts, tol):
+        i, j = i[near], j[near]
+        inside = _modified_contains_arrays(u[j], v[j], y[j], r, *pts[i].T,
+                                           tol)
+        counts += np.bincount(i[inside], minlength=len(pts))
     return counts
+
+
+def _plate_candidates(u, v, y, r, pts, tol):
+    """Blocks (i, j, near): point i and plate j read from the index.
+
+    near marks the pairs meeting both necessary conditions at the plate's
+    own y.  Every pair the membership test can accept is read once, near.
+    """
+    if len(u) == 0 or len(pts) == 0:
+        return
+    s, q2, q3 = pts[:, 0], pts[:, 1], pts[:, 2]
+    sabs = np.abs(s)
+    ylo, ulo = float(y.min()), float(u.min())
+    # at most 1024 bins and u-cells keep ids small; 1e-70 serves r = 0
+    b = max(r, float(y.max() - ylo) / 1024, 1e-70)
+    # every term of the conditions, the test and the keys is below
+    # (1 + a)^3 and rounds by < 1e-15 of it; W1, W2 scale that by (1 + a)^2
+    a = max(float(np.abs(c).max()) for c in (u, v, y, s, q2, q3)) + r + b
+    margin = 1e-12 * (1.0 + a) ** 5
+    w1 = (r + tol) * (1.0 + sabs)
+    hu = w1 + sabs * b / 2 + margin
+    w2 = r * r + tol + sabs * (r + tol) ** 2 / 2
+    hl = w2 + b / 2 * w1 + sabs * b * b / 8 + margin
+    # u-cells over twice the widest u-window: a window meets at most two
+    side = max(2.0 * float(hu.max()) * (1 + 1e-6),
+               float(u.max() - ulo) / 1024, 1e-70)
+    ncell = int((u.max() - ulo) / side) + 1
+    occupied, rank = np.unique(np.floor((y - ylo) / b).astype(np.int64),
+                               return_inverse=True)
+    theta = ylo + (occupied + 0.5) * b
+    # ids bin * stride + cell + 1 leave the clipped cells -1 and ncell of
+    # far points empty; |keys| and |window ends| < (1 + a)^3 + max(hl), so
+    # id * spacing keeps cells apart, and adding it to both is monotone
+    stride = ncell + 2
+    spacing = 3.0 * (1.0 + a) ** 3 + 3.0 * float(hl.max())
+    cell = np.floor((u - ulo) / side).astype(np.int64)
+    key = v + theta[rank] * u + (rank * stride + cell + 1) * spacing
+    order = np.argsort(key)
+    key = key[order]
+    base = np.arange(len(theta)) * stride + 1
+    step = max(1, PLATE_BLOCK // len(theta))
+    for p0 in range(0, len(pts), step):
+        sl = slice(p0, p0 + step)
+        cu = q2[sl, None] + s[sl, None] * theta - ulo
+        lo = np.clip(np.floor((cu - hu[sl, None]) / side), -1, ncell)
+        hi = np.clip(np.floor((cu + hu[sl, None]) / side), -1, ncell)
+        off = (base[:, None] + np.stack([lo, hi], axis=-1)) * spacing
+        c = (q3[sl, None] + theta * q2[sl, None]
+             + s[sl, None] * theta * theta / 2)[..., None]
+        h = hl[sl, None, None]
+        first = np.searchsorted(key, (c - h) + off, side="left")
+        lens = np.searchsorted(key, (c + h) + off, side="right") - first
+        lens[..., 1] *= hi > lo
+        for w, k in window_blocks(first.ravel(), lens.ravel(), PLATE_BLOCK):
+            i, j = p0 + w // (2 * len(theta)), order[k]
+            yj, si = y[j], s[i]
+            near = ((np.abs(q2[i] - u[j] + si * yj) <= w1[i] + margin)
+                    & (np.abs(q3[i] - v[j] - yj * u[j] + yj * q2[i]
+                              + si * yj * yj / 2) <= w2[i] + margin))
+            yield i, j, near

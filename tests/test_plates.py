@@ -1,19 +1,68 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heislab.core import HeisBall, gauge_norm, heis_dist
+from heislab.delta_sets import generate
 from heislab.duality import LightRay, dual_ray
-from heislab.plates import (ModifiedPlate, Plate, ball_to_modified_plate,
-                            center_decomposition, compose_center,
-                            count_memberships, count_memberships_bruteforce,
+from heislab.plates import (ModifiedPlate, Plate, _modified_contains_arrays,
+                            _plate_candidates, _uniform_euclidean_ball,
+                            ball_to_modified_plate, center_decomposition,
+                            compose_center, count_memberships,
                             direction_bin, plate_to_ball,
                             rect_contains, same_direction_separation,
                             shear_matrix)
 from heislab.sampling import ball_points, make_rng
 
 coord = st.floats(-1, 1, allow_nan=False)
+
+
+def contains_grid(plate, q, n_grid=65, tol=1e-9):
+    """Grid + golden-section oracle for ModifiedPlate.contains().
+
+    Minimizes the rectangle violation over y' on an n_grid-point grid
+    and refines around the best grid point by golden-section search.
+    """
+    q = np.asarray(q, dtype=float)
+    s, q2, q3 = q[..., 0], q[..., 1], q[..., 2]
+
+    def violation(yp):
+        w1 = q2 - plate.u + s * yp
+        w2 = q3 - plate.v - 0.5 * s * yp ** 2
+        g = w2 + plate.y * w1
+        return (np.maximum(np.abs(w1) - plate.r, 0.0)
+                + np.maximum(np.abs(g) - plate.r ** 2, 0.0))
+
+    grid = np.linspace(plate.y - plate.r, plate.y + plate.r, n_grid)
+    vals = np.stack([violation(yp) for yp in grid])
+    best = np.argmin(vals, axis=0)
+    lo = grid[np.maximum(best - 1, 0)]
+    hi = grid[np.minimum(best + 1, n_grid - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = hi - (hi - lo) * (1 - invphi)
+    fc, fd = violation(c), violation(d)
+    for _ in range(40):
+        take = fc < fd
+        hi = np.where(take, d, hi)
+        lo = np.where(take, lo, c)
+        c = hi - invphi * (hi - lo)
+        d = hi - (hi - lo) * (1 - invphi)
+        fc, fd = violation(c), violation(d)
+    return np.minimum(fc, fd) <= tol
+
+
+def count_memberships_bruteforce(u, v, y, r, pts, tol=1e-9):
+    """Plate-by-plate count; oracle for count_memberships."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    counts = np.zeros(len(pts), dtype=np.int64)
+    for ui, vi, yi in zip(np.atleast_1d(u), np.atleast_1d(v), np.atleast_1d(y)):
+        counts += _modified_contains_arrays(
+            ui, vi, yi, r, pts[:, 0], pts[:, 1], pts[:, 2], tol).astype(np.int64)
+    return counts
 
 
 def test_shear_rect_membership():
@@ -76,7 +125,7 @@ def test_modified_contains_matches_grid_oracle():
         near = plate.sample(500, rng) + (rng.random((500, 3)) - 0.5) * 0.02
         q = np.concatenate([pts, near])
         fast = plate.contains(q)
-        slow = plate.contains_grid(q)
+        slow = contains_grid(plate, q)
         assert np.array_equal(fast, slow)
 
 
@@ -194,3 +243,78 @@ def test_count_memberships_empty_inputs():
     assert len(count_memberships(np.array([0.0]), np.array([0.0]),
                                  np.array([0.0]), 0.1,
                                  np.zeros((0, 3)))) == 0
+
+
+@st.composite
+def plate_edge_cases(draw):
+    """Plates on direction-bin edges or with |y| > 1, duplicated, and
+    points built on their boundaries, with s = 0 and |s| > 2."""
+    r = draw(st.sampled_from([0.0, 2.0 ** -5, 2.0 ** -3, 0.25]))
+    if draw(st.booleans()):
+        ydir = st.integers(-12, 12).map(lambda k: k * r)
+    else:
+        ydir = st.floats(-3, 3)
+    plate = st.tuples(st.floats(-1, 1), st.floats(-1, 1), ydir)
+    uvy = draw(st.lists(plate, min_size=1, max_size=10))
+    uvy += draw(st.lists(st.sampled_from(uvy), max_size=4))
+    u, v, y = np.array(uvy).T
+    side = st.sampled_from([-1.0, 1.0])
+    built = st.tuples(st.integers(0, len(uvy) - 1),
+                      st.one_of(st.just(0.0), st.floats(-4, 4)),
+                      st.one_of(side, st.floats(-1, 1)),
+                      st.one_of(side, st.floats(-1, 1)),
+                      st.one_of(side, st.floats(-1, 1)),
+                      st.sampled_from([0.0, 1e-9, -1e-9, 1e-12, -1e-12]))
+    pts = []
+    for j, s, dy, w1, g, nudge in draw(st.lists(built, min_size=1,
+                                                max_size=30)):
+        # on the ray of direction y_j + dy r through (0, u + w1 r,
+        # v + w2) with w2 + y_j w1 r = g r^2, moved by nudge
+        yp = y[j] + dy * r
+        w2 = g * r * r - y[j] * w1 * r
+        pts.append([s, u[j] + w1 * r - s * yp + nudge,
+                    v[j] + w2 + 0.5 * s * yp * yp - nudge])
+    free = st.tuples(st.floats(-4, 4), st.floats(-3, 3), st.floats(-3, 3))
+    pts += draw(st.lists(free, max_size=10))
+    return u, v, y, r, np.array(pts)
+
+
+@given(plate_edge_cases())
+@settings(max_examples=300, deadline=None)
+# s near 0 overflows trial directions to inf, which the test discards
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_count_memberships_edge_cases_match_bruteforce(case):
+    u, v, y, r, pts = case
+    assert np.array_equal(count_memberships(u, v, y, r, pts),
+                          count_memberships_bruteforce(u, v, y, r, pts))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_plate_candidates_per_hit_stay_flat(k):
+    # the index reads windows that fit the plates' thin sheared tube, so
+    # the proposals per hit do not grow as delta shrinks
+    fam = generate("random3", 2.0 ** -k, seed=1)
+    uvy = center_decomposition(fam.centers)
+    u, v, y = uvy[:, 0], uvy[:, 1], uvy[:, 2]
+    r = 2.0 ** (1 - k)
+    pts = _uniform_euclidean_ball(5000, make_rng(k), 2.0)
+    proposed = sum(len(i) for i, _, _ in
+                   _plate_candidates(u, v, y, r, pts, 1e-9))
+    hits = int(count_memberships(u, v, y, r, pts).sum())
+    assert hits > 10000
+    assert proposed <= 16 * hits, proposed / hits
+
+
+def test_count_memberships_rejects_bad_input():
+    pts = np.zeros((3, 3))
+    with pytest.raises(ValueError):
+        count_memberships([0.0, 1.0], [0.0, 1.0], [0.0], 0.1, pts)
+    with pytest.raises(ValueError):
+        count_memberships([0.0], [np.nan], [0.0], 0.1, pts)
+    with pytest.raises(ValueError):
+        count_memberships([0.0], [0.0], [0.0], 0.1,
+                          [[np.inf, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        count_memberships([0.0], [0.0], [0.0], np.nan, pts)
+    with pytest.raises(ValueError):
+        count_memberships([0.0], [0.0], [0.0], -0.1, pts)
