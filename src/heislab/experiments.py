@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from . import plates
-from .core import HeisBall, dilate, gauge_norm, group_mul, heis_dist
+from .core import (PAIR_BLOCK, HeisBall, dilate, gauge_norm, group_mul,
+                   heis_dist)
 from .delta_sets import dyadic_ball_counts, verify_delta_t_set
 from .duality import HorizontalLine, LightRay, xray_transform
 from .projections import pack_pixels, pi_e, pixel_keys, rho_e
@@ -22,29 +23,50 @@ from .sampling import (make_rng, monte_carlo_ball_volume,
                        unit_ball_points)
 
 
-def projection_area(theta, centers, radius, pixel, pts_per_ball=200,
-                    chunk=20000):
+def _ball_charts(theta, centers, radius, cloud):
+    """pi_e(c * delta_r(u)) for every ball (c, r) and cloud point u.
+
+    cloud holds pi_e(theta, u); the result has shape (balls, cloud
+    points, 2) and comes from the shear identity (see projection_area).
+    """
+    ac, bc = pi_e(theta, centers).T
+    ze = centers[:, 0] * math.cos(theta) + centers[:, 1] * math.sin(theta)
+    r = radius[:, None]
+    ra = r * cloud[:, 0]
+    w = np.empty(ra.shape + (2,))
+    w[..., 0] = ac[:, None] + ra
+    w[..., 1] = bc[:, None] + r * r * cloud[:, 1] + ze[:, None] * ra
+    return w
+
+
+def projection_area(theta, centers, radius, pixel, pts_per_ball=200):
     """Pixel area of pi_e(theta) applied to a union of balls.
 
     Each ball is sampled with the same nested low-discrepancy cloud of at
     least pts_per_ball points, dilated to its radius (scalar or per-ball)
-    and left-translated to its center.
+    and left-translated to its center.  Only the centers and the unit
+    cloud go through pi_e; the shear identity of pi_e under left
+    translation and dilation,
+
+        pi_e(c * delta_r(u)) = (a_c + r a_u, b_c + r^2 b_u + <z_c, e> r a_u)
+
+    with (a_c, b_c) = pi_e(c), (a_u, b_u) = pi_e(u) and e = e(theta),
+    gives the chart point of every (ball, cloud point) pair, in blocks
+    of about core.PAIR_BLOCK pairs.  An empty family has area 0.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
     radius = np.broadcast_to(np.asarray(radius, dtype=float), (len(centers),))
+    if len(centers) == 0:
+        return 0.0
     if pixel > radius.min() / 2 + 1e-15:
         raise ValueError("pixel must be at most half the ball radius")
-    cloud = unit_ball_points(pts_per_ball)
-    parts = []
-    for i in range(0, len(centers), chunk):
-        r = radius[i:i + chunk, None, None]
-        offs = cloud[None, :, :] * np.concatenate(
-            [np.broadcast_to(r, (len(r), len(cloud), 2)),
-             np.broadcast_to(r ** 2, (len(r), len(cloud), 1))], axis=2)
-        pts = group_mul(centers[i:i + chunk, None, :], offs).reshape(-1, 3)
-        parts.append(np.unique(pixel_keys(pi_e(theta, pts), pixel)))
-    total = np.unique(np.concatenate(parts)) if parts else np.empty(0)
-    return len(total) * pixel * pixel
+    cloud = pi_e(theta, unit_ball_points(pts_per_ball))
+    step = max(1, PAIR_BLOCK // len(cloud))
+    parts = [np.unique(pixel_keys(_ball_charts(theta, centers[i:i + step],
+                                               radius[i:i + step], cloud),
+                                  pixel))
+             for i in range(0, len(centers), step)]
+    return len(np.unique(np.concatenate(parts))) * pixel * pixel
 
 
 def best_direction_scan(family, n_directions=64, pixel=None,
@@ -179,6 +201,20 @@ def box_dimension(points, scales, metric="euclidean", method="grid"):
             "scales": list(map(float, scales)), "metric": metric}
 
 
+def _cell_counts(vals, cells):
+    """Number of distinct floor(v / cell) over vals, for each cell > 0.
+
+    One sort serves every cell: v -> floor(v / cell) is monotone, so the
+    count is 1 + the number of changes along the sorted values.
+    """
+    vals = np.sort(np.asarray(vals, dtype=float).reshape(-1))
+    out = []
+    for cell in cells:
+        f = np.floor(vals / cell)
+        out.append(len(f) and 1 + int(np.count_nonzero(f[1:] != f[:-1])))
+    return out
+
+
 def rho_dimension(points, thetas, scales):
     """1-D box dimensions of the height shadows rho_e over directions.
 
@@ -186,16 +222,14 @@ def rho_dimension(points, thetas, scales):
     scale) and the square-root-metric slope (cells of length scale^2).
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
+    cells = list(scales) + [s * s for s in scales]
     out = {"thetas": [], "euclidean_slope": [], "sqrt_slope": []}
     for th in thetas:
-        vals = rho_e(th, points)
-        euc = [len(np.unique(np.floor(vals / s).astype(np.int64)))
-               for s in scales]
-        sq = [len(np.unique(np.floor(vals / (s * s)).astype(np.int64)))
-              for s in scales]
+        counts = _cell_counts(rho_e(th, points), cells)
         out["thetas"].append(float(th))
-        out["euclidean_slope"].append(fit_loglog(scales, euc)[0])
-        out["sqrt_slope"].append(fit_loglog(scales, sq)[0])
+        out["euclidean_slope"].append(
+            fit_loglog(scales, counts[:len(scales)])[0])
+        out["sqrt_slope"].append(fit_loglog(scales, counts[len(scales):])[0])
     return out
 
 

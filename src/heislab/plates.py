@@ -134,7 +134,7 @@ def _modified_contains_arrays(u, v, y, r, s, q2, q3, tol):
     """
     A = q2 - u
     Bc = q3 - v + y * A
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cands = [y - r, y + r,
                  (-r - A) / s, (r - A) / s]
         for sign in (-1.0, 1.0):

@@ -36,8 +36,12 @@ def pi_e(theta, p):
 
 
 def rho_e(theta, p):
-    """Height component of pi_e."""
-    return pi_e(theta, p)[..., 1]
+    """Height component of pi_e, computed as pi_e computes it."""
+    p = _as_points(p)
+    c, s = math.cos(theta), math.sin(theta)
+    ze = p[..., 0] * c + p[..., 1] * s
+    zje = -p[..., 0] * s + p[..., 1] * c
+    return p[..., 2] + 0.5 * ze * zje
 
 
 def pi_xt(p):

@@ -2,19 +2,44 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heislab import experiments
+from heislab.core import dilate, group_mul
 from heislab.delta_sets import (BallFamily, gen_horizontal_line,
                                 gen_lattice_slab, gen_random3, gen_t_axis)
-from heislab.experiments import (best_direction_scan, box_dimension,
+from heislab.experiments import (_ball_charts, _cell_counts,
+                                 best_direction_scan, box_dimension,
                                  covering_count_2d, directional_l2_vs_xray,
                                  family_regularity_constant, fit_loglog,
                                  greedy_net_2d, plate_l2_energy,
                                  projection_area, projection_exponent,
                                  rho_dimension)
 from heislab.measures import DiscreteMeasure, rasterize
-from heislab.projections import pi_e, pixel_area
+from heislab.projections import pi_e, pixel_area, pixel_keys, rho_e
 from heislab.reports import ExperimentReport, read_manifest, write_manifest
-from heislab.sampling import ball_points, make_rng
+from heislab.sampling import (ball_points, make_rng, uniform_ball_points,
+                              unit_ball_points)
+
+
+def projection_area_cloud(theta, centers, radius, pixel, pts_per_ball=200,
+                          chunk=20000):
+    """Oracle for projection_area: left-translate the dilated 3-D cloud of
+    every ball with group_mul, then project every point with pi_e."""
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    radius = np.broadcast_to(np.asarray(radius, dtype=float), (len(centers),))
+    cloud = unit_ball_points(pts_per_ball)
+    parts = []
+    for i in range(0, len(centers), chunk):
+        r = radius[i:i + chunk, None, None]
+        offs = cloud[None, :, :] * np.concatenate(
+            [np.broadcast_to(r, (len(r), len(cloud), 2)),
+             np.broadcast_to(r ** 2, (len(r), len(cloud), 1))], axis=2)
+        pts = group_mul(centers[i:i + chunk, None, :], offs).reshape(-1, 3)
+        parts.append(np.unique(pixel_keys(pi_e(theta, pts), pixel)))
+    total = np.unique(np.concatenate(parts)) if parts else np.empty(0)
+    return len(total) * pixel * pixel
 
 
 def test_fit_loglog_exact_power_law():
@@ -61,6 +86,104 @@ def test_projection_area_per_ball_radii():
 def test_projection_area_pixel_guard():
     with pytest.raises(ValueError):
         projection_area(0.0, np.zeros((1, 3)), 0.1, 0.06)
+
+
+@pytest.mark.parametrize("make,pixel_of,pts", [
+    (gen_lattice_slab, lambda d: d / 2, 200),
+    (gen_horizontal_line, lambda d: d * d / 2, 2000),
+    (lambda d: gen_t_axis(d, s=2.0), lambda d: d / 2, 200),
+], ids=["slab", "line", "t-axis"])
+def test_projection_area_matches_cloud_oracle(make, pixel_of, pts):
+    fam = make(2.0 ** -4)
+    pix = pixel_of(fam.delta)
+    for th in np.arange(8) * math.pi / 8:
+        assert projection_area(th, fam.centers, fam.delta, pix, pts) \
+            == projection_area_cloud(th, fam.centers, fam.delta, pix, pts)
+
+
+def test_projection_area_per_ball_radii_match_cloud_oracle():
+    rng = make_rng(11)
+    centers = uniform_ball_points(300, rng, 0.8)
+    radii = rng.random(300) * 0.2 + 0.05
+    for th in (0.0, 0.4, math.pi / 2, 2.9):
+        assert projection_area(th, centers, radii, 2.0 ** -7, 500) \
+            == projection_area_cloud(th, centers, radii, 2.0 ** -7, 500)
+
+
+@pytest.mark.parametrize("block", [30000, 15000, 10000, 100])
+def test_projection_area_blocks_match_cloud_oracle(monkeypatch, block):
+    # 150 balls x 200 points: one block, two, three, and blocks smaller
+    # than one ball's cloud
+    rng = make_rng(12)
+    centers = uniform_ball_points(150, rng, 0.7)
+    radii = rng.random(150) * 0.1 + 0.1
+    want = projection_area_cloud(1.3, centers, radii, 2.0 ** -7)
+    monkeypatch.setattr(experiments, "PAIR_BLOCK", block)
+    assert projection_area(1.3, centers, radii, 2.0 ** -7) == want
+
+
+def test_projection_area_empty_family_is_zero():
+    assert projection_area(0.3, np.empty((0, 3)), 0.1, 0.01) == 0.0
+    assert projection_area(0.3, [], [], 0.01) == 0.0
+    fam = BallFamily(np.empty((0, 3)), 0.125, 3.0, 1.0)
+    out = best_direction_scan(fam, n_directions=2)
+    assert list(out["areas"]) == [0.0, 0.0]
+
+
+coord = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+
+
+@given(st.floats(-7.0, 7.0), st.tuples(coord, coord, coord),
+       st.floats(1e-6, 2.0), st.integers(0, 999))
+@settings(max_examples=300, deadline=None)
+def test_ball_charts_shear_identity(theta, c, r, k):
+    c = np.array(c)
+    u = unit_ball_points(1000)[k]
+    w = _ball_charts(theta, c[None], np.array([r]), pi_e(theta, u[None]))
+    want = pi_e(theta, group_mul(c, dilate(r, u)))
+    assert np.allclose(w[0, 0], want, rtol=0, atol=1e-12)
+
+
+def unique_cell_counts(vals, cells):
+    return [len(np.unique(np.floor(np.asarray(vals) / c).astype(np.int64)))
+            for c in cells]
+
+
+cells_st = st.lists(st.sampled_from([2.0 ** -k for k in range(0, 15)])
+                    | st.floats(1e-6, 2.0), min_size=1, max_size=6)
+
+
+@st.composite
+def heights(draw):
+    cells = draw(cells_st)
+    # integer multiples of a cell land on cell edges; repeats are duplicates
+    edges = st.builds(lambda m, c: m * c, st.integers(-50, 50),
+                      st.sampled_from(cells))
+    free = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    vals = draw(st.lists(edges | free, max_size=60))
+    if vals:
+        vals += draw(st.lists(st.sampled_from(vals), max_size=20))
+    return np.array(vals, dtype=float), cells
+
+
+@given(heights())
+@settings(max_examples=300, deadline=None)
+def test_cell_counts_match_unique(case):
+    vals, cells = case
+    assert _cell_counts(vals, cells) == unique_cell_counts(vals, cells)
+
+
+def test_rho_dimension_matches_unique_counts():
+    pts = uniform_ball_points(5000, make_rng(13))
+    scales = [2.0 ** -k for k in range(3, 8)]
+    thetas = [0.0, 0.5, 2.0]
+    out = rho_dimension(pts, thetas, scales)
+    for i, th in enumerate(thetas):
+        vals = rho_e(th, pts)
+        euc = unique_cell_counts(vals, scales)
+        sq = unique_cell_counts(vals, [s * s for s in scales])
+        assert out["euclidean_slope"][i] == fit_loglog(scales, euc)[0]
+        assert out["sqrt_slope"][i] == fit_loglog(scales, sq)[0]
 
 
 def test_best_direction_scan_tiny_family():

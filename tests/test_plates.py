@@ -281,12 +281,26 @@ def plate_edge_cases(draw):
 
 @given(plate_edge_cases())
 @settings(max_examples=300, deadline=None)
-# s near 0 overflows trial directions to inf, which the test discards
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+# s near 0 overflows trial directions to inf, which the membership test
+# discards without a warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_count_memberships_edge_cases_match_bruteforce(case):
     u, v, y, r, pts = case
     assert np.array_equal(count_memberships(u, v, y, r, pts),
                           count_memberships_bruteforce(u, v, y, r, pts))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subnormal_s_counts_without_warning():
+    pts = np.array([[5e-324, 0.0, 0.0], [-5e-324, 0.1, 0.0],
+                    [1e-310, 0.0, 0.01]])
+    u = np.array([0.0, 0.05])
+    v = np.array([0.0, 0.0])
+    y = np.array([0.0, 0.3])
+    want = count_memberships_bruteforce(u, v, y, 0.1, pts)
+    assert np.array_equal(count_memberships(u, v, y, 0.1, pts), want)
+    for plate in map(ModifiedPlate, u, v, y, [0.1, 0.1]):
+        assert np.array_equal(plate.contains(pts), contains_grid(plate, pts))
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])

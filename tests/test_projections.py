@@ -71,6 +71,12 @@ def test_rho_matches_second_component():
     assert np.allclose(rho_e(1.1, p), pi_e(1.1, p)[:, 1], atol=0)
 
 
+def test_rho_bit_identical_to_pi_e_height():
+    p = random_points(600, seed=9).reshape(4, 150, 3)
+    for theta in (0.0, 0.3, math.pi / 2, 2.7, -1.0):
+        assert np.array_equal(rho_e(theta, p), pi_e(theta, p)[..., 1])
+
+
 def test_left_invariance_of_projected_area():
     # Leb(pi_e(g E)) = Leb(pi_e(E)) for the sampled unit ball
     rng = make_rng(7)
