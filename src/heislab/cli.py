@@ -16,26 +16,28 @@ from . import delta_sets, experiments
 from .reports import ExperimentReport, write_manifest
 
 
-def _load_or_generate(args):
+def _family(args):
+    """The validated family read from --input, or made by the family flags."""
+    given = [f for f in ("kind", "delta", "s", "dim0")
+             if getattr(args, f, None) is not None]
     if getattr(args, "input", None):
+        if given:
+            raise ValueError("--%s cannot be combined with --input"
+                             % given[0])
         fam = delta_sets.read_family(args.input)
+    elif args.delta is None:
+        raise ValueError("either --input or --kind/--delta is required")
     else:
-        if args.delta is None:
-            raise ValueError("either --input or --kind/--delta is required")
-        kw = {}
-        if args.s is not None:
-            kw["s"] = args.s
-        if args.dim0 is not None:
-            kw["dim0"] = args.dim0
-        if getattr(args, "seed", None) is not None:
-            kw["seed"] = args.seed
-        fam = delta_sets.generate(args.kind, args.delta, **kw)
+        params = {f: getattr(args, f) for f in ("s", "dim0")
+                  if getattr(args, f) is not None}
+        fam = delta_sets.generate(args.kind or "heis-lattice", args.delta,
+                                  seed=args.seed, **params)
+    fam.validate()
     return fam
 
 
 def cmd_gen(args):
-    fam = _load_or_generate(args)
-    fam.validate()
+    fam = _family(args)
     delta_sets.write_family(args.out, fam)
     print("wrote %d balls (delta=%g, t=%g, C=%g) to %s"
           % (len(fam), fam.delta, fam.claimed_t, fam.claimed_C, args.out))
@@ -43,8 +45,7 @@ def cmd_gen(args):
 
 
 def cmd_verify(args):
-    fam = delta_sets.read_family(args.input)
-    fam.validate()
+    fam = _family(args)
     report = delta_sets.verify_delta_t_set(fam, max_centers=args.max_centers,
                                            seed=args.seed)
     print(json.dumps(report, sort_keys=True, indent=2))
@@ -61,8 +62,7 @@ def _write_reports(report, out_dir, x_key):
 
 
 def cmd_experiment(args):
-    fam = _load_or_generate(args)
-    fam.validate()
+    fam = _family(args)
     params = {
         "kind": fam.kind,
         "delta": fam.delta,
@@ -118,6 +118,16 @@ def cmd_constants(args):
     return 0
 
 
+def _family_flags(p, delta_required):
+    """The flags that name a generated family, shared by gen and experiment."""
+    p.add_argument("--kind", choices=sorted(delta_sets._GENERATORS),
+                   help="family kind (default heis-lattice)")
+    p.add_argument("--delta", type=float, required=delta_required)
+    p.add_argument("--s", type=float, help="dimension of t-axis")
+    p.add_argument("--dim0", type=float, help="planar dimension of product")
+    p.add_argument("--seed", type=int, default=0)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="heislab",
@@ -125,14 +135,8 @@ def build_parser():
                     "first Heisenberg group")
     sub = p.add_subparsers(dest="command", required=True)
 
-    kinds = sorted(delta_sets._GENERATORS)
-
     g = sub.add_parser("gen", help="generate a ball family file")
-    g.add_argument("--kind", choices=kinds, default="heis-lattice")
-    g.add_argument("--delta", type=float, required=True)
-    g.add_argument("--s", type=float, default=None)
-    g.add_argument("--dim0", type=float, default=None)
-    g.add_argument("--seed", type=int, default=0)
+    _family_flags(g, delta_required=True)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 
@@ -147,15 +151,11 @@ def build_parser():
                                           "json/csv/svg reports")
     e.add_argument("experiment",
                    choices=["best-direction", "plate-energy", "rho-dim"])
-    e.add_argument("--kind", choices=kinds, default="heis-lattice")
-    e.add_argument("--delta", type=float, default=None)
-    e.add_argument("--s", type=float, default=None)
-    e.add_argument("--dim0", type=float, default=None)
+    _family_flags(e, delta_required=False)
     e.add_argument("--input", default=None)
     e.add_argument("--directions", type=int, default=64)
     e.add_argument("--points-per-ball", type=int, default=200)
     e.add_argument("--samples", type=int, default=200000)
-    e.add_argument("--seed", type=int, default=0)
     e.add_argument("--out-dir", default="reports")
     e.set_defaults(func=cmd_experiment)
 

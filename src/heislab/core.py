@@ -169,59 +169,6 @@ def ball_volume(r):
 
 
 @dataclass(frozen=True)
-class HeisPoint:
-    """A single group element with convenience arithmetic."""
-
-    x: float
-    y: float
-    t: float
-
-    def __post_init__(self):
-        for v in (self.x, self.y, self.t):
-            if not math.isfinite(v):
-                raise ValueError("coordinates must be finite")
-
-    @classmethod
-    def from_array(cls, p):
-        p = np.asarray(p, dtype=float)
-        return cls(float(p[0]), float(p[1]), float(p[2]))
-
-    def as_array(self):
-        return np.array([self.x, self.y, self.t])
-
-    def __mul__(self, other):
-        return HeisPoint.from_array(group_mul(self.as_array(), other.as_array()))
-
-    def inv(self):
-        return HeisPoint(-self.x, -self.y, -self.t)
-
-    def dilate(self, lam):
-        return HeisPoint(lam * self.x, lam * self.y, lam * lam * self.t)
-
-    def norm(self):
-        return float(gauge_norm(self.as_array()))
-
-    def dist(self, other):
-        return float(heis_dist(self.as_array(), other.as_array()))
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Unit horizontal direction e(theta) = (cos theta, sin theta)."""
-
-    theta: float
-
-    @property
-    def e(self):
-        return np.array([math.cos(self.theta), math.sin(self.theta)])
-
-    @property
-    def je(self):
-        # 90-degree rotation J e = (-sin, cos)
-        return np.array([-math.sin(self.theta), math.cos(self.theta)])
-
-
-@dataclass(frozen=True)
 class HeisBall:
     """Closed gauge ball B(center, radius)."""
 
@@ -236,9 +183,3 @@ class HeisBall:
 
     def center_array(self):
         return np.asarray(self.center, dtype=float)
-
-    def contains(self, p):
-        return heis_dist(p, self.center_array()) <= self.radius
-
-    def volume(self):
-        return float(ball_volume(self.radius))

@@ -22,8 +22,9 @@ a vertical delta^2-grid, and a horizontal line of balls.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,10 +119,19 @@ def verify_delta_t_set(family, max_centers=512, seed=0):
     Counts |P intersect B(x, r)| over test centers x drawn from the
     family (all of them up to max_centers, a seeded subsample beyond).
     Passes iff max over (x, r) of count / (C r^t n) is at most 1.
+    Raises ValueError for an empty family, a claimed C that is not
+    finite and positive, a claimed t that is not finite and nonnegative,
+    or max_centers < 1, on which a verdict would mean nothing.
     """
     n = len(family)
     if n == 0:
         raise ValueError("empty family")
+    if not (math.isfinite(family.claimed_C) and family.claimed_C > 0):
+        raise ValueError("claimed C must be finite and positive")
+    if not (math.isfinite(family.claimed_t) and family.claimed_t >= 0):
+        raise ValueError("claimed t must be finite and nonnegative")
+    if max_centers < 1:
+        raise ValueError("max_centers must be at least 1")
     test, radii, blocks = dyadic_ball_counts(family, family.delta,
                                              max_centers, seed)
     denom = np.array([family.claimed_C * r ** family.claimed_t * n
@@ -244,36 +254,57 @@ def gen_product(delta, dim0=0.5):
 
 
 _GENERATORS = {
-    "heis-lattice": lambda delta, **kw: gen_heis_lattice(delta),
-    "slab": lambda delta, **kw: gen_lattice_slab(delta, kw.get("x0", 0.0)),
-    "random3": lambda delta, **kw: gen_random3(delta, kw.get("seed", 0)),
-    "t-axis": lambda delta, **kw: gen_t_axis(delta, kw.get("s", 2.0)),
-    "horizontal-line": lambda delta, **kw: gen_horizontal_line(delta),
-    "product": lambda delta, **kw: gen_product(delta, kw.get("dim0", 0.5)),
+    "heis-lattice": gen_heis_lattice,
+    "slab": gen_lattice_slab,
+    "random3": gen_random3,
+    "t-axis": gen_t_axis,
+    "horizontal-line": gen_horizontal_line,
+    "product": gen_product,
 }
 
 
-def generate(kind, delta, **kwargs):
+def generate(kind, delta, seed=0, **params):
+    """Family of a kind, from its generator called with delta and params.
+
+    seed reaches the kinds whose generator takes one; the others are
+    deterministic.  Raises ValueError for an unknown kind, a delta not
+    in (0, 1/2], or a param the kind's generator does not take.
+    """
     if kind not in _GENERATORS:
         raise ValueError("unknown family kind %r (choose from %s)"
                          % (kind, sorted(_GENERATORS)))
-    return _GENERATORS[kind](delta, **kwargs)
+    if not 0 < delta <= 0.5:
+        raise ValueError("delta must lie in (0, 1/2], got %r" % delta)
+    gen = _GENERATORS[kind]
+    takes = inspect.signature(gen).parameters
+    extra = sorted(set(params) - set(takes))
+    if extra:
+        raise ValueError("family kind %r takes no %s" % (kind, extra[0]))
+    if "seed" in takes:
+        params["seed"] = seed
+    return gen(delta, **params)
 
 
 def write_family(path, family):
-    """Text format: header 'delta t C count', then one 'x y t' per center."""
+    """Text format: header 'delta t C count kind', then one 'x y t' per center.
+
+    The kind is one word, so that the header splits into five fields.
+    """
+    if family.kind.split() != [family.kind]:
+        raise ValueError("family kind must be one word, got %r" % family.kind)
     with open(path, "w") as fh:
-        fh.write("%.17g %.17g %.17g %d\n"
+        fh.write("%.17g %.17g %.17g %d %s\n"
                  % (family.delta, family.claimed_t, family.claimed_C,
-                    len(family)))
+                    len(family), family.kind))
         for x, y, t in family.centers:
             fh.write("%.17g %.17g %.17g\n" % (x, y, t))
 
 
 def read_family(path):
+    """Family of a write_family file; a 4-field header is kind 'custom'."""
     with open(path) as fh:
         head = fh.readline().split()
-        if len(head) != 4:
+        if len(head) not in (4, 5):
             raise ValueError("bad family header")
         delta, t, C = float(head[0]), float(head[1]), float(head[2])
         count = int(head[3])
@@ -283,4 +314,4 @@ def read_family(path):
             if body.strip() else np.empty((0, 3)))
     if rows.shape != (count, 3):
         raise ValueError("family body does not match header count")
-    return BallFamily(rows, delta, t, C)
+    return BallFamily(rows, delta, t, C, *head[4:])

@@ -176,26 +176,9 @@ def covering_count_2d(points, scale, metric="euclidean"):
                                      np.floor(w[:, 1] / h[1]))))
 
 
-def greedy_net_2d(points, scale, metric="euclidean"):
-    """Greedy first-fit net count; oracle for covering_count_2d factors."""
-    w = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(w) == 0:
-        return 0
-    net = w[:1]
-    for p in w[1:]:
-        if metric == "euclidean":
-            d = np.sqrt(((net - p) ** 2).sum(axis=1))
-        else:
-            d = np.abs(net[:, 0] - p[0]) + np.sqrt(np.abs(net[:, 1] - p[1]))
-        if float(d.min()) > scale:
-            net = np.concatenate([net, p[None, :]])
-    return len(net)
-
-
-def box_dimension(points, scales, metric="euclidean", method="grid"):
+def box_dimension(points, scales, metric="euclidean"):
     """Box dimension of a plane point cloud via covering counts."""
-    counter = covering_count_2d if method == "grid" else greedy_net_2d
-    counts = [counter(points, s, metric) for s in scales]
+    counts = [covering_count_2d(points, s, metric) for s in scales]
     slope, intercept, resid = fit_loglog(scales, counts)
     return {"slope": slope, "residual": resid, "counts": counts,
             "scales": list(map(float, scales)), "metric": metric}

@@ -14,7 +14,7 @@ augment_to_dim3 upgrades a (delta, t)-style measure to dimension s + t by
 convolving with a random s-dimensional density: H is a Bernoulli sample
 of the Euclidean grid delta Z^3 inside the unit gauge ball with inclusion
 probability delta^-s / (2 |Z|), redrawn until |H| <= delta^-s (at most
-max_retries times), and eta puts weight delta^s on each point of H.
+MAX_RETRIES times), and eta puts weight delta^s on each point of H.
 """
 
 from __future__ import annotations
@@ -27,6 +27,13 @@ import numpy as np
 from .core import (ball_volume, gauge_norm, gauge_pairs, group_mul,
                    heis_dist_trunc)
 from .sampling import make_rng
+
+# Rows of atoms per block of riesz_energy; bounds its memory.
+RIESZ_BLOCK = 4096
+# Largest convolution heis_convolve builds.
+MAX_ATOMS = 5_000_000
+# Redraws of H in augment_to_dim3 before it gives up.
+MAX_RETRIES = 64
 
 
 @dataclass
@@ -58,8 +65,8 @@ class DiscreteMeasure:
         return cls(points, np.full(n, 1.0 / n))
 
 
-def riesz_energy(mu, s, delta, block=4096):
-    """Truncated s-energy, evaluated in blocks; exact double sum."""
+def riesz_energy(mu, s, delta):
+    """Truncated s-energy, in blocks of RIESZ_BLOCK rows; exact double sum."""
     if s < 0:
         raise ValueError("s must be nonnegative")
     if delta <= 0:
@@ -67,6 +74,7 @@ def riesz_energy(mu, s, delta, block=4096):
     pts = mu.points
     w = mu.weights
     n = len(pts)
+    block = RIESZ_BLOCK
     total = 0.0
     for i in range(0, n, block):
         pi = pts[i:i + block]
@@ -82,10 +90,10 @@ def riesz_energy(mu, s, delta, block=4096):
     return total
 
 
-def heis_convolve(mu, nu, max_atoms=5_000_000):
+def heis_convolve(mu, nu):
     """Convolution mu * nu: atoms p * q with weights w_p w_q."""
     n = len(mu) * len(nu)
-    if n > max_atoms:
+    if n > MAX_ATOMS:
         raise ValueError("convolution would produce %d atoms" % n)
     pts = group_mul(mu.points[:, None, :], nu.points[None, :, :]).reshape(-1, 3)
     w = (mu.weights[:, None] * nu.weights[None, :]).reshape(-1)
@@ -196,8 +204,7 @@ def grid_z(delta):
     return pts[gauge_norm(pts) <= 1.0]
 
 
-def augment_to_dim3(mu, s, t, delta, seed=0, max_retries=64,
-                    energies=True):
+def augment_to_dim3(mu, s, t, delta, seed=0):
     """Convolve mu with a random s-dimensional Bernoulli grid measure.
 
     Draws H subset Z = delta Z^3 (unit ball) with inclusion probability
@@ -214,14 +221,14 @@ def augment_to_dim3(mu, s, t, delta, seed=0, max_retries=64,
     rng = make_rng(seed)
     h_idx = None
     retries = 0
-    for retries in range(max_retries + 1):
+    for retries in range(MAX_RETRIES + 1):
         mask = rng.random(nz) < prob
         if int(mask.sum()) <= target and int(mask.sum()) > 0:
             h_idx = np.nonzero(mask)[0]
             break
     if h_idx is None:
         raise RuntimeError("augmentation failed to draw |H| <= delta^-s "
-                           "in %d retries" % max_retries)
+                           "in %d retries" % MAX_RETRIES)
     H = Z[h_idx]
     eta = DiscreteMeasure(H, np.full(len(H), delta ** s))
     conv = heis_convolve(eta, mu)
@@ -232,10 +239,9 @@ def augment_to_dim3(mu, s, t, delta, seed=0, max_retries=64,
         "H_bound": target,
         "retries": retries,
         "expected_H": prob * nz,
+        "energy_mu_t": riesz_energy(mu, t, delta),
+        "energy_conv_st": riesz_energy(conv, s + t, delta),
     }
-    if energies:
-        report["energy_mu_t"] = riesz_energy(mu, t, delta)
-        report["energy_conv_st"] = riesz_energy(conv, s + t, delta)
-        denom = report["energy_mu_t"] * math.log(1.0 / delta) ** 2
-        report["energy_ratio"] = report["energy_conv_st"] / denom
+    report["energy_ratio"] = report["energy_conv_st"] / (
+        report["energy_mu_t"] * math.log(1.0 / delta) ** 2)
     return eta, conv, report

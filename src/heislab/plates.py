@@ -60,10 +60,6 @@ from .sampling import make_rng
 PLATE_BLOCK = 1 << 16
 
 
-def shear_matrix(y):
-    return np.array([[1.0, 0.0], [-y, 1.0]])
-
-
 def rect_contains(y, r, w, tol=0.0):
     """Membership in R_r(y); w has shape (..., 2)."""
     w = np.asarray(w, dtype=float)
@@ -85,13 +81,6 @@ def compose_center(u, v, y):
     return np.stack(np.broadcast_arrays(u, np.asarray(y, dtype=float),
                                         np.asarray(v, dtype=float) + 0.5 * u * y),
                     axis=-1)
-
-
-def direction_bin(y, delta):
-    """Index of y in the direction net delta * Z, rounding half away from zero."""
-    y = np.asarray(y, dtype=float)
-    return np.where(y >= 0, np.floor(y / delta + 0.5),
-                    -np.floor(-y / delta + 0.5)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -216,13 +205,12 @@ def plate_to_ball(plate, inflation=1.0):
     return HeisBall(tuple(center), inflation * plate.r / 2.0)
 
 
-def same_direction_separation(ball1, ball2, n_samples=512, seed=0,
-                              within=1.0):
+def same_direction_separation(ball1, ball2, n_samples=512, seed=0):
     """Separation ratio d(p1, p2) / r for same-direction balls.
 
     Requires equal radii and |y1 - y2| <= r.  Samples the dual plate of
-    ball1 inside the Euclidean ball of radius `within`; if any sample lies
-    in the dual plate of ball2, returns d(p1, p2) / r, else None.
+    ball1 inside the unit Euclidean ball; if any sample lies in the dual
+    plate of ball2, returns d(p1, p2) / r, else None.
     """
     if abs(ball1.radius - ball2.radius) > 1e-12:
         raise ValueError("balls must have equal radii")
@@ -234,7 +222,7 @@ def same_direction_separation(ball1, ball2, n_samples=512, seed=0,
     p2 = ball_to_modified_plate(ball2)
     rng = make_rng(seed)
     pts = p1.sample(n_samples, rng)
-    pts = pts[np.linalg.norm(pts, axis=1) <= within]
+    pts = pts[np.linalg.norm(pts, axis=1) <= 1.0]
     if len(pts) and bool(np.any(p2.contains(pts))):
         return float(heis_dist(c1, c2)) / r
     return None

@@ -19,7 +19,6 @@ to the gauge metric restricted to W_e.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,48 +63,11 @@ def plane_embed(theta, w):
     return out
 
 
-@dataclass(frozen=True)
-class PlanePoint:
-    """Point of W_e(theta) in chart coordinates."""
-
-    theta: float
-    a: float
-    b: float
-
-    def to_point(self):
-        return plane_embed(self.theta, np.array([self.a, self.b]))
-
-
 def parabolic_dist(w, v):
     """Parabolic metric |a - a'| + sqrt(|b - b'|) on chart coordinates."""
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
     return np.abs(w[..., 0] - v[..., 0]) + np.sqrt(np.abs(w[..., 1] - v[..., 1]))
-
-
-@dataclass
-class PlanarMeasure:
-    """Discrete measure on a chart plane: atoms (n, 2) with weights (n,)."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        if len(self.points) != len(self.weights):
-            raise ValueError("points and weights length mismatch")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
-
-    @property
-    def total_mass(self):
-        return float(self.weights.sum())
-
-
-def project_measure(theta, points, weights):
-    """Pushforward of a discrete measure under pi_e; mass is preserved."""
-    return PlanarMeasure(pi_e(theta, points), np.array(weights, dtype=float))
 
 
 def pack_pixels(ia, ib):

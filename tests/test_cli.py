@@ -158,3 +158,104 @@ def test_cli_module_entrypoint_help(tmp_path, child_env):
     assert r.returncode == 0, r.stderr
     for word in ("gen", "verify", "experiment", "constants"):
         assert word in r.stdout
+
+
+def assert_one_error_line(code, stderr):
+    assert code == 2
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), stderr
+
+
+@pytest.mark.parametrize("kind", ["heis-lattice", "t-axis"])
+@pytest.mark.parametrize("delta", ["0", "-0.1", "nan", "inf", "0.75"])
+def test_gen_bad_delta_is_usage_error(tmp_path, capsys, kind, delta):
+    out = tmp_path / "fam.txt"
+    code, _, stderr = run_cli(["gen", "--kind", kind, "--delta", delta,
+                               "--out", str(out)], capsys)
+    assert_one_error_line(code, stderr)
+    assert not out.exists()
+
+
+MALFORMED_FAMILIES = {
+    "bad float": "0.25 1 4 2\n0 0 0\n0.25 0 zero\n",
+    "nan center": "0.25 1 4 2\n0 0 0\n0.25 nan 0\n",
+    "short body": "0.25 1 4 2\n0 0 0\n0.25 0\n",
+    "count mismatch": "0.25 1 4 3\n0 0 0\n0.25 0 0\n",
+    "3-field header": "0.25 1 4\n0 0 0\n",
+    "negative delta": "-0.25 1 4 2\n0 0 0\n0.25 0 0\n",
+}
+
+
+@pytest.mark.parametrize("command", [["verify"], ["experiment", "rho-dim"]])
+@pytest.mark.parametrize("case", sorted(MALFORMED_FAMILIES))
+def test_malformed_family_file_is_usage_error(tmp_path, capsys, command,
+                                              case):
+    path = tmp_path / "fam.txt"
+    path.write_text(MALFORMED_FAMILIES[case])
+    argv = command + ["--input", str(path)]
+    if command[0] == "experiment":
+        argv += ["--out-dir", str(tmp_path / "r")]
+    code, _, stderr = run_cli(argv, capsys)
+    assert_one_error_line(code, stderr)
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("header", ["0.25 4 nan 105", "0.25 nan 8 105",
+                                    "0.25 4 -8 105"])
+def test_verify_rejects_meaningless_claims(tmp_path, capsys, header):
+    path = tmp_path / "fam.txt"
+    run_cli(["gen", "--delta", "0.25", "--out", str(path)], capsys)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 106
+    path.write_text("\n".join([header] + lines[1:]) + "\n")
+    code, stdout, stderr = run_cli(["verify", "--input", str(path)], capsys)
+    assert stdout == ""
+    assert_one_error_line(code, stderr)
+
+
+def test_verify_rejects_zero_max_centers(tmp_path, capsys):
+    path = tmp_path / "fam.txt"
+    run_cli(["gen", "--delta", "0.25", "--out", str(path)], capsys)
+    code, stdout, stderr = run_cli(["verify", "--input", str(path),
+                                    "--max-centers", "0"], capsys)
+    assert stdout == ""
+    assert_one_error_line(code, stderr)
+
+
+def test_family_flags_the_family_does_not_take_are_errors(tmp_path, capsys):
+    path = tmp_path / "fam.txt"
+    run_cli(["gen", "--kind", "t-axis", "--delta", "0.125", "--out",
+             str(path)], capsys)
+    base = ["experiment", "rho-dim", "--directions", "2", "--out-dir",
+            str(tmp_path / "r")]
+    for extra in (["--kind", "random3", "--delta", "0.25", "--s", "1.5"],
+                  ["--kind", "t-axis", "--delta", "0.25", "--dim0", "0.5"],
+                  ["--input", str(path), "--s", "1.5"],
+                  ["--input", str(path), "--dim0", "0.5"],
+                  ["--input", str(path), "--delta", "0.125"],
+                  ["--input", str(path), "--kind", "t-axis"]):
+        code, _, stderr = run_cli(base + extra, capsys)
+        assert_one_error_line(code, stderr)
+    # --seed is accepted with every kind and with --input
+    for extra in (["--kind", "heis-lattice", "--delta", "0.25"],
+                  ["--input", str(path)]):
+        code, _, _ = run_cli(base + extra + ["--seed", "3"], capsys)
+        assert code == 0
+
+
+def test_experiment_input_report_names_the_family_kind(tmp_path, capsys):
+    path = tmp_path / "fam.txt"
+    run_cli(["gen", "--kind", "t-axis", "--delta", "0.125", "--out",
+             str(path)], capsys)
+    old = tmp_path / "old.txt"
+    lines = path.read_text().splitlines()
+    old.write_text("\n".join([" ".join(lines[0].split()[:4])] + lines[1:])
+                   + "\n")
+    for src, kind in ((path, "t-axis"), (old, "custom")):
+        out_dir = tmp_path / kind
+        code, _, _ = run_cli(["experiment", "rho-dim", "--input", str(src),
+                              "--directions", "2", "--out-dir",
+                              str(out_dir)], capsys)
+        assert code == 0
+        payload = json.loads((out_dir / "rho_dimension.json").read_text())
+        assert payload["params"]["kind"] == kind

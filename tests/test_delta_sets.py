@@ -128,6 +128,26 @@ def test_generate_unknown_kind():
         generate("nope", 0.1)
 
 
+@pytest.mark.parametrize("kind", ["heis-lattice", "t-axis", "random3"])
+@pytest.mark.parametrize("delta", [0.0, -0.1, float("nan"), float("inf"),
+                                   0.75])
+def test_generate_rejects_bad_delta(kind, delta):
+    with pytest.raises(ValueError, match="delta"):
+        generate(kind, delta)
+
+
+def test_generate_rejects_params_the_kind_does_not_take():
+    for kind, params in (("random3", {"s": 1.5}), ("heis-lattice", {"x0": 0.1}),
+                         ("t-axis", {"dim0": 0.5}), ("product", {"s": 1.0})):
+        with pytest.raises(ValueError, match="takes no"):
+            generate(kind, 0.25, **params)
+    # the seed reaches random3 only; the other kinds are deterministic
+    assert np.array_equal(generate("heis-lattice", 0.25, seed=3).centers,
+                          gen_heis_lattice(0.25).centers)
+    assert np.array_equal(generate("random3", 0.25, seed=3).centers,
+                          gen_random3(0.25, seed=3).centers)
+
+
 def test_t_axis_count_and_dimension():
     for s in (1.0, 1.5, 2.0):
         fam = gen_t_axis(2.0 ** -4, s=s)
@@ -183,6 +203,24 @@ def test_verifier_empty_family():
         verify_delta_t_set(BallFamily(np.zeros((0, 3)), 0.1, 1, 1))
 
 
+@pytest.mark.parametrize("t,C", [
+    (4.0, float("nan")), (float("nan"), 8.0), (4.0, -8.0), (4.0, 0.0),
+    (4.0, float("inf")), (float("inf"), 8.0), (-1.0, 8.0)])
+def test_verifier_rejects_meaningless_claims(t, C):
+    # a NaN or negative C made every ratio compare false, so the family
+    # passed with max_ratio 0
+    fam = BallFamily(gen_heis_lattice(0.25).centers, 0.25, t, C)
+    with pytest.raises(ValueError, match="claimed"):
+        verify_delta_t_set(fam)
+
+
+@pytest.mark.parametrize("max_centers", [0, -1])
+def test_verifier_rejects_empty_sample(max_centers):
+    fam = gen_heis_lattice(0.25)
+    with pytest.raises(ValueError, match="max_centers"):
+        verify_delta_t_set(fam, max_centers=max_centers)
+
+
 def test_verifier_subsample_deterministic():
     fam = gen_random3(2.0 ** -4, seed=5)
     r1 = verify_delta_t_set(fam, max_centers=64, seed=9)
@@ -206,9 +244,28 @@ def test_family_roundtrip_exact(tmp_path):
     assert back.delta == fam.delta
     assert back.claimed_t == fam.claimed_t
     assert back.claimed_C == fam.claimed_C
+    assert back.kind == fam.kind == "random3"
     header = path.read_text().splitlines()[0].split()
-    assert len(header) == 4
+    assert len(header) == 5
     assert int(header[3]) == len(fam)
+    assert header[4] == "random3"
+
+
+def test_read_family_four_field_header_is_custom(tmp_path):
+    path = tmp_path / "old.txt"
+    path.write_text("0.25 1 4 2\n0 0 0\n0.25 0 0\n")
+    fam = read_family(path)
+    assert fam.kind == "custom"
+    assert (fam.delta, fam.claimed_t, fam.claimed_C) == (0.25, 1.0, 4.0)
+    assert fam.centers.shape == (2, 3)
+
+
+@pytest.mark.parametrize("kind", ["two words", "", "tab\tkind", "line\n"])
+def test_write_family_rejects_kind_with_whitespace(tmp_path, kind):
+    path = tmp_path / "fam.txt"
+    with pytest.raises(ValueError, match="one word"):
+        write_family(path, BallFamily(np.zeros((1, 3)), 0.25, 1, 4, kind))
+    assert not path.exists()
 
 
 def test_empty_family_roundtrip(tmp_path):

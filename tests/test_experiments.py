@@ -13,7 +13,7 @@ from heislab.experiments import (_ball_charts, _cell_counts,
                                  best_direction_scan, box_dimension,
                                  covering_count_2d, directional_l2_vs_xray,
                                  family_regularity_constant, fit_loglog,
-                                 greedy_net_2d, plate_l2_energy,
+                                 plate_l2_energy,
                                  projection_area, projection_exponent,
                                  rho_dimension)
 from heislab.measures import DiscreteMeasure, rasterize
@@ -40,6 +40,22 @@ def projection_area_cloud(theta, centers, radius, pixel, pts_per_ball=200,
         parts.append(np.unique(pixel_keys(pi_e(theta, pts), pixel)))
     total = np.unique(np.concatenate(parts)) if parts else np.empty(0)
     return len(total) * pixel * pixel
+
+
+def greedy_net_2d(points, scale, metric="euclidean"):
+    """Greedy first-fit net count; oracle for covering_count_2d factors."""
+    w = np.asarray(points, dtype=float).reshape(-1, 2)
+    if len(w) == 0:
+        return 0
+    net = w[:1]
+    for p in w[1:]:
+        if metric == "euclidean":
+            d = np.sqrt(((net - p) ** 2).sum(axis=1))
+        else:
+            d = np.abs(net[:, 0] - p[0]) + np.sqrt(np.abs(net[:, 1] - p[1]))
+        if float(d.min()) > scale:
+            net = np.concatenate([net, p[None, :]])
+    return len(net)
 
 
 def test_fit_loglog_exact_power_law():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import heislab.measures
 from heislab.core import group_mul, heis_dist, heis_dist_trunc
 from heislab.delta_sets import gen_t_axis
 from heislab.measures import (DiscreteMeasure, GridDensity, augment_to_dim3,
@@ -48,11 +49,13 @@ def test_riesz_energy_matches_loop():
     assert worst <= 1e-12
 
 
-def test_riesz_energy_blocking_invariance():
+def test_riesz_energy_blocking_invariance(monkeypatch):
     rng = make_rng(1)
     mu = DiscreteMeasure(rng.random((300, 3)) - 0.5, rng.random(300))
-    e_big = riesz_energy(mu, 2.0, 0.05, block=4096)
-    e_small = riesz_energy(mu, 2.0, 0.05, block=7)
+    monkeypatch.setattr(heislab.measures, "RIESZ_BLOCK", 4096)
+    e_big = riesz_energy(mu, 2.0, 0.05)
+    monkeypatch.setattr(heislab.measures, "RIESZ_BLOCK", 7)
+    e_small = riesz_energy(mu, 2.0, 0.05)
     assert e_small == pytest.approx(e_big, rel=1e-12)
 
 

@@ -12,9 +12,8 @@ from heislab.plates import (ModifiedPlate, Plate, _modified_contains_arrays,
                             _plate_candidates, _uniform_euclidean_ball,
                             ball_to_modified_plate, center_decomposition,
                             compose_center, count_memberships,
-                            direction_bin, plate_to_ball,
-                            rect_contains, same_direction_separation,
-                            shear_matrix)
+                            plate_to_ball, rect_contains,
+                            same_direction_separation)
 from heislab.sampling import ball_points, make_rng
 
 coord = st.floats(-1, 1, allow_nan=False)
@@ -68,7 +67,7 @@ def count_memberships_bruteforce(u, v, y, r, pts, tol=1e-9):
 def test_shear_rect_membership():
     y = 0.7
     r = 0.25
-    M = shear_matrix(y)
+    M = np.array([[1.0, 0.0], [-y, 1.0]])  # the shear M_y of R_r(y)
     rng = make_rng(0)
     w0 = rng.random((500, 2)) * [2 * r, 2 * r ** 2] - [r, r ** 2]
     w = w0 @ M.T
@@ -86,12 +85,6 @@ def test_center_decomposition_roundtrip(x, y, t):
     back = compose_center(u, v, yy)
     assert np.allclose(back, [x, y, t], atol=1e-12)
     assert yy == y
-
-
-def test_direction_bin_half_away_from_zero():
-    d = 0.5
-    ys = np.array([-0.75, -0.25, -0.2499, 0.0, 0.2499, 0.25, 0.75])
-    assert direction_bin(ys, d).tolist() == [-2, -1, 0, 0, 0, 1, 2]
 
 
 def test_plate_samples_are_members():

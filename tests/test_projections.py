@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from heislab.core import group_mul, heis_dist, dilate
-from heislab.projections import (PlanePoint, parabolic_dist, pi_e, pi_xt,
-                                 pixel_area, plane_embed, project_measure,
-                                 rho_e)
+from heislab.projections import (parabolic_dist, pi_e, pi_xt, pixel_area,
+                                 plane_embed, rho_e)
 from heislab.sampling import make_rng, uniform_ball_points
 
 
@@ -49,13 +48,6 @@ def test_idempotent_on_plane():
     w = make_rng(5).random((500, 2)) * 2 - 1
     pts = plane_embed(theta, w)
     assert np.allclose(pi_e(theta, pts), w, atol=1e-12)
-
-
-def test_plane_point_roundtrip():
-    pp = PlanePoint(0.4, -0.7, 0.2)
-    w = pi_e(0.4, pp.to_point())
-    assert w[0] == pytest.approx(-0.7, abs=1e-14)
-    assert w[1] == pytest.approx(0.2, abs=1e-14)
 
 
 def test_vertical_axis_maps_to_height_axis():
@@ -119,14 +111,6 @@ def test_parabolic_comparable_to_gauge_on_plane():
     ok = dp > 1e-9
     ratio = dg[ok] / dp[ok]
     assert 0.7 <= ratio.min() and ratio.max() <= 2.0 + 1e-9
-
-
-def test_project_measure_preserves_mass():
-    pts = random_points(100, seed=11)
-    weights = make_rng(12).random(100)
-    pm = project_measure(0.7, pts, weights)
-    assert pm.total_mass == pytest.approx(weights.sum())
-    assert pm.points.shape == (100, 2)
 
 
 def test_pixel_area_basics():
