@@ -1,10 +1,8 @@
 """Numerical laboratory for vertical projections in the first Heisenberg group."""
 
-from .core import (UNIT_BALL_VOLUME, HeisBall, ball_volume, dilate,
-                   gauge_norm, group_inv, group_mul, heis_dist,
-                   heis_dist_trunc)
-from .projections import (parabolic_dist, pi_e, pi_xt, pixel_area,
-                          plane_embed, rho_e)
+from .core import (UNIT_BALL_VOLUME, ball_volume, dilate, gauge_norm,
+                   group_inv, group_mul, heis_dist, heis_dist_trunc)
+from .projections import parabolic_dist, pi_e, pi_xt, pixel_area, plane_embed
 from .cinematic import (f_d1, f_d2, f_eval, graph_overlap_integral,
                         jet_jacobian, jet_jacobian_absdet, jet_map,
                         rotate_point)

@@ -4,8 +4,8 @@ Each point p = (z, t) induces the direction curve
 
     f_p(theta) = t + <z, e(theta)> <z, Je(theta)> / 2,
 
-which is exactly the height rho_{e(theta)}(p).  Its first three
-derivatives at theta have the closed forms
+which is exactly the height of the vertical projection pi_e(theta)(p).
+Its first two derivatives at theta have the closed forms
 
     f_p'   =  (<z, Je>^2 - <z, e>^2) / 2,
     f_p''  = -2 <z, e> <z, Je>,
@@ -21,41 +21,31 @@ from __future__ import annotations
 import numpy as np
 
 from .core import _as_points
-
-
-def _ze_zje(p, theta):
-    p = _as_points(p)
-    theta = np.asarray(theta, dtype=float)
-    c, s = np.cos(theta), np.sin(theta)
-    ze = p[..., 0] * c + p[..., 1] * s
-    zje = -p[..., 0] * s + p[..., 1] * c
-    return p, ze, zje
+from .projections import ze_zje
 
 
 def f_eval(p, theta):
     """f_p(theta); broadcasts p (...,3) against theta."""
-    p, ze, zje = _ze_zje(p, theta)
+    p = _as_points(p)
+    ze, zje = ze_zje(theta, p)
     return p[..., 2] + 0.5 * ze * zje
 
 
 def f_d1(p, theta):
     """First derivative in theta, closed form."""
-    _, ze, zje = _ze_zje(p, theta)
+    ze, zje = ze_zje(theta, p)
     return 0.5 * (zje * zje - ze * ze)
 
 
 def f_d2(p, theta):
     """Second derivative in theta, closed form."""
-    _, ze, zje = _ze_zje(p, theta)
+    ze, zje = ze_zje(theta, p)
     return -2.0 * ze * zje
 
 
 def jet_map(p):
     """2-jet F(p) = (f_p(0), f_p'(0), f_p''(0))."""
-    p = _as_points(p)
-    x, y, t = p[..., 0], p[..., 1], p[..., 2]
-    return np.stack([t + 0.5 * x * y, 0.5 * (y * y - x * x), -2.0 * x * y],
-                    axis=-1)
+    return np.stack([f(p, 0.0) for f in (f_eval, f_d1, f_d2)], axis=-1)
 
 
 def jet_jacobian(p):
@@ -111,25 +101,22 @@ def curve_separation(p, q, theta_grid):
     return float(np.min(vals))
 
 
-def graph_overlap_integral(points, delta, exponent=1.5,
-                           theta_interval=(0.0, 2.0 * np.pi),
-                           y_interval=(-4.0, 4.0), cell=None, region=None):
-    """Grid quadrature of int_E (sum_p 1_{Gamma_p^delta})^exponent.
+def graph_overlap_integral(points, delta, region=None):
+    """Grid quadrature of int_E (sum_p 1_{Gamma_p^delta})^(3/2).
 
     Gamma_p^delta is the vertical delta-slab |y - f_p(theta)| <= delta
-    around the graph of f_p.  E is the rectangle theta_interval x
-    y_interval, optionally masked by region(theta, y) -> bool evaluated at
-    cell centers.  Cell side defaults to delta / 2.
+    around the graph of f_p.  E is the rectangle [0, 2 pi) x [-4, 4) of
+    cells of side delta / 2, optionally masked by region(theta, y) -> bool
+    evaluated at cell centers.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     points = _as_points(points).reshape(-1, 3)
-    h = delta / 2.0 if cell is None else float(cell)
-    t0, t1 = theta_interval
-    y0, y1 = y_interval
-    ncol = max(1, int(np.ceil((t1 - t0) / h)))
-    nrow = max(1, int(np.ceil((y1 - y0) / h)))
-    thetas = t0 + (np.arange(ncol) + 0.5) * h
+    h = delta / 2.0
+    y0 = -4.0
+    ncol = max(1, int(np.ceil(2.0 * np.pi / h)))
+    nrow = max(1, int(np.ceil(8.0 / h)))
+    thetas = (np.arange(ncol) + 0.5) * h
     counts = np.zeros((ncol, nrow + 1), dtype=np.int64)
     cols = np.arange(ncol)
     for p in points:
@@ -147,4 +134,4 @@ def graph_overlap_integral(points, delta, exponent=1.5,
         yc = y0 + (np.arange(nrow) + 0.5) * h
         mask = region(thetas[:, None], yc[None, :])
         counts = counts * mask
-    return float(np.sum(counts.astype(float) ** exponent) * h * h)
+    return float(np.sum(counts.astype(float) ** 1.5) * h * h)

@@ -36,6 +36,19 @@ def _family(args):
     return fam
 
 
+# the count flags each experiment reads, with their least values
+_COUNT_FLAGS = {"best-direction": {"directions": 1, "points_per_ball": 1},
+                "plate-energy": {"samples": 1}, "rho-dim": {"directions": 1}}
+
+
+def _at_least(args, **least):
+    """Raise ValueError naming the first count flag below its least value."""
+    for name, low in least.items():
+        if getattr(args, name) < low:
+            raise ValueError("--%s must be at least %d"
+                             % (name.replace("_", "-"), low))
+
+
 def cmd_gen(args):
     fam = _family(args)
     delta_sets.write_family(args.out, fam)
@@ -62,6 +75,7 @@ def _write_reports(report, out_dir, x_key):
 
 
 def cmd_experiment(args):
+    _at_least(args, **_COUNT_FLAGS[args.experiment])
     fam = _family(args)
     params = {
         "kind": fam.kind,
@@ -104,6 +118,7 @@ def cmd_experiment(args):
 
 
 def cmd_constants(args):
+    _at_least(args, balls=1, pairs=0)
     entries = experiments.derive_constants(seed=args.seed,
                                            n_balls=args.balls,
                                            n_pairs=args.pairs)

@@ -15,7 +15,6 @@ All array functions accept array-likes of shape (..., 3) and broadcast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,20 +165,3 @@ def ball_volume(r):
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
     return UNIT_BALL_VOLUME * r ** 4
-
-
-@dataclass(frozen=True)
-class HeisBall:
-    """Closed gauge ball B(center, radius)."""
-
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0 or not math.isfinite(self.radius):
-            raise ValueError("radius must be positive and finite")
-        object.__setattr__(self, "center",
-                           tuple(float(c) for c in self.center))
-
-    def center_array(self):
-        return np.asarray(self.center, dtype=float)

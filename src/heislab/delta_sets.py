@@ -56,8 +56,7 @@ class BallFamily:
         c = self.centers
         if not np.all(np.isfinite(c)):
             raise ValueError("centers must be finite")
-        if not (0 < self.delta <= 0.5):
-            raise ValueError("delta must lie in (0, 1/2]")
+        check_delta(self.delta)
         if float(gauge_norm(c).max(initial=0.0)) > 1.0 + 1e-12:
             raise ValueError("centers must lie in the unit gauge ball")
         for i, j, d in gauge_pairs(c, c, self.delta):
@@ -157,19 +156,44 @@ def verify_delta_t_set(family, max_centers=512, seed=0):
     }
 
 
-def _lattice_points(delta, margin):
-    k = int(math.floor(1.0 / delta)) + 1
-    xs = np.arange(-k, k + 1) * delta
-    m = int(math.floor(0.25 / delta ** 2)) + 1
-    ts = np.arange(-m, m + 1) * delta ** 2
-    X, Y, T = np.meshgrid(xs, xs, ts, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel(), T.ravel()], axis=1)
+def check_delta(delta):
+    """Raise ValueError unless delta is a number in (0, 1/2]."""
+    if not 0 < delta <= 0.5:
+        raise ValueError("delta must lie in (0, 1/2], got %r" % delta)
+
+
+def grid_axis(h):
+    """The multiples of h in [-1 - h, 1 + h]: one axis of the ball grids."""
+    k = int(math.floor(1.0 / h)) + 1
+    return np.arange(-k, k + 1) * h
+
+
+def grid_columns(h):
+    """(x, y) of the square grid h Z^2 over the unit ball, x-major."""
+    xs = grid_axis(h)
+    return np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def ball_grid(cols, step, margin, shift=0.0):
+    """Points (x, y, j step + shift) with gauge norm at most 1 - margin.
+
+    One column per row (x, y) of cols, and shift per column or scalar;
+    |j step| <= 1/4 + step covers the ball.  Column-major, j increasing.
+    """
+    cols = np.asarray(cols, dtype=float).reshape(-1, 2)
+    m = int(math.floor(0.25 / step)) + 1
+    ts = np.arange(-m, m + 1) * step
+    pts = np.empty((len(cols), len(ts), 3))
+    pts[..., :2] = cols[:, None, :]
+    pts[..., 2] = ts + np.reshape(shift, (-1, 1))
+    pts = pts.reshape(-1, 3)
     return pts[gauge_norm(pts) <= 1.0 - margin]
 
 
 def gen_heis_lattice(delta):
     """Anisotropic lattice delta Z^2 x delta^2 Z in the unit ball; 4-regular."""
-    pts = _lattice_points(delta, margin=delta)
+    check_delta(delta)
+    pts = ball_grid(grid_columns(delta), delta ** 2, delta)
     return BallFamily(pts, delta, 4.0, 8.0, kind="heis-lattice")
 
 
@@ -179,20 +203,16 @@ def gen_lattice_slab(delta, x0=0.0):
     Points (x0, 0, 0) * (0, j delta, k delta^2); for x0 = 0 this is the
     plane grid itself.
     """
-    k = int(math.floor(1.0 / delta)) + 1
-    ys = np.arange(-k, k + 1) * delta
-    m = int(math.floor(0.25 / delta ** 2)) + 1
-    ts = np.arange(-m, m + 1) * delta ** 2
-    Y, T = np.meshgrid(ys, ts, indexing="ij")
-    pts = np.stack([np.full(Y.size, float(x0)), Y.ravel(),
-                    T.ravel() + 0.5 * x0 * Y.ravel()], axis=1)
-    pts = pts[gauge_norm(pts) <= 1.0 - delta]
+    check_delta(delta)
+    ys = grid_axis(delta)
+    cols = np.stack([np.full(len(ys), float(x0)), ys], axis=1)
+    pts = ball_grid(cols, delta ** 2, delta, shift=0.5 * x0 * ys)
     return BallFamily(pts, delta, 3.0, 8.0, kind="slab")
 
 
 def gen_random3(delta, seed=0):
     """Random lattice subsample with ~delta^-3 points; (delta, 3)-set."""
-    pts = _lattice_points(delta, margin=delta)
+    pts = gen_heis_lattice(delta).centers
     target = min(len(pts), int(round(0.75 * delta ** -3)))
     rng = make_rng(seed)
     idx = rng.choice(len(pts), size=target, replace=False)
@@ -205,6 +225,7 @@ def gen_t_axis(delta, s=2.0):
     Spacing delta^s / 2 in t gives gauge separation sqrt(2) delta^(s/2)
     >= delta and exactly delta^-s points across t in [-1/4, 1/4].
     """
+    check_delta(delta)
     if not 0 < s <= 2:
         raise ValueError("s must lie in (0, 2]")
     n = int(round(delta ** -s))
@@ -217,6 +238,7 @@ def gen_t_axis(delta, s=2.0):
 
 def gen_horizontal_line(delta):
     """Balls along the horizontal x-axis; (delta, 1)-set."""
+    check_delta(delta)
     k = int(math.floor(1.0 / delta))
     xs = np.arange(-k, k + 1) * delta
     pts = np.zeros((len(xs), 3))
@@ -230,6 +252,7 @@ def gen_product(delta, dim0=0.5):
     Four-map IFS with ratio 4^(-1/dim0) on [-c, c]^2, iterated while the
     level separation stays above delta; gauge dimension dim0 + 2.
     """
+    check_delta(delta)
     if not 0 < dim0 < 2:
         raise ValueError("dim0 must lie in (0, 2)")
     rho = 4.0 ** (-1.0 / dim0)
@@ -245,11 +268,7 @@ def gen_product(delta, dim0=0.5):
         if float(sep.min()) < delta or len(nxt) > 4096:
             break
         pts2 = nxt
-    m = int(math.floor(0.25 / delta ** 2))
-    ts = np.arange(-m, m + 1) * delta ** 2
-    Z = np.repeat(pts2, len(ts), axis=0)
-    pts = np.concatenate([Z, np.tile(ts, len(pts2))[:, None]], axis=1)
-    pts = pts[gauge_norm(pts) <= 1.0 - delta]
+    pts = ball_grid(pts2, delta ** 2, delta)
     return BallFamily(pts, delta, dim0 + 2.0, 16.0, kind="product")
 
 
@@ -273,8 +292,6 @@ def generate(kind, delta, seed=0, **params):
     if kind not in _GENERATORS:
         raise ValueError("unknown family kind %r (choose from %s)"
                          % (kind, sorted(_GENERATORS)))
-    if not 0 < delta <= 0.5:
-        raise ValueError("delta must lie in (0, 1/2], got %r" % delta)
     gen = _GENERATORS[kind]
     takes = inspect.signature(gen).parameters
     extra = sorted(set(params) - set(takes))

@@ -22,7 +22,8 @@ natural measure on lines; the X-ray transform integrates a density over a
 line against arclength, with constant speed sqrt(1 + a^2 + b^2 / 4).
 
 All predicates run exactly on Fraction/int inputs (tol=0) and to a
-tolerance on floats.
+tolerance on floats; dual_ray, line_of and the residuals run on columns
+of arrays too, as in line_residuals(pts.T, line_of(abc.T)).
 """
 
 from __future__ import annotations
@@ -109,25 +110,6 @@ def incident_point_ray(pstar, ray, tol=1e-10):
     return abs(r1) <= tol and abs(r2) <= tol
 
 
-def residual_pair_arrays(points, pstars):
-    """Both residual pairs for batched (p, pstar) rows, shape (n, 2) each.
-
-    Row i pairs points[i] = (x, y, t) with pstars[i] = (a, b, c); the
-    second pair is evaluated on the ray dual to points[i].
-    """
-    p = np.asarray(points, dtype=float).reshape(-1, 3)
-    q = np.asarray(pstars, dtype=float).reshape(-1, 3)
-    x, y, t = p[:, 0], p[:, 1], p[:, 2]
-    a, b, c = q[:, 0], q[:, 1], q[:, 2]
-    r1 = x - (a * y + b)
-    r2 = t - (b * y / 2 + c)
-    u = x
-    v = t - x * y / 2
-    s1 = b - (u - a * y)
-    s2 = c - (v + a * y * y / 2)
-    return np.stack([r1, r2], axis=1), np.stack([s1, s2], axis=1)
-
-
 def line_measure(predicate, box_lo, box_hi, n, seed=0):
     """Monte Carlo m-measure of a set of lines.
 
@@ -153,19 +135,18 @@ def angle_cone_mask(a, halfwidth=1.0):
     return np.abs(np.asarray(a, dtype=float)) <= halfwidth
 
 
-def xray_transform(density, line, step=None):
+def xray_transform(density, line):
     """Arclength integral of a gridded density over a horizontal line.
 
     density must expose origin (3,), spacing (3,), values (nx, ny, nz);
     lookup is nearest-cell.  The quadrature step along the y-parameter
-    defaults to half the smallest spacing.
+    is half the smallest spacing.
     """
     origin = np.asarray(density.origin, dtype=float)
     spacing = np.asarray(density.spacing, dtype=float)
     values = density.values
     a, b, c = float(line.a), float(line.b), float(line.c)
-    if step is None:
-        step = float(spacing.min()) / 2.0
+    step = float(spacing.min()) / 2.0
     y0 = origin[1]
     y1 = origin[1] + spacing[1] * values.shape[1]
     s = np.arange(y0 + step / 2.0, y1, step)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ball_volume, gauge_norm, gauge_pairs, group_mul,
-                   heis_dist_trunc)
+from .core import ball_volume, gauge_pairs, group_mul, heis_dist_trunc
+from .delta_sets import ball_grid, grid_columns
 from .sampling import make_rng
 
 # Rows of atoms per block of riesz_energy; bounds its memory.
@@ -197,11 +197,7 @@ def layer_decomposition(mu, delta):
 
 def grid_z(delta):
     """Euclidean grid Z = delta Z^3 intersected with the unit gauge ball."""
-    k = int(math.floor(1.0 / delta)) + 1
-    xs = np.arange(-k, k + 1) * delta
-    X, Y, T = np.meshgrid(xs, xs, xs, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel(), T.ravel()], axis=1)
-    return pts[gauge_norm(pts) <= 1.0]
+    return ball_grid(grid_columns(delta), delta, 0.0)
 
 
 def augment_to_dim3(mu, s, t, delta, seed=0):

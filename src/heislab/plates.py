@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HeisBall, gauge_norm, heis_dist, window_blocks
+from .core import gauge_norm, heis_dist, window_blocks
 from .sampling import make_rng
 
 # Candidate pairs, and (point, direction bin) windows, per block of
@@ -161,11 +161,12 @@ class ModifiedPlate:
                     and rect_contains(self.y, self.r,
                                       np.array([w1, w2]), tol))
 
-    def sample(self, n, rng, x_halfwidth=2.0):
+    def sample(self, n, rng):
+        """n uniform points of the bundle's rays over |s| <= 2."""
         w0 = rng.random((n, 2)) * [2 * self.r, 2 * self.r ** 2] \
             - [self.r, self.r ** 2]
         yp = self.y + (rng.random(n) * 2 - 1) * self.r
-        s = (rng.random(n) * 2 - 1) * x_halfwidth
+        s = (rng.random(n) * 2 - 1) * 2.0
         w1 = w0[:, 0]
         w2 = w0[:, 1] - self.y * w0[:, 0]
         return np.stack([s,
@@ -182,46 +183,40 @@ class ModifiedPlate:
                 yp)
 
 
-def ball_to_modified_plate(ball):
-    """Modified plate Pi_{2r} containing the dual rays of the ball.
+def ball_to_modified_plate(center, radius):
+    """Modified plate Pi_{2r} containing the dual rays of B(center, r).
 
-    Preconditions: center in the closed unit gauge ball, |y| <= 1 and
-    radius <= 1/2, matching the regime where the correspondence is sharp.
+    Preconditions, where the correspondence is sharp: center in the
+    closed unit gauge ball, |y| <= 1 and radius in (0, 1/2].
     """
-    c = ball.center_array()
+    c = np.asarray(center, dtype=float)
     if gauge_norm(c) > 1.0 + 1e-12:
         raise ValueError("ball center must lie in the unit gauge ball")
     if abs(c[1]) > 1.0 + 1e-12:
         raise ValueError("|y| of the center must be at most 1")
-    if ball.radius > 0.5 + 1e-12:
-        raise ValueError("radius must be at most 1/2")
+    if not 0 < radius <= 0.5 + 1e-12:
+        raise ValueError("radius must lie in (0, 1/2], got %r" % radius)
     u, v, y = center_decomposition(c)
-    return ModifiedPlate(float(u), float(v), float(y), 2.0 * ball.radius)
+    return ModifiedPlate(float(u), float(v), float(y), 2.0 * radius)
 
 
-def plate_to_ball(plate, inflation=1.0):
-    """Ball whose dual plate boundedly contains the given plate."""
-    center = compose_center(plate.u, plate.v, plate.y)
-    return HeisBall(tuple(center), inflation * plate.r / 2.0)
+def plate_to_ball(plate):
+    """(center, radius) of the ball whose dual plate is the given plate."""
+    return compose_center(plate.u, plate.v, plate.y), plate.r / 2.0
 
 
-def same_direction_separation(ball1, ball2, n_samples=512, seed=0):
-    """Separation ratio d(p1, p2) / r for same-direction balls.
+def same_direction_separation(c1, c2, r, seed=0):
+    """Separation ratio d(c1, c2) / r for same-direction balls of radius r.
 
-    Requires equal radii and |y1 - y2| <= r.  Samples the dual plate of
-    ball1 inside the unit Euclidean ball; if any sample lies in the dual
-    plate of ball2, returns d(p1, p2) / r, else None.
+    Requires |y1 - y2| <= r.  Samples 256 points of the dual plate of
+    B(c1, r) and keeps those inside the unit Euclidean ball; if any lies
+    in the dual plate of B(c2, r), returns d(c1, c2) / r, else None.
     """
-    if abs(ball1.radius - ball2.radius) > 1e-12:
-        raise ValueError("balls must have equal radii")
-    r = ball1.radius
-    c1, c2 = ball1.center_array(), ball2.center_array()
     if abs(c1[1] - c2[1]) > r + 1e-12:
         raise ValueError("directions differ by more than the radius")
-    p1 = ball_to_modified_plate(ball1)
-    p2 = ball_to_modified_plate(ball2)
-    rng = make_rng(seed)
-    pts = p1.sample(n_samples, rng)
+    p1 = ball_to_modified_plate(c1, r)
+    p2 = ball_to_modified_plate(c2, r)
+    pts = p1.sample(256, make_rng(seed))
     pts = pts[np.linalg.norm(pts, axis=1) <= 1.0]
     if len(pts) and bool(np.any(p2.contains(pts))):
         return float(heis_dist(c1, c2)) / r

@@ -6,10 +6,11 @@ b the height.  The vertical projection is
 
     pi_e(z, t) = (<z, Je>, t + <z, e><z, Je> / 2),
 
-whose fibers are the horizontal lines w * L_e.  Its t-component
-rho_e(z, t) = t + <z, e><z, Je> / 2 and the x-t plane variant
-pi_xt(x, y, t) = (x, 0, t - x y / 2) are also provided.  pi_e preserves
-Lebesgue measure of images under left translation of the source set.
+whose fibers are the horizontal lines w * L_e.  Its height is the
+cinematic function f_p(theta) of cinematic.f_eval; both take <z, e> and
+<z, Je> from ze_zje.  The x-t plane variant pi_xt(x, y, t) =
+(x, 0, t - x y / 2) is also provided.  pi_e preserves Lebesgue measure
+of images under left translation of the source set.
 
 The natural metric on the chart is the parabolic one,
 d_par((a, b), (a', b')) = |a - a'| + sqrt(|b - b'|), which is bilipschitz
@@ -25,22 +26,18 @@ import numpy as np
 from .core import _as_points
 
 
+def ze_zje(theta, p):
+    """(<z, e>, <z, Je>) of p = (z, t); theta broadcasts against p[..., 0]."""
+    p = _as_points(p)
+    c, s = np.cos(theta), np.sin(theta)
+    return p[..., 0] * c + p[..., 1] * s, -p[..., 0] * s + p[..., 1] * c
+
+
 def pi_e(theta, p):
     """Vertical projection onto W_e(theta) in (a, b) chart coordinates."""
     p = _as_points(p)
-    c, s = math.cos(theta), math.sin(theta)
-    ze = p[..., 0] * c + p[..., 1] * s
-    zje = -p[..., 0] * s + p[..., 1] * c
+    ze, zje = ze_zje(theta, p)
     return np.stack([zje, p[..., 2] + 0.5 * ze * zje], axis=-1)
-
-
-def rho_e(theta, p):
-    """Height component of pi_e, computed as pi_e computes it."""
-    p = _as_points(p)
-    c, s = math.cos(theta), math.sin(theta)
-    ze = p[..., 0] * c + p[..., 1] * s
-    zje = -p[..., 0] * s + p[..., 1] * c
-    return p[..., 2] + 0.5 * ze * zje
 
 
 def pi_xt(p):

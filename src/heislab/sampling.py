@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import qmc
 
-from .core import UNIT_BALL_VOLUME, dilate, group_mul
+from .core import dilate, group_mul
 
 _BOX_LO = np.array([-1.0, -1.0, -0.25])
 _BOX_SCALE = np.array([2.0, 2.0, 0.5])
@@ -74,12 +74,13 @@ def monte_carlo_ball_volume(n, seed=0):
     return box_vol * hits / n
 
 
-def quadrature_ball_volume(n=20000):
+def quadrature_ball_volume():
     """Cylindrical-coordinate quadrature of the unit ball volume.
 
     The t-extent at cylinder radius rho is sqrt(1 - rho^4) / 4, so the
     volume is int_0^1 pi rho sqrt(1 - rho^4) drho, evaluated with the
-    midpoint rule (the closed form is pi^2 / 8).
+    midpoint rule on 20000 cells (the closed form is pi^2 / 8).
     """
+    n = 20000
     rho = (np.arange(n) + 0.5) / n
     return float(np.pi * np.sum(rho * np.sqrt(1.0 - rho ** 4)) / n)

@@ -7,7 +7,7 @@ from heislab.cinematic import (curve_separation, f_d1, f_d2, f_eval,
                                graph_overlap_integral, jet_jacobian,
                                jet_jacobian_absdet, jet_map, rotate_point,
                                rotation_residual)
-from heislab.projections import rho_e
+from heislab.projections import pi_e
 from heislab.sampling import make_rng
 
 coord = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
@@ -16,9 +16,10 @@ angle = st.floats(-7, 7, allow_nan=False, allow_infinity=False)
 
 
 def test_f_equals_projection_height():
-    p = make_rng(0).random((200, 3)) * 2 - 1
-    for theta in (0.0, 0.9, 2.4):
-        assert np.allclose(f_eval(p, theta), rho_e(theta, p), atol=0)
+    # f_p(theta) is the height of pi_e(theta)(p), bit for bit
+    p = (make_rng(0).random((600, 3)) * 2 - 1).reshape(4, 150, 3)
+    for theta in (0.0, 0.3, 0.9, np.pi / 2, 2.4, 2.7, -1.0):
+        assert np.array_equal(f_eval(p, theta), pi_e(theta, p)[..., 1])
 
 
 def test_derivatives_against_central_differences():

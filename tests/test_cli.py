@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -135,16 +136,14 @@ def _run_subprocess(args, env, cwd):
                           capture_output=True, text=True, env=env, cwd=cwd)
 
 
-def test_reports_bit_identical_across_thread_counts(tmp_path, child_env):
+def test_reports_bit_identical_across_reruns(tmp_path, child_env):
     args = ["experiment", "best-direction", "--kind", "horizontal-line",
             "--delta", "0.25", "--directions", "4",
             "--points-per-ball", "200", "--seed", "5"]
     d1 = tmp_path / "run1"
     d2 = tmp_path / "run2"
-    r1 = _run_subprocess(args + ["--out-dir", str(d1)],
-                         child_env(HEIS_GMT_THREADS="1"), tmp_path)
-    r2 = _run_subprocess(args + ["--out-dir", str(d2)],
-                         child_env(HEIS_GMT_THREADS="4"), tmp_path)
+    r1 = _run_subprocess(args + ["--out-dir", str(d1)], child_env(), tmp_path)
+    r2 = _run_subprocess(args + ["--out-dir", str(d2)], child_env(), tmp_path)
     assert r1.returncode == 0, r1.stderr
     assert r2.returncode == 0, r2.stderr
     for ext in (".json", ".csv", ".svg"):
@@ -259,3 +258,34 @@ def test_experiment_input_report_names_the_family_kind(tmp_path, capsys):
         assert code == 0
         payload = json.loads((out_dir / "rho_dimension.json").read_text())
         assert payload["params"]["kind"] == kind
+
+
+@pytest.mark.parametrize("flags", [["--balls", "0"], ["--balls", "-3"],
+                                   ["--pairs", "-1"]])
+def test_constants_rejects_counts_below_range(tmp_path, capsys, flags):
+    out = tmp_path / "m.txt"
+    code, stdout, stderr = run_cli(["constants", "--out", str(out)] + flags,
+                                   capsys)
+    assert stdout == ""
+    assert_one_error_line(code, stderr)
+    assert flags[0] in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, kind, flag", [
+    ("plate-energy", "random3", "--samples"),
+    ("best-direction", "horizontal-line", "--directions"),
+    ("best-direction", "horizontal-line", "--points-per-ball"),
+    ("rho-dim", "horizontal-line", "--directions"),
+])
+def test_experiment_rejects_zero_counts(tmp_path, capsys, experiment, kind,
+                                        flag):
+    argv = ["experiment", experiment, "--kind", kind, "--delta", "0.25",
+            flag, "0", "--out-dir", str(tmp_path / "r")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run_cli(argv, capsys)
+    assert stdout == ""
+    assert_one_error_line(code, stderr)
+    assert flag in stderr
+    assert not (tmp_path / "r").exists()

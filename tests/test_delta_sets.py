@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from heislab.core import gauge_norm, group_mul, heis_dist
-from heislab.delta_sets import (BallFamily, covering_number, gen_heis_lattice,
-                                gen_horizontal_line, gen_lattice_slab,
-                                gen_product, gen_random3, gen_t_axis,
-                                generate, read_family, verify_delta_t_set,
-                                write_family)
+from heislab.delta_sets import (_GENERATORS, BallFamily, covering_number,
+                                gen_heis_lattice, gen_horizontal_line,
+                                gen_lattice_slab, gen_product, gen_random3,
+                                gen_t_axis, generate, read_family,
+                                verify_delta_t_set, write_family)
 from heislab.sampling import make_rng
 
 
@@ -128,12 +128,15 @@ def test_generate_unknown_kind():
         generate("nope", 0.1)
 
 
-@pytest.mark.parametrize("kind", ["heis-lattice", "t-axis", "random3"])
+@pytest.mark.parametrize("kind", ["heis-lattice", "t-axis", "random3",
+                                  "slab", "horizontal-line", "product"])
 @pytest.mark.parametrize("delta", [0.0, -0.1, float("nan"), float("inf"),
                                    0.75])
 def test_generate_rejects_bad_delta(kind, delta):
-    with pytest.raises(ValueError, match="delta"):
-        generate(kind, delta)
+    # through generate and from the generator called directly
+    for make in (lambda d: generate(kind, d), _GENERATORS[kind]):
+        with pytest.raises(ValueError, match="delta"):
+            make(delta)
 
 
 def test_generate_rejects_params_the_kind_does_not_take():

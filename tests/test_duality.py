@@ -11,7 +11,7 @@ from heislab.duality import (HorizontalLine, LightRay, angle_cone_mask,
                              dual_ray, incident_point_line,
                              incident_point_ray, line_measure, line_of,
                              line_residuals, on_cone, ray_residuals,
-                             residual_pair_arrays, xray_transform)
+                             xray_transform)
 from heislab.measures import GridDensity
 from heislab.sampling import make_rng
 
@@ -60,19 +60,6 @@ def test_residual_triangular_relation(a, b, c, x, y, t):
     assert s2 == -r2 + Fraction(y) / 2 * r1
 
 
-def test_residual_pair_arrays_matches_scalar():
-    rng = make_rng(5)
-    pts = rng.random((500, 3)) * 4 - 2
-    qs = rng.random((500, 3)) * 4 - 2
-    R, S = residual_pair_arrays(pts, qs)
-    for i in range(0, 500, 37):
-        line = HorizontalLine(*qs[i])
-        r = line_residuals(tuple(pts[i]), line)
-        s = ray_residuals(tuple(qs[i]), dual_ray(tuple(pts[i])))
-        assert np.allclose(R[i], r, atol=1e-14)
-        assert np.allclose(S[i], s, atol=1e-14)
-
-
 def test_incident_points_have_tiny_residuals_in_float():
     rng = make_rng(6)
     abc = rng.random((10000, 3)) * 2 - 1
@@ -80,7 +67,9 @@ def test_incident_points_have_tiny_residuals_in_float():
     x = abc[:, 0] * s + abc[:, 1]
     t = abc[:, 1] * s / 2 + abc[:, 2]
     pts = np.stack([x, s, t], axis=1)
-    R, S = residual_pair_arrays(pts, abc)
+    # the residuals run on columns of arrays as they do on Fractions
+    R = line_residuals(pts.T, line_of(abc.T))
+    S = ray_residuals(abc.T, dual_ray(pts.T))
     assert float(np.max(np.abs(R))) <= 1e-14
     assert float(np.max(np.abs(S))) <= 1e-14
 

@@ -17,7 +17,7 @@ from heislab.experiments import (_ball_charts, _cell_counts,
                                  projection_area, projection_exponent,
                                  rho_dimension)
 from heislab.measures import DiscreteMeasure, rasterize
-from heislab.projections import pi_e, pixel_area, pixel_keys, rho_e
+from heislab.projections import pi_e, pixel_area, pixel_keys
 from heislab.reports import ExperimentReport, read_manifest, write_manifest
 from heislab.sampling import (ball_points, make_rng, uniform_ball_points,
                               unit_ball_points)
@@ -195,7 +195,7 @@ def test_rho_dimension_matches_unique_counts():
     thetas = [0.0, 0.5, 2.0]
     out = rho_dimension(pts, thetas, scales)
     for i, th in enumerate(thetas):
-        vals = rho_e(th, pts)
+        vals = pi_e(th, pts)[:, 1]
         euc = unique_cell_counts(vals, scales)
         sq = unique_cell_counts(vals, [s * s for s in scales])
         assert out["euclidean_slope"][i] == fit_loglog(scales, euc)[0]

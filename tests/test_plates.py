@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislab.core import HeisBall, gauge_norm, heis_dist
+from heislab.core import gauge_norm, heis_dist
 from heislab.delta_sets import generate
 from heislab.duality import LightRay, dual_ray
 from heislab.plates import (ModifiedPlate, Plate, _modified_contains_arrays,
@@ -149,8 +149,7 @@ def test_ball_dual_rays_fill_modified_plate():
     for _ in range(200):
         center = rng.random(3) * [1.0, 1.0, 0.2] - [0.5, 0.5, 0.1]
         r = float(rng.random() * 0.3 + 0.05)
-        ball = HeisBall(tuple(center), r)
-        plate = ball_to_modified_plate(ball)
+        plate = ball_to_modified_plate(center, r)
         pts = ball_points(center, r, 64)
         for p in pts:
             ray = dual_ray(tuple(p))
@@ -160,8 +159,7 @@ def test_ball_dual_rays_fill_modified_plate():
 
 
 def test_ball_to_plate_scale_and_center():
-    ball = HeisBall((0.2, -0.3, 0.1), 0.25)
-    plate = ball_to_modified_plate(ball)
+    plate = ball_to_modified_plate((0.2, -0.3, 0.1), 0.25)
     assert plate.r == 0.5
     u, v, y = center_decomposition([0.2, -0.3, 0.1])
     assert (plate.u, plate.v, plate.y) == (u, v, y)
@@ -169,17 +167,19 @@ def test_ball_to_plate_scale_and_center():
 
 def test_ball_to_plate_preconditions():
     with pytest.raises(ValueError):
-        ball_to_modified_plate(HeisBall((3.0, 0.0, 0.0), 0.1))
-    with pytest.raises(ValueError):
-        ball_to_modified_plate(HeisBall((0.0, 0.0, 0.0), 0.8))
+        ball_to_modified_plate((3.0, 0.0, 0.0), 0.1)
+    # a radius outside (0, 1/2], NaN included
+    for r in (0.8, 0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="radius"):
+            ball_to_modified_plate((0.0, 0.0, 0.0), r)
 
 
 def test_plate_to_ball_roundtrip():
-    ball = HeisBall((0.2, -0.3, 0.1), 0.2)
-    plate = ball_to_modified_plate(ball)
-    back = plate_to_ball(plate)
-    assert np.allclose(back.center_array(), ball.center_array(), atol=1e-12)
-    assert back.radius == pytest.approx(ball.radius)
+    center = (0.2, -0.3, 0.1)
+    plate = ball_to_modified_plate(center, 0.2)
+    back_center, back_radius = plate_to_ball(plate)
+    assert np.allclose(back_center, center, atol=1e-12)
+    assert back_radius == pytest.approx(0.2)
 
 
 def test_ray_base_point_duality():
@@ -198,9 +198,7 @@ def test_same_direction_separation_bounded():
     for _ in range(100):
         c1 = rng.random(3) * [0.8, 0.8, 0.2] - [0.4, 0.4, 0.1]
         c2 = c1 + rng.random(3) * [0.4, r, 0.1] - [0.2, r / 2, 0.05]
-        ratio = same_direction_separation(HeisBall(tuple(c1), r),
-                                          HeisBall(tuple(c2), r),
-                                          n_samples=256, seed=11)
+        ratio = same_direction_separation(c1, c2, r, seed=11)
         if ratio is not None:
             ratios.append(ratio)
     assert ratios, "expected some overlapping plate pairs"
@@ -208,12 +206,8 @@ def test_same_direction_separation_bounded():
 
 
 def test_same_direction_separation_validation():
-    with pytest.raises(ValueError):
-        same_direction_separation(HeisBall((0, 0, 0), 0.1),
-                                  HeisBall((0, 0, 0), 0.2))
-    with pytest.raises(ValueError):
-        same_direction_separation(HeisBall((0, 0.0, 0), 0.1),
-                                  HeisBall((0, 0.5, 0), 0.1))
+    with pytest.raises(ValueError, match="directions"):
+        same_direction_separation((0, 0.0, 0), (0, 0.5, 0), 0.1)
 
 
 def test_count_memberships_matches_bruteforce():

@@ -5,7 +5,7 @@ import pytest
 
 from heislab.core import group_mul, heis_dist, dilate
 from heislab.projections import (parabolic_dist, pi_e, pi_xt, pixel_area,
-                                 plane_embed, rho_e)
+                                 plane_embed)
 from heislab.sampling import make_rng, uniform_ball_points
 
 
@@ -56,17 +56,6 @@ def test_vertical_axis_maps_to_height_axis():
         w = pi_e(theta, p)
         assert w[0, 0] == 0.0
         assert w[0, 1] == 0.7
-
-
-def test_rho_matches_second_component():
-    p = random_points(100, seed=6)
-    assert np.allclose(rho_e(1.1, p), pi_e(1.1, p)[:, 1], atol=0)
-
-
-def test_rho_bit_identical_to_pi_e_height():
-    p = random_points(600, seed=9).reshape(4, 150, 3)
-    for theta in (0.0, 0.3, math.pi / 2, 2.7, -1.0):
-        assert np.array_equal(rho_e(theta, p), pi_e(theta, p)[..., 1])
 
 
 def test_left_invariance_of_projected_area():
