@@ -10,8 +10,7 @@ from .duality import (HorizontalLine, LightRay, dual_ray,
                       incident_point_line, incident_point_ray, line_measure,
                       line_of, xray_transform)
 from .plates import (ModifiedPlate, Plate, ball_to_modified_plate,
-                     center_decomposition, compose_center, plate_to_ball,
-                     same_direction_separation)
+                     compose_center, plate_to_ball, same_direction_separation)
 from .delta_sets import (BallFamily, covering_number, generate, read_family,
                          verify_delta_t_set, write_family)
 from .measures import (DiscreteMeasure, GridDensity, augment_to_dim3,

@@ -262,10 +262,12 @@ def gen_product(delta, dim0=0.5):
     while True:
         nxt = (rho * pts2[:, None, :]
                + (1 - rho) * corners[None, :, :]).reshape(-1, 2)
+        if len(nxt) > 4096:  # first: the pairwise array is len(nxt)^2
+            break
         d = nxt[:, None, :] - nxt[None, :, :]
         sep = np.sqrt((d ** 2).sum(-1))
         sep[sep == 0] = np.inf
-        if float(sep.min()) < delta or len(nxt) > 4096:
+        if float(sep.min()) < delta:
             break
         pts2 = nxt
     pts = ball_grid(pts2, delta ** 2, delta)

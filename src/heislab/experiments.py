@@ -16,8 +16,8 @@ from . import plates
 from .cinematic import f_eval
 from .core import PAIR_BLOCK, dilate, gauge_norm, group_mul, heis_dist
 from .delta_sets import dyadic_ball_counts, verify_delta_t_set
-from .duality import HorizontalLine, LightRay, xray_transform
-from .projections import pack_pixels, pi_e, pixel_keys, ze_zje
+from .duality import HorizontalLine, dual_ray, xray_transform
+from .projections import pack_pixels, pi_e, pixel_area, pixel_keys, ze_zje
 from .sampling import (make_rng, monte_carlo_ball_volume,
                        quadrature_ball_volume, uniform_ball_points,
                        unit_ball_points)
@@ -130,12 +130,10 @@ def plate_l2_energy(family, n_samples=200000, seed=0, verify=True):
         if family.claimed_t != 3.0 or not report["passes"]:
             raise ValueError("plate energy requires a verified "
                              "(delta, 3, C) family")
-    uvy = plates.center_decomposition(family.centers)
-    u, v, y = uvy[:, 0], uvy[:, 1], uvy[:, 2]
-    r = 2.0 * family.delta
+    plate = plates.ball_to_modified_plate(family.centers, family.delta)
     rng = make_rng(seed)
     pts = plates._uniform_euclidean_ball(n_samples, rng, 2.0)
-    counts = plates.count_memberships(u, v, y, r, pts)
+    counts = plates.count_memberships(plate.u, plate.v, plate.y, plate.r, pts)
     vol = 4.0 / 3.0 * math.pi * 8.0
     energy = vol * float(np.mean(counts.astype(float) ** 2))
     c38 = family_regularity_constant(family, seed=seed)
@@ -276,8 +274,7 @@ def derive_constants(seed=0, n_balls=100, n_pairs=2000):
     # makes every ball image area equal to this times r^3)
     pix = 2.0 ** -8
     cloud = unit_ball_points(400000)
-    areas = [len(np.unique(pixel_keys(pi_e(th, cloud), pix))) * pix * pix
-             for th in (0.0, 0.7, 1.9)]
+    areas = [pixel_area(pi_e(th, cloud), pix) for th in (0.0, 0.7, 1.9)]
     put("proj_ball_area", float(np.mean(areas)), 400000,
         "pixel area of the projected unit ball, mean of 3 directions")
 
@@ -297,35 +294,30 @@ def derive_constants(seed=0, n_balls=100, n_pairs=2000):
 
     # ball-plate correspondence constants
     inc = 0
-    tot = 0
     outer = 0.0
     recov = 0.0
+    svals = np.linspace(-1.0, 1.0, 21)[:, None]
     for _ in range(n_balls):
         c = uniform_ball_points(1, rng, 0.9)[0]
         c[1] = min(max(c[1], -0.95), 0.95)
         r = float(rng.random() * 0.2 + 0.02)
         plate = plates.ball_to_modified_plate(c, r)
         qs = group_mul(c, dilate(r * 0.999, uniform_ball_points(n_rays, rng)))
-        for q in qs:
-            uvy = plates.center_decomposition(q)
-            ray = LightRay(uvy[0], uvy[1], uvy[2])
-            tot += 1
-            inc += bool(plate.contains_ray(ray))
-        for _ in range(n_rays):
-            up, vp, yp = plate.sample_ray(rng)
-            p = plates.compose_center(up, vp, yp)
-            outer = max(outer, float(heis_dist(p, c)) / r)
-        # recovery: points whose sampled dual rays stay inside the plate
+        inc += int(np.count_nonzero(plate.contains_ray(dual_ray(qs.T))))
+        rays = plate.sample_rays(n_rays, rng)
+        p = plates.compose_center(rays.u, rays.v, rays.y)
+        outer = max(outer, float((heis_dist(p, c) / r).max()))
+        # recovery: points whose sampled dual rays stay inside the plate;
+        # ray point s of candidate k is ray_pts[s, k], tested if in B(1)
         cand = group_mul(c, dilate(4 * r, uniform_ball_points(24, rng)))
-        svals = np.linspace(-1.0, 1.0, 21)
-        for p in cand:
-            uvy = plates.center_decomposition(p)
-            ray_pts = np.stack([svals,
-                                uvy[0] - svals * uvy[2],
-                                uvy[1] + 0.5 * svals * uvy[2] ** 2], axis=1)
-            ray_pts = ray_pts[np.linalg.norm(ray_pts, axis=1) <= 1.0]
-            if len(ray_pts) and bool(np.all(plate.contains(ray_pts))):
-                recov = max(recov, float(heis_dist(p, c)) / r)
+        ray_pts = np.stack(np.broadcast_arrays(
+            *dual_ray(cand.T).point_at(svals)), axis=-1)
+        tested = np.linalg.norm(ray_pts, axis=-1) <= 1.0
+        kept = np.any(tested, axis=0) & np.all(
+            plate.contains(ray_pts) | ~tested, axis=0)
+        if np.any(kept):
+            recov = max(recov, float((heis_dist(cand[kept], c) / r).max()))
+    tot = n_balls * n_rays
     put("dual_ray_inclusion_rate", inc / tot, tot,
         "fraction of dual rays of ball points inside the scale-2r plate")
     put("plate_outer_C", outer, n_balls * n_rays,
@@ -364,9 +356,9 @@ def derive_constants(seed=0, n_balls=100, n_pairs=2000):
             c0 = uniform_ball_points(1, rng, 0.8)[0]
             c0[1] = min(max(c0[1], -0.9), 0.9)
             r = float(rng.random() * 0.1 + 0.01)
-            uvy = plates.center_decomposition(c0)
-            inner = plates.ModifiedPlate(uvy[0], uvy[1], uvy[2], cval * r)
-            rigid = plates.Plate(uvy[0], uvy[1], uvy[2], r, x_halfwidth=2.0)
+            ray = dual_ray(c0)
+            inner = plates.ModifiedPlate(ray.u, ray.v, ray.y, cval * r)
+            rigid = plates.Plate(ray.u, ray.v, ray.y, r, x_halfwidth=2.0)
             pts = inner.sample(200, rng)
             if not bool(np.all(rigid.contains(pts, tol=1e-9))):
                 good = False

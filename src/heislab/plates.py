@@ -11,13 +11,15 @@ and the modified plate additionally lets the ray direction float:
 
     Pi_r(u, v, y) = (0, u, v) + {(0, w) + L_{y'} : w in R_r(y), |y' - y| <= r}.
 
-Writing a ball center p = (u0, 0, v0) * (0, y0, 0), equivalently
-(u0, v0, y0) = (x, t - x y / 2, y), the dual rays of a ball B(p, r)
-fill exactly a modified plate of scale 2r:
+A plate's base is a dual ray: for a ball center p = (x, y, t) =
+(u0, 0, v0) * (0, y0, 0), the base (u0, v0, y0) = (x, t - x y / 2, y) is
+duality.dual_ray(p), and the dual rays of a ball B(p, r) fill exactly a
+modified plate of scale 2r:
 
     ell*(B(p, r))  is contained in  Pi_{2r}(u0, v0, y0),
 
 with a reverse inclusion into the dual of a boundedly inflated ball.
+compose_center is the inverse map, from a ray (u0, v0, y0) to p.
 
 Membership of a point in a modified plate is a feasibility question over
 the free direction y': one linear band, one quadratic band and the box
@@ -53,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import gauge_norm, heis_dist, window_blocks
+from .duality import LightRay, dual_ray
 from .sampling import make_rng
 
 # Candidate pairs, and (point, direction bin) windows, per block of
@@ -68,15 +71,8 @@ def rect_contains(y, r, w, tol=0.0):
     return (np.abs(w1) <= r + tol) & (np.abs(w2 + y * w1) <= r * r + tol)
 
 
-def center_decomposition(p):
-    """(x, y, t) -> (u, v, y) with p = (u, 0, v) * (0, y, 0)."""
-    p = np.asarray(p, dtype=float)
-    x, y, t = p[..., 0], p[..., 1], p[..., 2]
-    return np.stack([x, t - 0.5 * x * y, y], axis=-1)
-
-
 def compose_center(u, v, y):
-    """Inverse of center_decomposition: (u, 0, v) * (0, y, 0)."""
+    """Inverse of duality.dual_ray: the point (u, 0, v) * (0, y, 0)."""
     u = np.asarray(u, dtype=float)
     return np.stack(np.broadcast_arrays(u, np.asarray(y, dtype=float),
                                         np.asarray(v, dtype=float) + 0.5 * u * y),
@@ -112,54 +108,51 @@ class Plate:
                          self.v + w2 + 0.5 * s * self.y ** 2], axis=1)
 
 
-def _modified_contains_arrays(u, v, y, r, s, q2, q3, tol):
-    """Vectorized modified-plate membership on aligned arrays.
-
-    Feasibility over y' in [y - r, y + r] of |A + s y'| <= r and
-    |h(y')| <= r^2 with h(y') = Bc + y s y' - (s / 2) y'^2,
-    A = q2 - u, Bc = q3 - v + y A.  The feasible set is an intersection
-    of intervals with a <=2-interval set, so it is nonempty iff one of
-    the interval endpoints satisfies every constraint.
-    """
-    A = q2 - u
-    Bc = q3 - v + y * A
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cands = [y - r, y + r,
-                 (-r - A) / s, (r - A) / s]
-        for sign in (-1.0, 1.0):
-            disc = y * y + 2.0 * (Bc + sign * r * r) / s
-            root = np.sqrt(disc)
-            cands.append(y - root)
-            cands.append(y + root)
-        cands = np.stack(np.broadcast_arrays(*cands))
-        h = Bc + (y * s) * cands - 0.5 * s * cands ** 2
-        ok = (cands >= y - r - tol) & (cands <= y + r + tol) \
-            & (np.abs(A + s * cands) <= r + tol) \
-            & (np.abs(h) <= r * r + tol)
-    return np.any(np.where(np.isfinite(cands), ok, False), axis=0)
-
-
 @dataclass(frozen=True)
 class ModifiedPlate:
-    """Ray bundle Pi_r(u, v, y) with direction slack |y' - y| <= r."""
+    """Ray bundle Pi_r(u, v, y) with direction slack |y' - y| <= r.
 
-    u: float
-    v: float
-    y: float
-    r: float
+    Fields may be arrays, one plate per entry, broadcast against q or ray.
+    """
+
+    u: object
+    v: object
+    y: object
+    r: object
 
     def contains(self, q, tol=1e-9):
+        """Exact membership of the points q (shape (..., 3)).
+
+        q is a member iff some y' in [y - r, y + r] has |A + s y'| <= r
+        and |Bc + y s y' - (s / 2) y'^2| <= r^2, with A = q2 - u and
+        Bc = q3 - v + y A; then one of eight interval endpoints does.
+        """
         q = np.asarray(q, dtype=float)
-        return _modified_contains_arrays(self.u, self.v, self.y, self.r,
-                                         q[..., 0], q[..., 1], q[..., 2], tol)
+        s, q2, q3 = q[..., 0], q[..., 1], q[..., 2]
+        u, v, y, r = self.u, self.v, self.y, self.r
+        A = q2 - u
+        Bc = q3 - v + y * A
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cands = [y - r, y + r,
+                     (-r - A) / s, (r - A) / s]
+            for sign in (-1.0, 1.0):
+                disc = y * y + 2.0 * (Bc + sign * r * r) / s
+                root = np.sqrt(disc)
+                cands.append(y - root)
+                cands.append(y + root)
+            cands = np.stack(np.broadcast_arrays(*cands))
+            h = Bc + (y * s) * cands - 0.5 * s * cands ** 2
+            ok = (cands >= y - r - tol) & (cands <= y + r + tol) \
+                & (np.abs(A + s * cands) <= r + tol) \
+                & (np.abs(h) <= r * r + tol)
+        return np.any(np.where(np.isfinite(cands), ok, False), axis=0)
 
     def contains_ray(self, ray, tol=1e-12):
-        """Whole-ray membership of (0, u', v') + L_{y'}; exact algebra."""
-        w1 = ray.u - self.u
-        w2 = ray.v - self.v
-        return bool(abs(ray.y - self.y) <= self.r + tol
-                    and rect_contains(self.y, self.r,
-                                      np.array([w1, w2]), tol))
+        """Whole-ray membership of a LightRay (fields may be arrays); exact."""
+        w = np.stack(np.broadcast_arrays(ray.u - self.u, ray.v - self.v),
+                     axis=-1)
+        return ((np.abs(ray.y - self.y) <= self.r + tol)
+                & rect_contains(self.y, self.r, w, tol))
 
     def sample(self, n, rng):
         """n uniform points of the bundle's rays over |s| <= 2."""
@@ -173,31 +166,32 @@ class ModifiedPlate:
                          self.u + w1 - s * yp,
                          self.v + w2 + 0.5 * s * yp ** 2], axis=1)
 
-    def sample_ray(self, rng):
-        """A uniform ray of the bundle, as (u', v', y') parameters."""
-        w0 = rng.random(2) * [2 * self.r, 2 * self.r ** 2] \
-            - [self.r, self.r ** 2]
-        yp = self.y + (rng.random() * 2 - 1) * self.r
-        return (self.u + w0[0],
-                self.v + w0[1] - self.y * w0[0],
-                yp)
+    def sample_rays(self, n, rng):
+        """n uniform rays of the bundle, as a LightRay of arrays."""
+        w = rng.random((n, 3))
+        w0 = w[:, :2] * [2 * self.r, 2 * self.r ** 2] - [self.r, self.r ** 2]
+        return LightRay(self.u + w0[:, 0],
+                        self.v + w0[:, 1] - self.y * w0[:, 0],
+                        self.y + (w[:, 2] * 2 - 1) * self.r)
 
 
 def ball_to_modified_plate(center, radius):
     """Modified plate Pi_{2r} containing the dual rays of B(center, r).
 
-    Preconditions, where the correspondence is sharp: center in the
-    closed unit gauge ball, |y| <= 1 and radius in (0, 1/2].
+    Its base is dual_ray(center), for one center or an (n, 3) array.
+    Preconditions, where the correspondence is sharp: every center in
+    the closed unit gauge ball, |y| <= 1 and radius in (0, 1/2].
     """
     c = np.asarray(center, dtype=float)
-    if gauge_norm(c) > 1.0 + 1e-12:
+    if np.any(gauge_norm(c) > 1.0 + 1e-12):
         raise ValueError("ball center must lie in the unit gauge ball")
-    if abs(c[1]) > 1.0 + 1e-12:
+    if np.any(np.abs(c[..., 1]) > 1.0 + 1e-12):
         raise ValueError("|y| of the center must be at most 1")
-    if not 0 < radius <= 0.5 + 1e-12:
+    r = np.asarray(radius, dtype=float)
+    if not np.all((r > 0) & (r <= 0.5 + 1e-12)):
         raise ValueError("radius must lie in (0, 1/2], got %r" % radius)
-    u, v, y = center_decomposition(c)
-    return ModifiedPlate(float(u), float(v), float(y), 2.0 * radius)
+    ray = dual_ray(c.T)
+    return ModifiedPlate(ray.u, ray.v, ray.y, 2.0 * radius)
 
 
 def plate_to_ball(plate):
@@ -252,8 +246,7 @@ def count_memberships(u, v, y, r, pts, tol=1e-9):
     counts = np.zeros(len(pts), dtype=np.int64)
     for i, j, near in _plate_candidates(u, v, y, r, pts, tol):
         i, j = i[near], j[near]
-        inside = _modified_contains_arrays(u[j], v[j], y[j], r, *pts[i].T,
-                                           tol)
+        inside = ModifiedPlate(u[j], v[j], y[j], r).contains(pts[i], tol)
         counts += np.bincount(i[inside], minlength=len(pts))
     return counts
 

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -169,6 +171,26 @@ def test_horizontal_line_quarter_delta_example():
 def test_product_dim_validation():
     with pytest.raises(ValueError):
         gen_product(0.1, dim0=2.5)
+
+
+def test_product_stops_at_the_column_cap_before_pairwise_distances(child_env):
+    # dim0 = 1.99, delta = 0.009: level 6 has 4096 columns still 0.0092
+    # apart, so level 7 (16384) is over the cap; its pairwise separation
+    # would take 4 GiB.  The child's 2 GiB address-space limit makes
+    # forming it fail, and ball_grid is stubbed to return the columns.
+    code = """if True:
+        import resource
+        import numpy as np
+        from heislab import delta_sets
+        delta_sets.ball_grid = lambda cols, step, margin: np.column_stack(
+            [cols, np.zeros(len(cols))])
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        print(len(delta_sets.gen_product(0.009, dim0=1.99)))
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["4096"]
 
 
 def test_verifier_fails_overcrowded_family():

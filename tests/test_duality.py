@@ -36,6 +36,19 @@ def test_dual_ray_direction_on_cone():
     assert on_cone(ray.direction(-2.5), tol=1e-14)
 
 
+@given(frac, frac, frac, frac)
+@settings(max_examples=200, deadline=None)
+def test_tangent_is_horizontal_exactly(a, b, c, s):
+    # at (x, y, t) = point_at(s) the tangent (x', y', t') = (a, 1, b/2)
+    # satisfies t' = (x y' - y x') / 2 and is the step of point_at
+    line = HorizontalLine(a, b, c)
+    x, y, t = line.point_at(s)
+    dx, dy, dt = line.tangent()
+    assert dt == (x * dy - y * dx) / 2
+    assert tuple(q - p for p, q in zip(line.point_at(s),
+                                       line.point_at(s + 1))) == (dx, dy, dt)
+
+
 @given(frac, frac, frac, frac, frac)
 @settings(max_examples=200, deadline=None)
 def test_exact_biconditional(a, b, c, y, jitter):

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from heislab.core import gauge_norm, heis_dist
 from heislab.delta_sets import generate
 from heislab.duality import LightRay, dual_ray
-from heislab.plates import (ModifiedPlate, Plate, _modified_contains_arrays,
-                            _plate_candidates, _uniform_euclidean_ball,
-                            ball_to_modified_plate, center_decomposition,
+from heislab.plates import (ModifiedPlate, Plate, _plate_candidates,
+                            _uniform_euclidean_ball, ball_to_modified_plate,
                             compose_center, count_memberships,
                             plate_to_ball, rect_contains,
                             same_direction_separation)
@@ -59,9 +58,23 @@ def count_memberships_bruteforce(u, v, y, r, pts, tol=1e-9):
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     counts = np.zeros(len(pts), dtype=np.int64)
     for ui, vi, yi in zip(np.atleast_1d(u), np.atleast_1d(v), np.atleast_1d(y)):
-        counts += _modified_contains_arrays(
-            ui, vi, yi, r, pts[:, 0], pts[:, 1], pts[:, 2], tol).astype(np.int64)
+        counts += ModifiedPlate(ui, vi, yi, r).contains(pts, tol)
     return counts
+
+
+def contains_ray_scalar(plate, ray, tol=1e-12):
+    """One plate, one ray: whole-ray membership written per ray."""
+    w = np.array([ray.u - plate.u, ray.v - plate.v])
+    return bool(abs(ray.y - plate.y) <= plate.r + tol
+                and rect_contains(plate.y, plate.r, w, tol))
+
+
+def sample_ray_scalar(plate, rng):
+    """One uniform ray of the bundle from random(2) and random() draws."""
+    w0 = rng.random(2) * [2 * plate.r, 2 * plate.r ** 2] \
+        - [plate.r, plate.r ** 2]
+    yp = plate.y + (rng.random() * 2 - 1) * plate.r
+    return (plate.u + w0[0], plate.v + w0[1] - plate.y * w0[0], yp)
 
 
 def test_shear_rect_membership():
@@ -80,11 +93,16 @@ def test_shear_rect_membership():
 
 @given(coord, coord, coord)
 @settings(max_examples=200, deadline=None)
-def test_center_decomposition_roundtrip(x, y, t):
-    u, v, yy = center_decomposition([x, y, t])
-    back = compose_center(u, v, yy)
+def test_dual_ray_compose_center_roundtrip(x, y, t):
+    ray = dual_ray(np.array([x, y, t]))
+    back = compose_center(ray.u, ray.v, ray.y)
     assert np.allclose(back, [x, y, t], atol=1e-12)
-    assert yy == y
+    assert ray.y == y
+    # the same on columns: one ray per point
+    pts = np.array([[x, y, t], [t, x, y]])
+    rays = dual_ray(pts.T)
+    assert np.allclose(compose_center(rays.u, rays.v, rays.y), pts,
+                       atol=1e-12)
 
 
 def test_plate_samples_are_members():
@@ -132,15 +150,57 @@ def test_modified_plate_contains_fixed_direction_plate():
 def test_contains_ray_vs_pointwise():
     mp = ModifiedPlate(0.0, 0.0, 0.4, 0.25)
     rng = make_rng(5)
-    for _ in range(200):
-        up, vp, yp = mp.sample_ray(rng)
-        ray = LightRay(up, vp, yp)
-        assert mp.contains_ray(ray)
+    rays = mp.sample_rays(200, rng)
+    assert np.all(mp.contains_ray(rays))
+    for ray in map(LightRay, rays.u, rays.v, rays.y):
         s = rng.random(32) * 4 - 2
         pts = np.array([ray.point_at(si) for si in s])
         assert np.all(mp.contains(pts, tol=1e-9))
     far = LightRay(0.0, 0.0, 0.4 + 0.26)
     assert not mp.contains_ray(far)
+
+
+def test_contains_ray_on_arrays_matches_per_ray():
+    rng = make_rng(12)
+    mp = ModifiedPlate(0.1, -0.2, 0.3, 0.2)
+    du, dv, dy = (rng.random((3, 2000)) - 0.5) * [[0.5], [0.1], [0.5]]
+    # a third of the rays on the edge |y' - y| = r of the direction slack
+    dy[::3] = np.sign(dy[::3]) * 0.2
+    rays = LightRay(0.1 + du, -0.2 + dv, 0.3 + dy)
+    fast = mp.contains_ray(rays)
+    slow = [contains_ray_scalar(mp, LightRay(*t))
+            for t in zip(rays.u, rays.v, rays.y)]
+    assert np.array_equal(fast, slow)
+    assert 0 < fast.sum() < len(fast)
+
+
+@given(st.lists(st.tuples(coord, coord, st.floats(-3, 3), st.floats(0, 0.5)),
+                min_size=1, max_size=6),
+       st.lists(st.tuples(st.floats(-4, 4), st.floats(-2, 2),
+                          st.floats(-2, 2)), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_array_plate_fields_match_scalar_plates(uvyr, pts):
+    q = np.array(pts)
+    slow = np.array([ModifiedPlate(*f).contains(q) for f in uvyr])
+    u, v, y, r = np.array(uvyr).T
+    # every plate against every point, and plate k against point k
+    fast = ModifiedPlate(u[:, None], v[:, None], y[:, None],
+                         r[:, None]).contains(q)
+    assert np.array_equal(fast, slow)
+    k = min(len(q), len(u))
+    aligned = ModifiedPlate(u[:k], v[:k], y[:k], r[:k]).contains(q[:k])
+    assert np.array_equal(aligned, np.diagonal(slow)[:k])
+
+
+@pytest.mark.parametrize("n", [1, 7, 1001])
+def test_sample_rays_equal_one_ray_draws(n):
+    mp = ModifiedPlate(0.3, -0.1, 0.8, 0.2)
+    fast_rng, slow_rng = make_rng(9), make_rng(9)
+    rays = mp.sample_rays(n, fast_rng)
+    want = np.array([sample_ray_scalar(mp, slow_rng) for _ in range(n)])
+    assert np.array_equal(np.stack([rays.u, rays.v, rays.y], axis=1), want)
+    # both generators stand at the same place in the stream
+    assert fast_rng.random() == slow_rng.random()
 
 
 def test_ball_dual_rays_fill_modified_plate():
@@ -161,8 +221,26 @@ def test_ball_dual_rays_fill_modified_plate():
 def test_ball_to_plate_scale_and_center():
     plate = ball_to_modified_plate((0.2, -0.3, 0.1), 0.25)
     assert plate.r == 0.5
-    u, v, y = center_decomposition([0.2, -0.3, 0.1])
-    assert (plate.u, plate.v, plate.y) == (u, v, y)
+    ray = dual_ray((0.2, -0.3, 0.1))
+    assert (plate.u, plate.v, plate.y) == (ray.u, ray.v, ray.y)
+
+
+def test_ball_to_plate_on_arrays_matches_per_center():
+    centers = ball_points((0.0, 0.0, 0.0), 0.9, 50)
+    plate = ball_to_modified_plate(centers, 0.1)
+    for k, c in enumerate(centers):
+        one = ball_to_modified_plate(c, 0.1)
+        assert (plate.u[k], plate.v[k], plate.y[k]) == (one.u, one.v, one.y)
+        assert plate.r == one.r
+    # one bad center, or one bad radius, rejects the whole array
+    bad = centers.copy()
+    bad[17] = (3.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="unit gauge ball"):
+        ball_to_modified_plate(bad, 0.1)
+    radii = np.full(len(centers), 0.1)
+    radii[31] = float("nan")
+    with pytest.raises(ValueError, match="radius"):
+        ball_to_modified_plate(centers, radii)
 
 
 def test_ball_to_plate_preconditions():
@@ -295,9 +373,8 @@ def test_plate_candidates_per_hit_stay_flat(k):
     # the index reads windows that fit the plates' thin sheared tube, so
     # the proposals per hit do not grow as delta shrinks
     fam = generate("random3", 2.0 ** -k, seed=1)
-    uvy = center_decomposition(fam.centers)
-    u, v, y = uvy[:, 0], uvy[:, 1], uvy[:, 2]
-    r = 2.0 ** (1 - k)
+    plate = ball_to_modified_plate(fam.centers, fam.delta)
+    u, v, y, r = plate.u, plate.v, plate.y, plate.r
     pts = _uniform_euclidean_ball(5000, make_rng(k), 2.0)
     proposed = sum(len(i) for i, _, _ in
                    _plate_candidates(u, v, y, r, pts, 1e-9))
