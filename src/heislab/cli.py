@@ -42,7 +42,7 @@ _COUNT_FLAGS = {"best-direction": {"directions": 1, "points_per_ball": 1},
 
 
 def _at_least(args, **least):
-    """Raise ValueError naming the first count flag below its least value."""
+    """Raise ValueError naming the first flag below its least value."""
     for name, low in least.items():
         if getattr(args, name) < low:
             raise ValueError("--%s must be at least %d"
@@ -188,6 +188,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _at_least(args, seed=0)  # every command takes --seed
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import gauge_norm, gauge_pairs, heis_dist
+from .core import (PAIR_BLOCK, gauge_norm, gauge_pairs, heis_dist,
+                   window_blocks)
 from .sampling import make_rng
 
 
@@ -179,15 +180,30 @@ def ball_grid(cols, step, margin, shift=0.0):
 
     One column per row (x, y) of cols, and shift per column or scalar;
     |j step| <= 1/4 + step covers the ball.  Column-major, j increasing.
+    Only a column's run |j step + shift| <= sqrt((1 - margin)^4 - |z|^4)
+    / 4, widened by one step, is formed, in blocks of about PAIR_BLOCK
+    points; the exact gauge-norm test decides each.
     """
     cols = np.asarray(cols, dtype=float).reshape(-1, 2)
+    shift = np.broadcast_to(np.asarray(shift, dtype=float), (len(cols),))
     m = int(math.floor(0.25 / step)) + 1
-    ts = np.arange(-m, m + 1) * step
-    pts = np.empty((len(cols), len(ts), 3))
-    pts[..., :2] = cols[:, None, :]
-    pts[..., 2] = ts + np.reshape(shift, (-1, 1))
-    pts = pts.reshape(-1, 3)
-    return pts[gauge_norm(pts) <= 1.0 - margin]
+    zsq = cols[:, 0] ** 2 + cols[:, 1] ** 2
+    # the 1e-12 covers rounding in the gauge norm at a column's ends
+    h = np.sqrt(np.maximum((1.0 - margin) ** 4 - zsq ** 2, 0.0) + 1e-12) / 4
+    lo = np.maximum(np.ceil((-h - shift) / step) - 1, -m).astype(np.int64)
+    hi = np.minimum(np.floor((h - shift) / step) + 1, m).astype(np.int64)
+    lens = np.maximum(hi - lo + 1, 0)
+    out = np.empty((int(lens.sum()), 3))
+    kept = 0
+    if len(out):
+        for col, j in window_blocks(lo, lens, PAIR_BLOCK):
+            pts = np.empty((len(col), 3))
+            pts[:, :2] = cols[col]
+            pts[:, 2] = j * step + shift[col]
+            pts = pts[gauge_norm(pts) <= 1.0 - margin]
+            out[kept:kept + len(pts)] = pts
+            kept += len(pts)
+    return out[:kept]
 
 
 def gen_heis_lattice(delta):

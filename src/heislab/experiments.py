@@ -17,10 +17,11 @@ from .cinematic import f_eval
 from .core import PAIR_BLOCK, dilate, gauge_norm, group_mul, heis_dist
 from .delta_sets import dyadic_ball_counts, verify_delta_t_set
 from .duality import HorizontalLine, dual_ray, xray_transform
-from .projections import pack_pixels, pi_e, pixel_area, pixel_keys, ze_zje
-from .sampling import (make_rng, monte_carlo_ball_volume,
-                       quadrature_ball_volume, uniform_ball_points,
-                       unit_ball_points)
+from .projections import (distinct, pack_pixels, pi_e, pixel_area,
+                          pixel_keys, ze_zje)
+from .sampling import (ONE_POINT_DRAW, first_ball_points, make_rng,
+                       monte_carlo_ball_volume, quadrature_ball_volume,
+                       uniform_ball_points, unit_ball_points)
 
 
 def _ball_charts(theta, centers, radius, cloud):
@@ -62,11 +63,11 @@ def projection_area(theta, centers, radius, pixel, pts_per_ball=200):
         raise ValueError("pixel must be at most half the ball radius")
     cloud = pi_e(theta, unit_ball_points(pts_per_ball))
     step = max(1, PAIR_BLOCK // len(cloud))
-    parts = [np.unique(pixel_keys(_ball_charts(theta, centers[i:i + step],
-                                               radius[i:i + step], cloud),
-                                  pixel))
+    parts = [distinct(pixel_keys(_ball_charts(theta, centers[i:i + step],
+                                              radius[i:i + step], cloud),
+                                 pixel))
              for i in range(0, len(centers), step)]
-    return len(np.unique(np.concatenate(parts))) * pixel * pixel
+    return len(distinct(np.concatenate(parts))) * pixel * pixel
 
 
 def best_direction_scan(family, n_directions=64, pts_per_ball=200):
@@ -168,8 +169,8 @@ def covering_count_2d(points, scale, metric="euclidean"):
         h = np.array([scale, scale * scale])
     else:
         raise ValueError("metric must be euclidean or parabolic")
-    return len(np.unique(pack_pixels(np.floor(w[:, 0] / h[0]),
-                                     np.floor(w[:, 1] / h[1]))))
+    return len(distinct(pack_pixels(np.floor(w[:, 0] / h[0]),
+                                    np.floor(w[:, 1] / h[1]))))
 
 
 def box_dimension(points, scales, metric="euclidean"):
@@ -184,14 +185,11 @@ def _cell_counts(vals, cells):
     """Number of distinct floor(v / cell) over vals, for each cell > 0.
 
     One sort serves every cell: v -> floor(v / cell) is monotone, so the
-    count is 1 + the number of changes along the sorted values.
+    cells of the sorted values come sorted.
     """
     vals = np.sort(np.asarray(vals, dtype=float).reshape(-1))
-    out = []
-    for cell in cells:
-        f = np.floor(vals / cell)
-        out.append(len(f) and 1 + int(np.count_nonzero(f[1:] != f[:-1])))
-    return out
+    return [len(distinct(np.floor(vals / cell), presorted=True))
+            for cell in cells]
 
 
 def rho_dimension(points, thetas, scales):
@@ -248,6 +246,61 @@ def directional_l2_vs_xray(grid, n_theta=9, n_a=9, n_bc=21):
     right *= da * dbc * dbc
     return {"left": left, "right": right,
             "ratio": left / right if right > 0 else float("inf")}
+
+
+# radius of the balls of derive_constants' same-direction pairs
+SEPARATION_RADIUS = 2.0 ** -6
+
+
+def _separation_draws(rng, n_pairs):
+    """Unit-ball points p1, p2 and uniforms a of the same-direction pairs.
+
+    Pair i draws as uniform_ball_points(1, rng), rng.random() and
+    uniform_ball_points(1, rng) would, in that order, and every pair
+    comes from one rng.random call.  A pair whose first draw of a ball
+    point misses the ball is drawn by those calls themselves, from the
+    state before it, and the bulk draw resumes after it: the generator
+    ends where the calls leave it.
+    """
+    k = ONE_POINT_DRAW
+    out = np.empty((n_pairs, 7))
+    i = 0
+    while i < n_pairs:
+        state = rng.bit_generator.state
+        raw = rng.random((n_pairs - i, 2 * k + 1))
+        p1, ok1 = first_ball_points(raw[:, :k])
+        p2, ok2 = first_ball_points(raw[:, k + 1:])
+        ok = ok1 & ok2
+        good = len(ok) if ok.all() else int(np.argmin(ok))
+        out[i:i + good] = np.column_stack([p1, raw[:, k], p2])[:good]
+        i += good
+        if i < n_pairs:
+            rng.bit_generator.state = state
+            rng.random((good, 2 * k + 1))
+            out[i, :3] = uniform_ball_points(1, rng)[0]
+            out[i, 3] = rng.random()
+            out[i, 4:] = uniform_ball_points(1, rng)[0]
+            i += 1
+    return out[:, :3], out[:, 3], out[:, 4:]
+
+
+def _separation_pairs(rng, n_pairs):
+    """Centers c1, c2 of the same-direction pairs kept, and their indices.
+
+    c2 lies within a random multiple (up to 6) of the radius of c1, with
+    the direction gap clamped to the radius, the regime where the
+    separation bound applies; pairs with c2 outside the unit ball or
+    |y2| > 1 are dropped.
+    """
+    r = SEPARATION_RADIUS
+    p1, a, p2 = _separation_draws(rng, n_pairs)
+    c1 = dilate(0.8, p1)
+    c1[:, 1] = np.clip(c1[:, 1], -0.9, 0.9)
+    c2 = group_mul(c1, dilate(r * (a * 6.0), p2))
+    gap = c2[:, 1] - c1[:, 1]
+    c2[:, 1] = c1[:, 1] + gap * np.minimum(1.0, r / (np.abs(gap) + 1e-300))
+    kept = np.flatnonzero((gauge_norm(c2) <= 1.0) & (np.abs(c2[:, 1]) <= 1.0))
+    return c1[kept], c2[kept], kept
 
 
 def derive_constants(seed=0, n_balls=100, n_pairs=2000):
@@ -326,26 +379,11 @@ def derive_constants(seed=0, n_balls=100, n_pairs=2000):
         "max d(p, q) / r over p whose dual ray stays inside the plate of q")
 
     # same-direction separation constant
-    lem = 0.0
-    hits = 0
-    for i in range(n_pairs):
-        c1 = uniform_ball_points(1, rng, 0.8)[0]
-        c1[1] = min(max(c1[1], -0.9), 0.9)
-        r = 2.0 ** -6
-        off = dilate(r * float(rng.random() * 6.0),
-                     uniform_ball_points(1, rng))[0]
-        c2 = group_mul(c1, off)
-        # clamp the direction gap to the radius, the regime where the
-        # separation bound applies
-        c2[1] = c1[1] + (c2[1] - c1[1]) * min(
-            1.0, r / (abs(c2[1] - c1[1]) + 1e-300))
-        if gauge_norm(c2) > 1.0 or abs(c2[1]) > 1.0:
-            continue
-        ratio = plates.same_direction_separation(c1, c2, r, seed=seed + i)
-        if ratio is not None:
-            hits += 1
-            lem = max(lem, ratio)
-    put("same_direction_separation_C", lem, hits,
+    c1, c2, kept = _separation_pairs(rng, n_pairs)
+    ratios = plates.same_direction_separation(c1, c2, SEPARATION_RADIUS,
+                                              seed + kept)
+    met = ratios[~np.isnan(ratios)]
+    put("same_direction_separation_C", met.max(initial=0.0), len(met),
         "max d(p1,p2)/r over same-direction pairs with intersecting plates")
 
     # inner sandwich constant: largest c with Pi_{c r} inside the rigid plate
@@ -359,7 +397,7 @@ def derive_constants(seed=0, n_balls=100, n_pairs=2000):
             ray = dual_ray(c0)
             inner = plates.ModifiedPlate(ray.u, ray.v, ray.y, cval * r)
             rigid = plates.Plate(ray.u, ray.v, ray.y, r, x_halfwidth=2.0)
-            pts = inner.sample(200, rng)
+            pts = inner.sample(rng.random(4 * 200))
             if not bool(np.all(rigid.contains(pts, tol=1e-9))):
                 good = False
                 break

@@ -154,17 +154,26 @@ class ModifiedPlate:
         return ((np.abs(ray.y - self.y) <= self.r + tol)
                 & rect_contains(self.y, self.r, w, tol))
 
-    def sample(self, n, rng):
-        """n uniform points of the bundle's rays over |s| <= 2."""
-        w0 = rng.random((n, 2)) * [2 * self.r, 2 * self.r ** 2] \
-            - [self.r, self.r ** 2]
-        yp = self.y + (rng.random(n) * 2 - 1) * self.r
-        s = (rng.random(n) * 2 - 1) * 2.0
-        w1 = w0[:, 0]
-        w2 = w0[:, 1] - self.y * w0[:, 0]
-        return np.stack([s,
-                         self.u + w1 - s * yp,
-                         self.v + w2 + 0.5 * s * yp ** 2], axis=1)
+    def sample(self, uniforms):
+        """Points of the bundle's rays over |s| <= 2, from uniforms in [0, 1).
+
+        uniforms has shape (..., 4n), one row per plate (leading axes
+        broadcast against the fields), in the order rng.random((n, 2)),
+        rng.random(n), rng.random(n) draw them: n points (w1, w2) of the
+        base rectangle, n direction offsets, n ray parameters s.  Uniform
+        uniforms give uniform points; the result has shape (..., n, 3).
+        """
+        q = np.asarray(uniforms, dtype=float)
+        n = q.shape[-1] // 4
+        q = np.moveaxis(q, -1, 0)
+        u, v, y, r = self.u, self.v, self.y, self.r
+        w1 = q[0:2 * n:2] * (2 * r) - r
+        w2 = q[1:2 * n:2] * (2 * r ** 2) - r ** 2 - y * w1
+        yp = y + (q[2 * n:3 * n] * 2 - 1) * r
+        s = (q[3 * n:] * 2 - 1) * 2.0
+        return np.moveaxis(np.stack([s, u + w1 - s * yp,
+                                     v + w2 + 0.5 * s * yp ** 2], axis=-1),
+                           0, -2)
 
     def sample_rays(self, n, rng):
         """n uniform rays of the bundle, as a LightRay of arrays."""
@@ -199,22 +208,41 @@ def plate_to_ball(plate):
     return compose_center(plate.u, plate.v, plate.y), plate.r / 2.0
 
 
-def same_direction_separation(c1, c2, r, seed=0):
-    """Separation ratio d(c1, c2) / r for same-direction balls of radius r.
+def same_direction_separation(c1, c2, r, seeds):
+    """Separation ratios d(c1, c2) / r of same-direction balls of radius r.
 
-    Requires |y1 - y2| <= r.  Samples 256 points of the dual plate of
-    B(c1, r) and keeps those inside the unit Euclidean ball; if any lies
-    in the dual plate of B(c2, r), returns d(c1, c2) / r, else None.
+    c1 and c2 are (n, 3) centers with |y1 - y2| <= r, and seeds n
+    integers.  Pair i maps make_rng(seeds[i]).random(1024) through
+    ModifiedPlate.sample to 256 points of the dual plate of B(c1, r) and
+    keeps those inside the unit Euclidean ball; if one lies in the dual
+    plate of B(c2, r) its ratio is d(c1, c2) / r, else NaN.  Membership
+    is one call per PLATE_BLOCK points.
     """
-    if abs(c1[1] - c2[1]) > r + 1e-12:
+    c1 = np.asarray(c1, dtype=float).reshape(-1, 3)
+    c2 = np.asarray(c2, dtype=float).reshape(-1, 3)
+    seeds = np.asarray(seeds).reshape(-1)
+    if not len(c1) == len(c2) == len(seeds):
+        raise ValueError("c1, c2 and seeds must have the same length")
+    if np.any(np.abs(c1[:, 1] - c2[:, 1]) > r + 1e-12):
         raise ValueError("directions differ by more than the radius")
     p1 = ball_to_modified_plate(c1, r)
     p2 = ball_to_modified_plate(c2, r)
-    pts = p1.sample(256, make_rng(seed))
-    pts = pts[np.linalg.norm(pts, axis=1) <= 1.0]
-    if len(pts) and bool(np.any(p2.contains(pts))):
-        return float(heis_dist(c1, c2)) / r
-    return None
+    met = np.zeros(len(c1), dtype=bool)
+    step = PLATE_BLOCK // 256
+    for b in range(0, len(c1), step):
+        sl = slice(b, b + step)
+        uni = np.stack([make_rng(int(s)).random(1024) for s in seeds[sl]])
+        pts = ModifiedPlate(p1.u[sl], p1.v[sl], p1.y[sl], p1.r).sample(uni)
+        pair, k = np.nonzero(np.linalg.norm(pts, axis=-1) <= 1.0)
+        j = b + pair
+        inside = ModifiedPlate(p2.u[j], p2.v[j], p2.y[j], p2.r).contains(
+            pts[pair, k])
+        met[j[inside]] = True
+    ratios = np.full(len(c1), np.nan)
+    # heis_dist a pair at a time: numpy's array and scalar powers can
+    # round apart, and the ratios keep the one-pair values
+    ratios[met] = [heis_dist(a, b) / r for a, b in zip(c1[met], c2[met])]
+    return ratios
 
 
 def _uniform_euclidean_ball(n, rng, radius):

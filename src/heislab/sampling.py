@@ -51,13 +51,37 @@ def ball_points(center, radius, n):
     return group_mul(np.asarray(center, dtype=float), dilate(radius, u))
 
 
+def _draw_rows(n):
+    """Box points uniform_ball_points draws at once while n are missing."""
+    return int(n / 0.55) + 16
+
+
 def uniform_ball_points(n, rng, radius=1.0):
     """Uniform random points in the gauge ball B(0, radius) by rejection."""
     out = np.empty((0, 3))
     while len(out) < n:
-        raw = rng.random((int((n - len(out)) / 0.55) + 16, 3)) * _BOX_SCALE + _BOX_LO
+        raw = rng.random((_draw_rows(n - len(out)), 3)) * _BOX_SCALE + _BOX_LO
         out = np.concatenate([out, raw[_in_unit_ball(raw)]])
     return dilate(radius, out[:n])
+
+
+# uniforms of the first draw of uniform_ball_points(1, rng)
+ONE_POINT_DRAW = 3 * _draw_rows(1)
+
+
+def first_ball_points(raw):
+    """The point uniform_ball_points(1, rng) keeps from each first draw.
+
+    raw has shape (..., ONE_POINT_DRAW): uniforms as that call's first
+    rng.random draws them.  Returns the first of their box points in the
+    unit ball, shape (..., 3), and whether there was one; without one
+    (about 8e-8 a draw) uniform_ball_points draws again.
+    """
+    box = raw.reshape(raw.shape[:-1] + (-1, 3)) * _BOX_SCALE + _BOX_LO
+    inside = _in_unit_ball(box.reshape(-1, 3)).reshape(box.shape[:-1])
+    first = np.argmax(inside, axis=-1)[..., None, None]
+    return (np.take_along_axis(box, first, axis=-2)[..., 0, :],
+            inside.any(axis=-1))
 
 
 def monte_carlo_ball_volume(n, seed=0):

@@ -272,6 +272,38 @@ def test_constants_rejects_counts_below_range(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_constants_with_no_pairs_has_no_separation_samples(tmp_path,
+                                                         capsys):
+    out = tmp_path / "m.txt"
+    code, _, _ = run_cli(["constants", "--balls", "1", "--pairs", "0",
+                          "--out", str(out)], capsys)
+    assert code == 0
+    line = [ln for ln in out.read_text().splitlines()
+            if ln.startswith("same_direction_separation_C ")]
+    assert line and line[0].split()[1:3] == ["0", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--balls", "1", "--pairs", "1"],
+    ["gen", "--kind", "random3", "--delta", "0.25"],
+    ["experiment", "plate-energy", "--kind", "random3", "--delta", "0.25"],
+    ["verify"],
+])
+def test_negative_seed_is_rejected_before_any_work(tmp_path, capsys, argv):
+    fam = tmp_path / "fam.txt"
+    run_cli(["gen", "--kind", "t-axis", "--delta", "0.125", "--out",
+             str(fam)], capsys)
+    out = tmp_path / "out.txt"
+    extra = {"constants": ["--out", str(out)], "gen": ["--out", str(out)],
+             "experiment": ["--out-dir", str(tmp_path / "r")],
+             "verify": ["--input", str(fam)]}[argv[0]]
+    code, stdout, stderr = run_cli(argv + extra + ["--seed", "-1"], capsys)
+    assert stdout == ""
+    assert_one_error_line(code, stderr)
+    assert "--seed" in stderr
+    assert not out.exists() and not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("experiment, kind, flag", [
     ("plate-energy", "random3", "--samples"),
     ("best-direction", "horizontal-line", "--directions"),

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from heislab.core import gauge_norm, group_mul, heis_dist
-from heislab.delta_sets import (_GENERATORS, BallFamily, covering_number,
-                                gen_heis_lattice, gen_horizontal_line,
-                                gen_lattice_slab, gen_product, gen_random3,
-                                gen_t_axis, generate, read_family,
-                                verify_delta_t_set, write_family)
+from heislab import delta_sets
+from heislab.delta_sets import (_GENERATORS, BallFamily, ball_grid,
+                                covering_number, gen_heis_lattice,
+                                gen_horizontal_line, gen_lattice_slab,
+                                gen_product, gen_random3, gen_t_axis,
+                                generate, grid_axis, grid_columns,
+                                read_family, verify_delta_t_set, write_family)
+from heislab.measures import grid_z
 from heislab.sampling import make_rng
 
 
@@ -313,3 +316,54 @@ def test_read_family_rejects_bad_files(tmp_path):
     p2.write_text("0.1 1 4 2\n0 0 0\n")
     with pytest.raises(ValueError):
         read_family(p2)
+
+
+def ball_grid_box(cols, step, margin, shift=0.0):
+    """ball_grid from every column's whole t-range |j step| <= 1/4 + step,
+    kept by the gauge-norm test; oracle for the per-column runs."""
+    cols = np.asarray(cols, dtype=float).reshape(-1, 2)
+    m = int(np.floor(0.25 / step)) + 1
+    ts = np.arange(-m, m + 1) * step
+    pts = np.empty((len(cols), len(ts), 3))
+    pts[..., :2] = cols[:, None, :]
+    pts[..., 2] = ts + np.reshape(shift, (-1, 1))
+    pts = pts.reshape(-1, 3)
+    return pts[gauge_norm(pts) <= 1.0 - margin]
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.3, 0.125, 0.075, 2.0 ** -5])
+def test_ball_grid_matches_whole_column_oracle(monkeypatch, delta):
+    # the families' own calls, with shifts that move the runs off the
+    # box's t-range, and blocks that split columns between calls
+    cols = grid_columns(delta)
+    ys = grid_axis(delta)
+    cases = [(cols, delta ** 2, delta, 0.0), (cols, delta, 0.0, 0.0),
+             (cols, delta ** 2, 0.3, 0.2),
+             (cols, delta ** 2, 0.0, np.linspace(-0.4, 0.4, len(cols)))]
+    for x0 in (0.37, -0.99):
+        slab = np.stack([np.full(len(ys), x0), ys], axis=1)
+        cases.append((slab, delta ** 2, delta, 0.5 * x0 * ys))
+    for block in (None, 1000):
+        if block:
+            monkeypatch.setattr(delta_sets, "PAIR_BLOCK", block)
+        for case in cases:
+            assert ball_grid(*case).tobytes() == ball_grid_box(*case).tobytes()
+    assert grid_z(delta).tobytes() \
+        == ball_grid_box(grid_columns(delta), delta, 0.0).tobytes()
+
+
+def test_ball_grid_keeps_points_the_gauge_norm_rounds_inside():
+    # t a few ulps above the column's exact half-height sqrt(1 - |z|^4) / 4
+    # can still pass gauge_norm(p) <= 1; step 1 and shift t put j = 0 there
+    z = make_rng(2).random((20000, 2)) * 0.7
+    t = np.sqrt(1.0 - ((z ** 2).sum(axis=1)) ** 2) / 4
+    for _ in range(5):
+        t = np.nextafter(t, 1.0)
+    want = ball_grid_box(z, 1.0, 0.0, shift=t)
+    assert len(want) > 100
+    assert ball_grid(z, 1.0, 0.0, shift=t).tobytes() == want.tobytes()
+
+
+def test_ball_grid_without_points():
+    assert ball_grid(np.empty((0, 2)), 0.01, 0.0).shape == (0, 3)
+    assert ball_grid([[3.0, 3.0]], 0.01, 0.0).shape == (0, 3)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislab import experiments
-from heislab.core import dilate, group_mul
+from heislab import experiments, sampling
+from heislab.core import dilate, gauge_norm, group_mul, heis_dist
 from heislab.delta_sets import (BallFamily, gen_horizontal_line,
                                 gen_lattice_slab, gen_random3, gen_t_axis)
 from heislab.experiments import (_ball_charts, _cell_counts,
@@ -17,6 +17,7 @@ from heislab.experiments import (_ball_charts, _cell_counts,
                                  projection_area, projection_exponent,
                                  rho_dimension)
 from heislab.measures import DiscreteMeasure, rasterize
+from heislab.plates import ball_to_modified_plate, same_direction_separation
 from heislab.projections import pi_e, pixel_area, pixel_keys
 from heislab.reports import ExperimentReport, read_manifest, write_manifest
 from heislab.sampling import (ball_points, make_rng, uniform_ball_points,
@@ -40,6 +41,22 @@ def projection_area_cloud(theta, centers, radius, pixel, pts_per_ball=200,
         parts.append(np.unique(pixel_keys(pi_e(theta, pts), pixel)))
     total = np.unique(np.concatenate(parts)) if parts else np.empty(0)
     return len(total) * pixel * pixel
+
+
+def projection_area_unique(theta, centers, radius, pixel, pts_per_ball=200):
+    """projection_area with np.unique counting the pixels of each block and
+    of their union; oracle for the sort-based count."""
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    radius = np.broadcast_to(np.asarray(radius, dtype=float), (len(centers),))
+    if len(centers) == 0:
+        return 0.0
+    cloud = pi_e(theta, unit_ball_points(pts_per_ball))
+    step = max(1, experiments.PAIR_BLOCK // len(cloud))
+    parts = [np.unique(pixel_keys(_ball_charts(theta, centers[i:i + step],
+                                               radius[i:i + step], cloud),
+                                  pixel))
+             for i in range(0, len(centers), step)]
+    return len(np.unique(np.concatenate(parts))) * pixel * pixel
 
 
 def greedy_net_2d(points, scale, metric="euclidean"):
@@ -124,6 +141,28 @@ def test_projection_area_per_ball_radii_match_cloud_oracle():
     for th in (0.0, 0.4, math.pi / 2, 2.9):
         assert projection_area(th, centers, radii, 2.0 ** -7, 500) \
             == projection_area_cloud(th, centers, radii, 2.0 ** -7, 500)
+
+
+@pytest.mark.parametrize("block", [None, 20000, 100])
+def test_projection_area_matches_unique_oracle(monkeypatch, block):
+    fam = gen_lattice_slab(2.0 ** -4, x0=0.3)
+    if block:
+        monkeypatch.setattr(experiments, "PAIR_BLOCK", block)
+    for th in (0.0, 0.9, 2.2):
+        assert projection_area(th, fam.centers, fam.delta, fam.delta / 2,
+                               100) \
+            == projection_area_unique(th, fam.centers, fam.delta,
+                                      fam.delta / 2, 100)
+
+
+def test_covering_count_2d_matches_unique_oracle():
+    w = make_rng(6).random((5000, 2)) * 4 - 2
+    for metric, h in (("euclidean", lambda s: (s, s)),
+                      ("parabolic", lambda s: (s, s * s))):
+        for s in (0.5, 0.1, 0.013):
+            ha, hb = h(s)
+            keys = np.floor(w[:, 0] / ha) * 1e6 + np.floor(w[:, 1] / hb)
+            assert covering_count_2d(w, s, metric) == len(np.unique(keys))
 
 
 @pytest.mark.parametrize("block", [30000, 15000, 10000, 100])
@@ -338,6 +377,109 @@ def test_manifest_roundtrip(tmp_path):
     write_manifest(p, entries)
     back = read_manifest(p)
     assert back == entries
+
+
+def separation_pair_oracle(c1, c2, r, seed=0):
+    """same_direction_separation of one pair, drawing its 256 plate points
+    from make_rng(seed) with ModifiedPlate.sample's formula inline."""
+    if abs(c1[1] - c2[1]) > r + 1e-12:
+        raise ValueError("directions differ by more than the radius")
+    p1 = ball_to_modified_plate(c1, r)
+    p2 = ball_to_modified_plate(c2, r)
+    rng, n = make_rng(seed), 256
+    w0 = rng.random((n, 2)) * [2 * p1.r, 2 * p1.r ** 2] - [p1.r, p1.r ** 2]
+    yp = p1.y + (rng.random(n) * 2 - 1) * p1.r
+    s = (rng.random(n) * 2 - 1) * 2.0
+    w1 = w0[:, 0]
+    w2 = w0[:, 1] - p1.y * w0[:, 0]
+    pts = np.stack([s, p1.u + w1 - s * yp,
+                    p1.v + w2 + 0.5 * s * yp ** 2], axis=1)
+    pts = pts[np.linalg.norm(pts, axis=1) <= 1.0]
+    if len(pts) and bool(np.any(p2.contains(pts))):
+        return float(heis_dist(c1, c2)) / r
+    return None
+
+
+def separation_loop_oracle(rng, seed, n_pairs):
+    """derive_constants' same-direction loop, one pair at a time.
+
+    Returns the kept pairs' centers, indices and ratios (NaN where the
+    plates do not meet), the hit count and the constant.
+    """
+    kept = []
+    lem = 0.0
+    hits = 0
+    for i in range(n_pairs):
+        c1 = uniform_ball_points(1, rng, 0.8)[0]
+        c1[1] = min(max(c1[1], -0.9), 0.9)
+        r = 2.0 ** -6
+        off = dilate(r * float(rng.random() * 6.0),
+                     uniform_ball_points(1, rng))[0]
+        c2 = group_mul(c1, off)
+        # clamp the direction gap to the radius, the regime where the
+        # separation bound applies
+        c2[1] = c1[1] + (c2[1] - c1[1]) * min(
+            1.0, r / (abs(c2[1] - c1[1]) + 1e-300))
+        if gauge_norm(c2) > 1.0 or abs(c2[1]) > 1.0:
+            continue
+        ratio = separation_pair_oracle(c1, c2, r, seed=seed + i)
+        kept.append((c1, c2, i, np.nan if ratio is None else ratio))
+        if ratio is not None:
+            hits += 1
+            lem = max(lem, ratio)
+    c1, c2, idx, ratios = (np.array(a) for a in zip(*kept)) if kept else (
+        np.empty((0, 3)), np.empty((0, 3)), np.empty(0, int), np.empty(0))
+    return c1, c2, idx, ratios, hits, lem
+
+
+def assert_separation_matches_oracle(seed, n_pairs):
+    want_rng = make_rng(seed)
+    want = separation_loop_oracle(want_rng, seed, n_pairs)
+    rng = make_rng(seed)
+    c1, c2, kept = experiments._separation_pairs(rng, n_pairs)
+    ratios = same_direction_separation(
+        c1, c2, experiments.SEPARATION_RADIUS, seed + kept)
+    assert c1.tobytes() == want[0].tobytes()
+    assert c2.tobytes() == want[1].tobytes()
+    assert list(kept) == list(want[2])
+    assert ratios.tobytes() == want[3].tobytes()
+    met = ratios[~np.isnan(ratios)]
+    assert len(met) == want[4]
+    assert met.max(initial=0.0) == want[5]
+    # the generator ends where the per-pair draws leave it
+    assert rng.random() == want_rng.random()
+    return want
+
+
+@pytest.mark.parametrize("n_pairs", [0, 1, 300])
+@pytest.mark.parametrize("seed", [0, 7, 8])
+def test_separation_batch_matches_per_pair_loop(seed, n_pairs):
+    want = assert_separation_matches_oracle(seed, n_pairs)
+    if n_pairs == 300:
+        assert 0 < want[4] < len(want[2]) <= 300
+
+
+def test_separation_batch_matches_per_pair_loop_with_redraws(monkeypatch):
+    # a predicate keeping about 5.3% of box points makes about 40% of the
+    # 17-point draws of uniform_ball_points(1, rng) miss, so most pairs
+    # are redrawn one call at a time from a restored state
+    inside = sampling._in_unit_ball
+    monkeypatch.setattr(sampling, "_in_unit_ball",
+                        lambda p: inside(p) & (p[:, 0] > 0.66))
+    raw = make_rng(5).random((4000, sampling.ONE_POINT_DRAW))
+    miss = 1.0 - sampling.first_ball_points(raw)[1].mean()
+    assert 0.35 < miss < 0.45
+    redraws = []
+
+    def counted(*args):
+        redraws.append(args)
+        return sampling.uniform_ball_points(*args)
+
+    monkeypatch.setattr(experiments, "uniform_ball_points", counted)
+    for seed in (0, 7):
+        want = assert_separation_matches_oracle(seed, 60)
+        assert want[4] > 0
+    assert len(redraws) > 40
 
 
 def test_fixture_manifest_readable():

@@ -120,7 +120,7 @@ def test_plate_rejects_far_points():
 
 def test_modified_plate_samples_are_members():
     plate = ModifiedPlate(0.3, -0.1, 0.8, 0.2)
-    pts = plate.sample(2000, make_rng(2))
+    pts = plate.sample(make_rng(2).random(4 * 2000))
     assert np.all(plate.contains(pts))
 
 
@@ -133,7 +133,8 @@ def test_modified_contains_matches_grid_oracle():
                               float(rng.random() * 0.3 + 0.05))
         pts = rng.random((2000, 3)) * [4, 2, 2] - [2, 1, 1]
         # mix in near-boundary points from the plate itself
-        near = plate.sample(500, rng) + (rng.random((500, 3)) - 0.5) * 0.02
+        near = plate.sample(rng.random(4 * 500)) \
+            + (rng.random((500, 3)) - 0.5) * 0.02
         q = np.concatenate([pts, near])
         fast = plate.contains(q)
         slow = contains_grid(plate, q)
@@ -272,20 +273,44 @@ def test_same_direction_separation_bounded():
     # bounded multiple of the radius of each other
     rng = make_rng(7)
     r = 0.1
-    ratios = []
+    c1, c2 = [], []
     for _ in range(100):
-        c1 = rng.random(3) * [0.8, 0.8, 0.2] - [0.4, 0.4, 0.1]
-        c2 = c1 + rng.random(3) * [0.4, r, 0.1] - [0.2, r / 2, 0.05]
-        ratio = same_direction_separation(c1, c2, r, seed=11)
-        if ratio is not None:
-            ratios.append(ratio)
-    assert ratios, "expected some overlapping plate pairs"
+        c1.append(rng.random(3) * [0.8, 0.8, 0.2] - [0.4, 0.4, 0.1])
+        c2.append(c1[-1] + rng.random(3) * [0.4, r, 0.1] - [0.2, r / 2, 0.05])
+    ratios = same_direction_separation(c1, c2, r, np.full(100, 11))
+    ratios = ratios[~np.isnan(ratios)]
+    assert len(ratios), "expected some overlapping plate pairs"
     assert max(ratios) < 8.0
 
 
 def test_same_direction_separation_validation():
     with pytest.raises(ValueError, match="directions"):
-        same_direction_separation((0, 0.0, 0), (0, 0.5, 0), 0.1)
+        same_direction_separation([(0, 0.0, 0)], [(0, 0.5, 0)], 0.1, [0])
+    with pytest.raises(ValueError, match="same length"):
+        same_direction_separation([(0, 0.0, 0)], [(0, 0.0, 0)], 0.1, [0, 1])
+    empty = same_direction_separation(np.empty((0, 3)), np.empty((0, 3)),
+                                      0.1, [])
+    assert empty.shape == (0,)
+
+
+def test_modified_plate_sample_on_array_fields_matches_each_plate():
+    # one row of uniforms per plate gives that plate's own points, bit
+    # for bit, and the layout is the order of the three rng draws
+    rng = make_rng(12)
+    u, v, y = rng.random((3, 5)) - 0.5
+    r = rng.random(5) * 0.2 + 0.05
+    uni = rng.random((5, 4 * 64))
+    pts = ModifiedPlate(u, v, y, r).sample(uni)
+    assert pts.shape == (5, 64, 3)
+    for i in range(5):
+        one = ModifiedPlate(u[i], v[i], y[i], r[i])
+        assert pts[i].tobytes() == one.sample(uni[i]).tobytes()
+        assert np.all(one.contains(pts[i]))
+    draws = make_rng(3)
+    w0, yp, s = draws.random((64, 2)), draws.random(64), draws.random(64)
+    got = ModifiedPlate(0.0, 0.0, 0.0, 0.5).sample(make_rng(3).random(256))
+    assert np.array_equal(got[:, 0], (s * 2 - 1) * 2.0)
+    assert np.array_equal(got[:, 1], w0[:, 0] - 0.5 - got[:, 0] * (yp - 0.5))
 
 
 def test_count_memberships_matches_bruteforce():

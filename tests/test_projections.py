@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heislab.core import group_mul, heis_dist, dilate
-from heislab.projections import (parabolic_dist, pi_e, pi_xt, pixel_area,
-                                 plane_embed)
+from heislab.projections import (distinct, parabolic_dist, pi_e, pi_xt,
+                                 pixel_area, pixel_keys, plane_embed)
 from heislab.sampling import make_rng, uniform_ball_points
 
 
@@ -118,3 +120,43 @@ def test_pixel_area_rejects_indices_outside_int32():
         pixel_area(np.array([[0.0, -(2.0 ** 31 + 1) * p]]), p)
     assert pixel_area(np.array([[0.0, 0.0], [(2.0 ** 31 - 1) * p, 0.0]]),
                       p) == pytest.approx(2 * p * p)
+
+
+def pixel_area_unique(w, pixel):
+    """pixel_area through np.unique; oracle for the sort-based count."""
+    return len(np.unique(pixel_keys(w, pixel))) * pixel * pixel
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def int64_keys(draw):
+    some = st.integers(-5, 5) | st.integers(INT64.min, INT64.max) \
+        | st.sampled_from([INT64.min, INT64.min + 1, INT64.max - 1,
+                           INT64.max, 0, -1])
+    keys = draw(st.lists(some, max_size=60))
+    if keys:
+        keys += draw(st.lists(st.sampled_from(keys), max_size=30))
+    return np.array(draw(st.permutations(keys)), dtype=np.int64)
+
+
+@given(int64_keys())
+@settings(max_examples=300, deadline=None)
+def test_distinct_matches_unique(keys):
+    want = np.unique(keys)
+    got = distinct(keys)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(distinct(np.sort(keys), presorted=True), want)
+
+
+def test_distinct_of_nothing_and_of_one_key():
+    assert distinct(np.empty(0, dtype=np.int64)).shape == (0,)
+    assert list(distinct(np.array([INT64.min] * 3))) == [INT64.min]
+
+
+@pytest.mark.parametrize("pixel", [2.0 ** -3, 2.0 ** -6, 0.013])
+def test_pixel_area_matches_unique_oracle(pixel):
+    w = pi_e(0.7, uniform_ball_points(20000, make_rng(4)))
+    assert pixel_area(w, pixel) == pixel_area_unique(w, pixel)
