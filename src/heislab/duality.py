@@ -52,7 +52,8 @@ class HorizontalLine:
         return (self.a, 1, self.b / 2)
 
     def speed(self):
-        return math.sqrt(1.0 + float(self.a) ** 2 + float(self.b) ** 2 / 4.0)
+        a, b = float(self.a), float(self.b)
+        return math.sqrt(1.0 + a * a + b * b / 4.0)
 
 
 @dataclass(frozen=True)
@@ -145,14 +146,13 @@ def xray_transform(density, line):
     origin = np.asarray(density.origin, dtype=float)
     spacing = np.asarray(density.spacing, dtype=float)
     values = density.values
-    a, b, c = float(line.a), float(line.b), float(line.c)
+    line = HorizontalLine(float(line.a), float(line.b), float(line.c))
     step = float(spacing.min()) / 2.0
     y0 = origin[1]
     y1 = origin[1] + spacing[1] * values.shape[1]
     s = np.arange(y0 + step / 2.0, y1, step)
-    pts = np.stack([a * s + b, s, (b / 2.0) * s + c], axis=1)
+    pts = np.stack(line.point_at(s), axis=1)
     idx = np.floor((pts - origin) / spacing).astype(np.int64)
     ok = np.all((idx >= 0) & (idx < np.array(values.shape)), axis=1)
     total = float(values[idx[ok, 0], idx[ok, 1], idx[ok, 2]].sum())
-    speed = math.sqrt(1.0 + a * a + b * b / 4.0)
-    return total * speed * step
+    return total * line.speed() * step

@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import ball_volume, gauge_pairs, group_mul, heis_dist_trunc
 from .delta_sets import ball_grid, grid_columns
+from .projections import distinct
 from .sampling import make_rng
 
 # Rows of atoms per block of riesz_energy; bounds its memory.
@@ -188,7 +189,7 @@ def layer_decomposition(mu, delta):
     pos = m > 0
     levels[pos] = np.ceil(np.log2(m[pos])).astype(np.int64)
     out = []
-    for lev in np.unique(levels[pos]):
+    for lev in distinct(levels[pos]):
         idx = np.nonzero(levels == lev)[0]
         alpha = 2.0 ** float(lev)
         out.append((alpha, idx, alpha <= delta ** 10))

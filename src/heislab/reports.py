@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+SVG_SIZE = (640, 480)
+
 
 @dataclass
 class ExperimentReport:
@@ -47,9 +49,10 @@ class ExperimentReport:
                 fh.write(",".join(repr(float(self.series[k][i]))
                                   for k in keys) + "\n")
 
-    def write_svg(self, path, x_key, y_keys=None, width=640, height=480):
-        """Minimal polyline plot; hand-rolled so the bytes are stable."""
-        y_keys = y_keys or [k for k in sorted(self.series) if k != x_key]
+    def write_svg(self, path, x_key):
+        """Polyline plot of the other series; hand-rolled, stable bytes."""
+        width, height = SVG_SIZE
+        y_keys = [k for k in sorted(self.series) if k != x_key]
         if x_key not in self.series:
             raise ValueError("unknown x series %r" % x_key)
         xs = [float(v) for v in self.series[x_key]]

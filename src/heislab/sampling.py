@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import qmc
+# at module level, so that the first make_rng call does not pay for it
+from numpy.random import Generator, Philox
 
-from .core import dilate, group_mul
+from .core import dilate
 
 _BOX_LO = np.array([-1.0, -1.0, -0.25])
 _BOX_SCALE = np.array([2.0, 2.0, 0.5])
@@ -13,14 +14,28 @@ _BOX_SCALE = np.array([2.0, 2.0, 0.5])
 
 def make_rng(seed):
     """Counter-based generator; reproducible independent of thread count."""
-    return np.random.Generator(np.random.Philox(seed))
+    return Generator(Philox(seed))
 
 
 def _in_unit_ball(p):
     return (p[:, 0] ** 2 + p[:, 1] ** 2) ** 2 + 16.0 * p[:, 2] ** 2 <= 1.0
 
 
-_halton_cache = {}
+def _van_der_corput(n, base):
+    """Radical inverses of 0 .. n - 1 in base: one Halton coordinate.
+
+    Level k holds the inverses of 0 .. base^k - 1, and level k + 1 adds
+    d c_{k+1} to level k for each digit d = 0 .. base - 1, where c_{k+1}
+    = (1/base)/base/.../base.  The digits are added lowest first, as in
+    scipy's unscrambled Halton engine, so the bits are the same.
+    """
+    v = np.zeros(1)
+    c = 1.0 / base
+    while len(v) < n:
+        digits = min(base, -(-n // len(v)))
+        v = np.concatenate([v + d * c for d in range(digits)])
+        c /= base
+    return v[:n]
 
 
 def unit_ball_points(n):
@@ -31,24 +46,15 @@ def unit_ball_points(n):
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    cached = _halton_cache.get("pts")
-    if cached is None or len(cached) < n:
-        # acceptance rate is V1 / box volume ~ 0.617
-        draw = max(4096, int(n / 0.55) + 64)
-        eng = qmc.Halton(d=3, scramble=False)
-        pts = np.empty((0, 3))
-        while len(pts) < n:
-            raw = eng.random(draw) * _BOX_SCALE + _BOX_LO
-            pts = np.concatenate([pts, raw[_in_unit_ball(raw)]])
-        _halton_cache["pts"] = pts
-        cached = pts
-    return cached[:n].copy()
-
-
-def ball_points(center, radius, n):
-    """Low-discrepancy cloud in B(center, radius) = center * delta_r(B(1))."""
-    u = unit_ball_points(n)
-    return group_mul(np.asarray(center, dtype=float), dilate(radius, u))
+    # acceptance rate is V1 / box volume ~ 0.617
+    m = max(4096, int(n / 0.55) + 64)
+    while True:
+        box = np.stack([_van_der_corput(m, b) for b in (2, 3, 5)], axis=1)
+        box = box * _BOX_SCALE + _BOX_LO
+        pts = box[_in_unit_ball(box)]
+        if len(pts) >= n:
+            return pts[:n]
+        m *= 2
 
 
 def _draw_rows(n):

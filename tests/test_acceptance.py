@@ -32,7 +32,7 @@ from heislab.measures import (DiscreteMeasure, augment_to_dim3, grid_z,
                               riesz_energy)
 from heislab.projections import parabolic_dist, pi_e, pixel_area
 from heislab.reports import read_manifest
-from heislab.sampling import (ball_points, make_rng, monte_carlo_ball_volume,
+from heislab.sampling import (make_rng, monte_carlo_ball_volume,
                               uniform_ball_points)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")

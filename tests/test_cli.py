@@ -159,6 +159,36 @@ def test_cli_module_entrypoint_help(tmp_path, child_env):
         assert word in r.stdout
 
 
+def test_package_imports_no_scipy(tmp_path, child_env):
+    code = ("import sys, heislab, heislab.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=child_env(), cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+# scipy is a test dependency only: with it made unimportable, the
+# commands that sample the Halton cloud still run
+NO_SCIPY = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from heislab.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--balls", "1", "--pairs", "0"],
+    ["experiment", "best-direction", "--kind", "horizontal-line",
+     "--delta", "0.25", "--directions", "2"],
+])
+def test_commands_run_without_scipy(tmp_path, child_env, argv):
+    r = subprocess.run([sys.executable, "-c", NO_SCIPY] + argv,
+                       capture_output=True, text=True, env=child_env(),
+                       cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+
+
 def assert_one_error_line(code, stderr):
     assert code == 2
     lines = stderr.strip().splitlines()

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
 import heislab.core
+from heislab import sampling
 from heislab.core import (UNIT_BALL_VOLUME, ball_volume, dilate, gauge_norm,
                           gauge_pairs, group_inv, group_mul, heis_dist,
                           heis_dist_trunc)
 from heislab.delta_sets import gen_heis_lattice
-from heislab.sampling import (ball_points, make_rng, monte_carlo_ball_volume,
+from heislab.sampling import (make_rng, monte_carlo_ball_volume,
                               quadrature_ball_volume, uniform_ball_points,
                               unit_ball_points)
 
@@ -125,9 +127,60 @@ def test_halton_cloud_nested_and_inside():
     assert np.all(gauge_norm(b) <= 1.0)
 
 
+def _engine_unit_ball_points(n):
+    """unit_ball_points from scipy's Halton engine; oracle for the recurrence.
+
+    Draws from one unscrambled engine until n box points land in the unit
+    ball.  Nothing is kept across calls, so each call sees the current
+    sampling._in_unit_ball.
+    """
+    if n <= 0:
+        raise ValueError("n must be positive")
+    # acceptance rate is V1 / box volume ~ 0.617
+    draw = max(4096, int(n / 0.55) + 64)
+    eng = qmc.Halton(d=3, scramble=False)
+    pts = np.empty((0, 3))
+    while len(pts) < n:
+        raw = eng.random(draw) * sampling._BOX_SCALE + sampling._BOX_LO
+        pts = np.concatenate([pts, raw[sampling._in_unit_ball(raw)]])
+    return pts[:n].copy()
+
+
+HALTON_SIZES = [1, 2218, 2219, 400000]
+
+
+@pytest.mark.parametrize("n", HALTON_SIZES)
+def test_unit_ball_points_match_the_engine(n):
+    want = _engine_unit_ball_points(n)
+    assert unit_ball_points(n).tobytes() == want.tobytes()
+
+
+def test_unit_ball_points_match_the_engine_when_a_draw_falls_short(
+        monkeypatch):
+    # keeping the lower half of the ball (about a third of the box) makes
+    # the first prefix too short, so the doubling and the engine's second
+    # draw both run
+    in_ball = sampling._in_unit_ball
+    monkeypatch.setattr(sampling, "_in_unit_ball",
+                        lambda p: in_ball(p) & (p[:, 2] < 0.0))
+    for n in HALTON_SIZES:
+        got = unit_ball_points(n)
+        assert np.all(got[:, 2] < 0.0)
+        assert got.tobytes() == _engine_unit_ball_points(n).tobytes()
+
+
+@pytest.mark.parametrize("column, base", [(0, 2), (1, 3), (2, 5)])
+def test_van_der_corput_matches_the_engine(column, base):
+    for k in range(1, 8):
+        for n in (base ** k, base ** k + 1):
+            want = qmc.Halton(d=3, scramble=False).random(n)[:, column]
+            got = sampling._van_der_corput(n, base)
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def test_ball_points_inside_ball():
     c = np.array([0.3, -0.2, 0.1])
-    pts = ball_points(c, 0.25, 500)
+    pts = group_mul(c, dilate(0.25, unit_ball_points(500)))
     assert float(heis_dist(pts, c).max()) <= 0.25 + 1e-12
 
 

@@ -20,8 +20,7 @@ from heislab.measures import DiscreteMeasure, rasterize
 from heislab.plates import ball_to_modified_plate, same_direction_separation
 from heislab.projections import pi_e, pixel_area, pixel_keys
 from heislab.reports import ExperimentReport, read_manifest, write_manifest
-from heislab.sampling import (ball_points, make_rng, uniform_ball_points,
-                              unit_ball_points)
+from heislab.sampling import make_rng, uniform_ball_points, unit_ball_points
 
 
 def projection_area_cloud(theta, centers, radius, pixel, pts_per_ball=200,
@@ -95,7 +94,7 @@ def test_projection_exponent_sign_convention():
 def test_projection_area_single_ball_matches_pixel_area():
     pix = 2.0 ** -6
     a = projection_area(0.4, np.zeros((1, 3)), 1.0, pix, pts_per_ball=50000)
-    cloud = ball_points(np.zeros(3), 1.0, 50000)
+    cloud = group_mul(np.zeros(3), dilate(1.0, unit_ball_points(50000)))
     b = pixel_area(pi_e(0.4, cloud), pix)
     assert a == pytest.approx(b, rel=1e-12)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislab.core import gauge_norm, heis_dist
+from heislab.core import dilate, gauge_norm, group_mul, heis_dist
 from heislab.delta_sets import generate
 from heislab.duality import LightRay, dual_ray
 from heislab.plates import (ModifiedPlate, Plate, _plate_candidates,
@@ -13,7 +13,7 @@ from heislab.plates import (ModifiedPlate, Plate, _plate_candidates,
                             compose_center, count_memberships,
                             plate_to_ball, rect_contains,
                             same_direction_separation)
-from heislab.sampling import ball_points, make_rng
+from heislab.sampling import make_rng, unit_ball_points
 
 coord = st.floats(-1, 1, allow_nan=False)
 
@@ -211,7 +211,7 @@ def test_ball_dual_rays_fill_modified_plate():
         center = rng.random(3) * [1.0, 1.0, 0.2] - [0.5, 0.5, 0.1]
         r = float(rng.random() * 0.3 + 0.05)
         plate = ball_to_modified_plate(center, r)
-        pts = ball_points(center, r, 64)
+        pts = group_mul(center, dilate(r, unit_ball_points(64)))
         for p in pts:
             ray = dual_ray(tuple(p))
             if not plate.contains_ray(ray, tol=1e-9):
@@ -227,7 +227,7 @@ def test_ball_to_plate_scale_and_center():
 
 
 def test_ball_to_plate_on_arrays_matches_per_center():
-    centers = ball_points((0.0, 0.0, 0.0), 0.9, 50)
+    centers = group_mul((0.0, 0.0, 0.0), dilate(0.9, unit_ball_points(50)))
     plate = ball_to_modified_plate(centers, 0.1)
     for k, c in enumerate(centers):
         one = ball_to_modified_plate(c, 0.1)
