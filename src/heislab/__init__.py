@@ -1,16 +1,15 @@
 """Numerical laboratory for vertical projections in the first Heisenberg group."""
 
 from .core import (UNIT_BALL_VOLUME, ball_volume, dilate, gauge_norm,
-                   group_inv, group_mul, heis_dist, heis_dist_trunc)
-from .projections import parabolic_dist, pi_e, pi_xt, pixel_area, plane_embed
+                   group_mul, heis_dist, heis_dist_trunc)
+from .projections import parabolic_dist, pi_e, pixel_area
 from .cinematic import (f_d1, f_d2, f_eval, graph_overlap_integral,
-                        jet_jacobian, jet_jacobian_absdet, jet_map,
-                        rotate_point)
+                        jet_jacobian_absdet, rotate_point)
 from .duality import (HorizontalLine, LightRay, dual_ray,
-                      incident_point_line, incident_point_ray, line_measure,
-                      line_of, xray_transform)
+                      incident_point_line, incident_point_ray, line_of,
+                      xray_transform)
 from .plates import (ModifiedPlate, Plate, ball_to_modified_plate,
-                     compose_center, plate_to_ball, same_direction_separation)
+                     compose_center, same_direction_separation)
 from .delta_sets import (BallFamily, covering_number, generate, read_family,
                          verify_delta_t_set, write_family)
 from .measures import (DiscreteMeasure, GridDensity, augment_to_dim3,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _as_points
+from .core import PAIR_BLOCK, _as_points
 from .projections import ze_zje
 
 
@@ -41,25 +41,6 @@ def f_d2(p, theta):
     """Second derivative in theta, closed form."""
     ze, zje = ze_zje(theta, p)
     return -2.0 * ze * zje
-
-
-def jet_map(p):
-    """2-jet F(p) = (f_p(0), f_p'(0), f_p''(0))."""
-    return np.stack([f(p, 0.0) for f in (f_eval, f_d1, f_d2)], axis=-1)
-
-
-def jet_jacobian(p):
-    """Jacobian matrix of F at p, shape (..., 3, 3)."""
-    p = _as_points(p)
-    x, y = p[..., 0], p[..., 1]
-    one = np.ones_like(x)
-    zero = np.zeros_like(x)
-    rows = [
-        np.stack([0.5 * y, 0.5 * x, one], axis=-1),
-        np.stack([-x, y, zero], axis=-1),
-        np.stack([-2.0 * y, -2.0 * x, zero], axis=-1),
-    ]
-    return np.stack(rows, axis=-2)
 
 
 def jet_jacobian_absdet(p):
@@ -88,26 +69,15 @@ def rotation_residual(p, phi, theta):
     return np.max(np.stack(res), axis=0)
 
 
-def curve_separation(p, q, theta_grid):
-    """min over the grid of |f_p - f_q| + |f_p' - f_q'|.
-
-    Positive whenever p and q lie on distinct curves; zero iff the whole
-    2-jet coincides along the grid, which for distinct p, q forces both
-    onto the vertical axis with equal heights.
-    """
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    vals = np.abs(f_eval(p, theta_grid) - f_eval(q, theta_grid)) \
-        + np.abs(f_d1(p, theta_grid) - f_d1(q, theta_grid))
-    return float(np.min(vals))
-
-
-def graph_overlap_integral(points, delta, region=None):
+def graph_overlap_integral(points, delta):
     """Grid quadrature of int_E (sum_p 1_{Gamma_p^delta})^(3/2).
 
     Gamma_p^delta is the vertical delta-slab |y - f_p(theta)| <= delta
-    around the graph of f_p.  E is the rectangle [0, 2 pi) x [-4, 4) of
-    cells of side delta / 2, optionally masked by region(theta, y) -> bool
-    evaluated at cell centers.
+    around the graph of f_p, and E the rectangle [0, 2 pi) x [-4, 4) of
+    cells of side delta / 2.  Each point adds +1 at its slab's first
+    cell of a column and -1 past its last, in blocks of about
+    core.PAIR_BLOCK (point, column) entries; a cumulative sum down each
+    column gives the counts.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -117,21 +87,19 @@ def graph_overlap_integral(points, delta, region=None):
     ncol = max(1, int(np.ceil(2.0 * np.pi / h)))
     nrow = max(1, int(np.ceil(8.0 / h)))
     thetas = (np.arange(ncol) + 0.5) * h
-    counts = np.zeros((ncol, nrow + 1), dtype=np.int64)
-    cols = np.arange(ncol)
-    for p in points:
-        f = f_eval(p, thetas)
+    # column c, row k of the difference array is entry c * (nrow + 1) + k
+    col0 = np.arange(ncol) * (nrow + 1)
+    counts = np.zeros(ncol * (nrow + 1), dtype=np.int64)
+    step = max(1, PAIR_BLOCK // ncol)
+    for i in range(0, len(points), step):
+        f = f_eval(points[i:i + step, None, :], thetas)
         # center y0 + (k + 0.5) h lies in [f - delta, f + delta]
         lo = np.ceil((f - delta - y0) / h - 0.5).astype(np.int64)
         hi = np.floor((f + delta - y0) / h - 0.5).astype(np.int64)
         lo = np.clip(lo, 0, nrow)
         hi = np.clip(hi, -1, nrow - 1)
         ok = hi >= lo
-        np.add.at(counts, (cols[ok], lo[ok]), 1)
-        np.add.at(counts, (cols[ok], hi[ok] + 1), -1)
-    counts = np.cumsum(counts, axis=1)[:, :nrow]
-    if region is not None:
-        yc = y0 + (np.arange(nrow) + 0.5) * h
-        mask = region(thetas[:, None], yc[None, :])
-        counts = counts * mask
+        counts += np.bincount((col0 + lo)[ok], minlength=len(counts))
+        counts -= np.bincount((col0 + hi + 1)[ok], minlength=len(counts))
+    counts = np.cumsum(counts.reshape(ncol, nrow + 1), axis=1)[:, :nrow]
     return float(np.sum(counts.astype(float) ** 1.5) * h * h)

@@ -49,11 +49,6 @@ def group_mul(p, q):
     return out
 
 
-def group_inv(p):
-    """Group inverse; p * inv(p) = 0 exactly."""
-    return -_as_points(p)
-
-
 def dilate(lam, p):
     """Anisotropic dilation delta_lam; group automorphism for every lam."""
     p = _as_points(p)

@@ -17,9 +17,8 @@ both sides reducing to { a y + b = x,  (b / 2) y + c = t }.  The residual
 vectors of the two predicates are related by an invertible triangular
 transform, so the equivalence is exact, not approximate.
 
-The pushforward m = ell_# Leb of Lebesgue measure on parameters is the
-natural measure on lines; the X-ray transform integrates a density over a
-line against arclength, with constant speed sqrt(1 + a^2 + b^2 / 4).
+The X-ray transform integrates a density over a line against arclength,
+with constant speed sqrt(1 + a^2 + b^2 / 4).
 
 All predicates run exactly on Fraction/int inputs (tol=0) and to a
 tolerance on floats; dual_ray, line_of and the residuals run on columns
@@ -33,8 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import make_rng
-
 
 @dataclass(frozen=True)
 class HorizontalLine:
@@ -46,10 +43,6 @@ class HorizontalLine:
 
     def point_at(self, s):
         return (self.a * s + self.b, s, self.b * s / 2 + self.c)
-
-    def tangent(self):
-        """Unnormalized tangent (a, 1, b/2); horizontal at every point."""
-        return (self.a, 1, self.b / 2)
 
     def speed(self):
         a, b = float(self.a), float(self.b)
@@ -67,9 +60,6 @@ class LightRay:
     def point_at(self, s):
         return (s, self.u - s * self.y, self.v + s * self.y ** 2 / 2)
 
-    def direction(self, s=1):
-        return (s, -s * self.y, s * self.y ** 2 / 2)
-
 
 def line_of(pstar):
     """The line whose parameter point is pstar = (a, b, c)."""
@@ -81,12 +71,6 @@ def dual_ray(p):
     """The light ray dual to the point p = (x, y, t)."""
     x, y, t = p
     return LightRay(x, t - x * y / 2, y)
-
-
-def on_cone(v, tol=0.0):
-    """Membership of v in the cone {z2^2 = 2 z1 z3}."""
-    z1, z2, z3 = v
-    return abs(z2 * z2 - 2 * z1 * z3) <= tol
 
 
 def line_residuals(p, line):
@@ -109,31 +93,6 @@ def incident_point_line(p, line, tol=1e-10):
 def incident_point_ray(pstar, ray, tol=1e-10):
     r1, r2 = ray_residuals(pstar, ray)
     return abs(r1) <= tol and abs(r2) <= tol
-
-
-def line_measure(predicate, box_lo, box_hi, n, seed=0):
-    """Monte Carlo m-measure of a set of lines.
-
-    m is the pushforward of Lebesgue measure on parameters (a, b, c);
-    predicate receives arrays (a, b, c) and returns a boolean mask.
-    Returns (estimate, standard_error).
-    """
-    lo = np.asarray(box_lo, dtype=float)
-    hi = np.asarray(box_hi, dtype=float)
-    if np.any(hi <= lo):
-        raise ValueError("box must have positive volume")
-    rng = make_rng(seed)
-    pts = rng.random((n, 3)) * (hi - lo) + lo
-    hits = np.asarray(predicate(pts[:, 0], pts[:, 1], pts[:, 2]), dtype=float)
-    vol = float(np.prod(hi - lo))
-    est = vol * float(hits.mean())
-    se = vol * float(hits.std(ddof=1)) / math.sqrt(n) if n > 1 else float("inf")
-    return est, se
-
-
-def angle_cone_mask(a, halfwidth=1.0):
-    """Lines within the angular cone |a| <= halfwidth (45 degrees by default)."""
-    return np.abs(np.asarray(a, dtype=float)) <= halfwidth
 
 
 def xray_transform(density, line):

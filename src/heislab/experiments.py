@@ -17,8 +17,8 @@ from .cinematic import f_eval
 from .core import PAIR_BLOCK, dilate, gauge_norm, group_mul, heis_dist
 from .delta_sets import dyadic_ball_counts, verify_delta_t_set
 from .duality import HorizontalLine, dual_ray, xray_transform
-from .projections import (distinct, pack_pixels, pi_e, pixel_area,
-                          pixel_keys, ze_zje)
+from .projections import (distinct, pack_pixels, parabolic_dist, pi_e,
+                          pixel_area, pixel_keys, ze_zje)
 from .sampling import (ONE_POINT_DRAW, first_ball_points, make_rng,
                        monte_carlo_ball_volume, quadrature_ball_volume,
                        uniform_ball_points, unit_ball_points)
@@ -210,19 +210,20 @@ def rho_dimension(points, thetas, scales):
     return out
 
 
-def directional_l2_vs_xray(grid, n_theta=9, n_a=9, n_bc=21):
+def directional_l2_vs_xray(grid):
     """Both sides of the projection / X-ray energy comparison.
 
     Left: int over directions within 45 degrees of the y-axis of the
-    squared L^2 norm of the projected density, on pixels of side 1/64.
-    Right: int of Xf^2 over lines with |a| <= 1 and |b|, |c| <= 3/2 under
-    the parameter Lebesgue measure.  Returns the two values and their
-    ratio; comparable up to a fixed band.
+    squared L^2 norm of the projected density, on pixels of side 1/64
+    (trapezoid rule on 9 directions).  Right: int of Xf^2 over lines
+    with |a| <= 1 and |b|, |c| <= 3/2 under the parameter Lebesgue
+    measure (Riemann sum over a 9 x 21 x 21 grid of lines).  Returns
+    the two values and their ratio; comparable up to a fixed band.
     """
     pixel = 1.0 / 64
     centers, dens = grid.occupied()
     mass = dens * grid.cell_volume
-    thetas = np.linspace(math.pi / 4, 3 * math.pi / 4, n_theta)
+    thetas = np.linspace(math.pi / 4, 3 * math.pi / 4, 9)
     left_vals = []
     for th in thetas:
         keys = pixel_keys(pi_e(th, centers), pixel)
@@ -233,10 +234,10 @@ def directional_l2_vs_xray(grid, n_theta=9, n_a=9, n_bc=21):
         sums = np.add.reduceat(m, np.concatenate([[0], cuts]))
         left_vals.append(float((sums ** 2).sum()) / (pixel * pixel))
     left = float(np.trapezoid(left_vals, thetas))
-    a_grid = np.linspace(-1.0, 1.0, n_a)
-    bc = np.linspace(-1.5, 1.5, n_bc)
-    da = 2.0 / max(n_a - 1, 1)
-    dbc = 3.0 / max(n_bc - 1, 1)
+    a_grid = np.linspace(-1.0, 1.0, 9)
+    bc = np.linspace(-1.5, 1.5, 21)
+    da = 2.0 / 8
+    dbc = 3.0 / 20
     right = 0.0
     for a in a_grid:
         for b in bc:
@@ -337,8 +338,7 @@ def derive_constants(seed=0, n_balls=100, n_pairs=2000):
     emb[..., 1] = w[..., 0]
     emb[..., 2] = w[..., 1]
     dg = heis_dist(emb[:, 0], emb[:, 1])
-    dp = np.abs(w[:, 0, 0] - w[:, 1, 0]) \
-        + np.sqrt(np.abs(w[:, 0, 1] - w[:, 1, 1]))
+    dp = parabolic_dist(w[:, 0], w[:, 1])
     ok = dp > 0
     put("parabolic_bilip_lo", float((dg[ok] / dp[ok]).min()), 20000,
         "min gauge/parabolic distance ratio on the plane x=0")
@@ -396,7 +396,7 @@ def derive_constants(seed=0, n_balls=100, n_pairs=2000):
             r = float(rng.random() * 0.1 + 0.01)
             ray = dual_ray(c0)
             inner = plates.ModifiedPlate(ray.u, ray.v, ray.y, cval * r)
-            rigid = plates.Plate(ray.u, ray.v, ray.y, r, x_halfwidth=2.0)
+            rigid = plates.Plate(ray.u, ray.v, ray.y, r)
             pts = inner.sample(rng.random(4 * 200))
             if not bool(np.all(rigid.contains(pts, tol=1e-9))):
                 good = False

@@ -146,17 +146,20 @@ class GridDensity:
         return centers, self.values[idx[:, 0], idx[:, 1], idx[:, 2]]
 
 
-def rasterize(mu, spacing, origin=None, shape=None):
-    """Bin a discrete measure onto a grid; density = cell mass / volume."""
+def rasterize(mu, spacing):
+    """Bin a discrete measure onto a grid; density = cell mass / volume.
+
+    The grid's lower corner is the grid point at or below the atoms'
+    least coordinates, and it reaches the cell of their largest.
+    """
     spacing = np.asarray(spacing, dtype=float).reshape(3)
     pts = mu.points
-    if origin is None:
-        origin = np.floor(pts.min(axis=0) / spacing) * spacing
-    origin = np.asarray(origin, dtype=float).reshape(3)
+    origin = np.floor(pts.min(axis=0) / spacing) * spacing
     idx = np.floor((pts - origin) / spacing).astype(np.int64)
-    if shape is None:
-        shape = tuple(idx.max(axis=0) + 1)
-    ok = np.all((idx >= 0) & (idx < np.array(shape)), axis=1)
+    shape = tuple(idx.max(axis=0) + 1)
+    # floor(min / spacing) * spacing can round above the least atoms,
+    # which then get index -1 and are left out
+    ok = np.all(idx >= 0, axis=1)
     values = np.zeros(shape)
     np.add.at(values, (idx[ok, 0], idx[ok, 1], idx[ok, 2]), mu.weights[ok])
     return GridDensity(origin, spacing, values / float(np.prod(spacing)))

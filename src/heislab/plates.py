@@ -6,8 +6,8 @@ sheared rectangle
     R_r(y) = M_y([-r, r] x [-r^2, r^2]),      M_y = [[1, 0], [-y, 1]],
 
 so w is a member iff |w1| <= r and |w2 + y w1| <= r^2.  The plate is the
-ray bundle P_r(y) = {(0, w) + L_y(s) : w in R_r(y), |s| <= x_halfwidth},
-and the modified plate additionally lets the ray direction float:
+ray bundle P_r(y) = {(0, w) + L_y(s) : w in R_r(y), |s| <= 2}, and the
+modified plate additionally lets the ray direction float:
 
     Pi_r(u, v, y) = (0, u, v) + {(0, w) + L_{y'} : w in R_r(y), |y' - y| <= r}.
 
@@ -87,7 +87,6 @@ class Plate:
     v: float
     y: float
     r: float
-    x_halfwidth: float = 1.0
 
     def contains(self, q, tol=1e-12):
         q = np.asarray(q, dtype=float)
@@ -95,17 +94,7 @@ class Plate:
         w1 = q2 - self.u + s * self.y
         w2 = q3 - self.v - 0.5 * s * self.y ** 2
         inside = rect_contains(self.y, self.r, np.stack([w1, w2], axis=-1), tol)
-        return inside & (np.abs(s) <= self.x_halfwidth + tol)
-
-    def sample(self, n, rng):
-        w0 = rng.random((n, 2)) * [2 * self.r, 2 * self.r ** 2] \
-            - [self.r, self.r ** 2]
-        s = rng.random(n) * 2 * self.x_halfwidth - self.x_halfwidth
-        w1 = w0[:, 0]
-        w2 = w0[:, 1] - self.y * w0[:, 0]
-        return np.stack([s,
-                         self.u + w1 - s * self.y,
-                         self.v + w2 + 0.5 * s * self.y ** 2], axis=1)
+        return inside & (np.abs(s) <= 2.0 + tol)
 
 
 @dataclass(frozen=True)
@@ -201,11 +190,6 @@ def ball_to_modified_plate(center, radius):
         raise ValueError("radius must lie in (0, 1/2], got %r" % radius)
     ray = dual_ray(c.T)
     return ModifiedPlate(ray.u, ray.v, ray.y, 2.0 * radius)
-
-
-def plate_to_ball(plate):
-    """(center, radius) of the ball whose dual plate is the given plate."""
-    return compose_center(plate.u, plate.v, plate.y), plate.r / 2.0
 
 
 def same_direction_separation(c1, c2, r, seeds):

@@ -1,4 +1,4 @@
-"""Vertical projections onto the planes W_e and the x-t plane.
+"""Vertical projections onto the planes W_e.
 
 For a horizontal direction e = e(theta) the vertical plane W_e is spanned
 by Je and the t-axis; we chart it by (a, b) with a the Je-coordinate and
@@ -8,9 +8,8 @@ b the height.  The vertical projection is
 
 whose fibers are the horizontal lines w * L_e.  Its height is the
 cinematic function f_p(theta) of cinematic.f_eval; both take <z, e> and
-<z, Je> from ze_zje.  The x-t plane variant pi_xt(x, y, t) =
-(x, 0, t - x y / 2) is also provided.  pi_e preserves Lebesgue measure
-of images under left translation of the source set.
+<z, Je> from ze_zje.  pi_e preserves Lebesgue measure of images under
+left translation of the source set.
 
 The natural metric on the chart is the parabolic one,
 d_par((a, b), (a', b')) = |a - a'| + sqrt(|b - b'|), which is bilipschitz
@@ -18,8 +17,6 @@ to the gauge metric restricted to W_e.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -38,26 +35,6 @@ def pi_e(theta, p):
     p = _as_points(p)
     ze, zje = ze_zje(theta, p)
     return np.stack([zje, p[..., 2] + 0.5 * ze * zje], axis=-1)
-
-
-def pi_xt(p):
-    """Projection to the x-t plane along fibers of pi_{e(pi/2)}."""
-    p = _as_points(p)
-    out = np.zeros_like(p)
-    out[..., 0] = p[..., 0]
-    out[..., 2] = p[..., 2] - 0.5 * p[..., 0] * p[..., 1]
-    return out
-
-
-def plane_embed(theta, w):
-    """Chart inverse: (a, b) -> a * Je + b * t-axis as a point of R^3."""
-    w = np.asarray(w, dtype=float)
-    c, s = math.cos(theta), math.sin(theta)
-    out = np.empty(w.shape[:-1] + (3,))
-    out[..., 0] = -s * w[..., 0]
-    out[..., 1] = c * w[..., 0]
-    out[..., 2] = w[..., 1]
-    return out
 
 
 def parabolic_dist(w, v):

@@ -16,8 +16,8 @@ import pytest
 from scipy.integrate import quad
 
 from heislab.cinematic import (f_d1, f_d2, f_eval, jet_jacobian_absdet,
-                               jet_map, rotation_residual)
-from heislab.core import (UNIT_BALL_VOLUME, dilate, gauge_norm, group_mul,
+                               rotation_residual)
+from heislab.core import (UNIT_BALL_VOLUME, gauge_norm, group_mul,
                           heis_dist_trunc)
 from heislab.delta_sets import (BallFamily, gen_heis_lattice,
                                 gen_horizontal_line, gen_lattice_slab,
@@ -30,7 +30,7 @@ from heislab.experiments import (box_dimension, derive_constants, fit_loglog,
                                  projection_exponent)
 from heislab.measures import (DiscreteMeasure, augment_to_dim3, grid_z,
                               riesz_energy)
-from heislab.projections import parabolic_dist, pi_e, pixel_area
+from heislab.projections import pi_e
 from heislab.reports import read_manifest
 from heislab.sampling import (make_rng, monte_carlo_ball_volume,
                               uniform_ball_points)

@@ -3,16 +3,61 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislab.cinematic import (curve_separation, f_d1, f_d2, f_eval,
-                               graph_overlap_integral, jet_jacobian,
-                               jet_jacobian_absdet, jet_map, rotate_point,
+import heislab.cinematic
+from heislab.cinematic import (f_d1, f_d2, f_eval, graph_overlap_integral,
+                               jet_jacobian_absdet, rotate_point,
                                rotation_residual)
+from heislab.core import _as_points
+from heislab.delta_sets import gen_random3
 from heislab.projections import pi_e
 from heislab.sampling import make_rng
 
 coord = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 point = st.tuples(coord, coord, coord).map(np.array)
 angle = st.floats(-7, 7, allow_nan=False, allow_infinity=False)
+
+
+def _jet_map(p):
+    """2-jet F(p) = (f_p(0), f_p'(0), f_p''(0))."""
+    return np.stack([f(p, 0.0) for f in (f_eval, f_d1, f_d2)], axis=-1)
+
+
+def _jet_jacobian(p):
+    """Jacobian matrix of F at p, shape (..., 3, 3)."""
+    p = _as_points(p)
+    x, y = p[..., 0], p[..., 1]
+    one = np.ones_like(x)
+    zero = np.zeros_like(x)
+    rows = [
+        np.stack([0.5 * y, 0.5 * x, one], axis=-1),
+        np.stack([-x, y, zero], axis=-1),
+        np.stack([-2.0 * y, -2.0 * x, zero], axis=-1),
+    ]
+    return np.stack(rows, axis=-2)
+
+
+def _graph_overlap_loop(points, delta):
+    """Oracle for graph_overlap_integral: one point's slab at a time."""
+    points = _as_points(points).reshape(-1, 3)
+    h = delta / 2.0
+    y0 = -4.0
+    ncol = max(1, int(np.ceil(2.0 * np.pi / h)))
+    nrow = max(1, int(np.ceil(8.0 / h)))
+    thetas = (np.arange(ncol) + 0.5) * h
+    counts = np.zeros((ncol, nrow + 1), dtype=np.int64)
+    cols = np.arange(ncol)
+    for p in points:
+        f = f_eval(p, thetas)
+        # center y0 + (k + 0.5) h lies in [f - delta, f + delta]
+        lo = np.ceil((f - delta - y0) / h - 0.5).astype(np.int64)
+        hi = np.floor((f + delta - y0) / h - 0.5).astype(np.int64)
+        lo = np.clip(lo, 0, nrow)
+        hi = np.clip(hi, -1, nrow - 1)
+        ok = hi >= lo
+        np.add.at(counts, (cols[ok], lo[ok]), 1)
+        np.add.at(counts, (cols[ok], hi[ok] + 1), -1)
+    counts = np.cumsum(counts, axis=1)[:, :nrow]
+    return float(np.sum(counts.astype(float) ** 1.5) * h * h)
 
 
 def test_f_equals_projection_height():
@@ -39,25 +84,25 @@ def test_derivatives_against_central_differences():
 
 def test_jet_map_closed_form():
     p = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(jet_map(p), [3 + 1.0, 0.5 * (4 - 1), -4.0])
-    assert np.allclose(jet_map(p),
+    assert np.allclose(_jet_map(p), [3 + 1.0, 0.5 * (4 - 1), -4.0])
+    assert np.allclose(_jet_map(p),
                        [f_eval(p, 0.0), f_d1(p, 0.0), f_d2(p, 0.0)])
 
 
 def test_jet_jacobian_matches_finite_differences():
     p = make_rng(3).random((50, 3)) * 2 - 1
-    J = jet_jacobian(p)
+    J = _jet_jacobian(p)
     h = 1e-6
     for k in range(3):
         dp = np.zeros(3)
         dp[k] = h
-        fd = (jet_map(p + dp) - jet_map(p - dp)) / (2 * h)
+        fd = (_jet_map(p + dp) - _jet_map(p - dp)) / (2 * h)
         assert np.allclose(J[..., :, k], fd, atol=1e-6)
 
 
 def test_jacobian_determinant():
     p = make_rng(4).random((5000, 3)) * 4 - 2
-    det = np.abs(np.linalg.det(jet_jacobian(p)))
+    det = np.abs(np.linalg.det(_jet_jacobian(p)))
     closed = jet_jacobian_absdet(p)
     assert float(np.max(np.abs(det - closed))) < 1e-8
     # vanishes exactly on the vertical axis
@@ -76,14 +121,6 @@ def test_rotate_point_preserves_height_and_radius():
     q = rotate_point(1.1, p)
     assert q[2] == p[2]
     assert np.hypot(q[0], q[1]) == pytest.approx(np.hypot(p[0], p[1]))
-
-
-def test_curve_separation_positive_for_distinct_points():
-    grid = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    assert curve_separation(np.array([0.3, 0.1, 0.0]),
-                            np.array([0.3, 0.1, 0.5]), grid) > 0
-    assert curve_separation(np.array([0.3, 0.1, 0.0]),
-                            np.array([0.3, 0.1, 0.0]), grid) == 0.0
 
 
 def test_graph_overlap_single_point():
@@ -114,15 +151,33 @@ def test_graph_overlap_disjoint_additivity():
     assert both == pytest.approx(sep, rel=1e-12)
 
 
-def test_graph_overlap_region_mask():
-    delta = 2.0 ** -5
-    p = np.array([[0.3, -0.2, 0.1]])
-    full = graph_overlap_integral(p, delta)
-    half = graph_overlap_integral(p, delta,
-                                  region=lambda th, y: th < np.pi)
-    assert 0 < half < full
-
-
 def test_graph_overlap_rejects_bad_delta():
     with pytest.raises(ValueError):
         graph_overlap_integral(np.zeros((1, 3)), 0.0)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 101])
+def test_graph_overlap_matches_loop_on_random3(seed):
+    centers = gen_random3(0.075, seed=seed).centers
+    assert graph_overlap_integral(centers, 0.075) \
+        == _graph_overlap_loop(centers, 0.075)
+
+
+@pytest.mark.parametrize("points, delta", [
+    ([[0.3, -0.2, 0.1]], 2.0 ** -6),
+    ([[0.0, 0.0, 100.0]], 2.0 ** -6),
+    ([[0.3, -0.2, 0.1], [0.3, -0.2, 0.1]], 2.0 ** -5),
+    ([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]], 2.0 ** -6),
+    (np.zeros((0, 3)), 2.0 ** -4),
+])
+def test_graph_overlap_matches_loop_on_small_sets(points, delta):
+    assert graph_overlap_integral(points, delta) \
+        == _graph_overlap_loop(points, delta)
+
+
+def test_graph_overlap_matches_loop_across_blocks(monkeypatch):
+    # 403 columns at delta 2^-5: a block of 2,000 entries holds 4 points
+    monkeypatch.setattr(heislab.cinematic, "PAIR_BLOCK", 2000)
+    pts = (make_rng(9).random((40, 3)) * 2 - 1) * [1.0, 1.0, 3.0]
+    assert graph_overlap_integral(pts, 2.0 ** -5) \
+        == _graph_overlap_loop(pts, 2.0 ** -5)

@@ -336,9 +336,8 @@ def test_rho_dimension_axis_family():
 def test_directional_l2_vs_xray_bounded_ratio():
     rng = make_rng(5)
     mu = DiscreteMeasure.uniform(rng.random((20000, 3)) * 0.8 - 0.4)
-    grid = rasterize(mu, [0.05, 0.05, 0.05],
-                     origin=[-0.5, -0.5, -0.5], shape=(20, 20, 20))
-    out = directional_l2_vs_xray(grid, n_theta=5, n_a=5, n_bc=11)
+    grid = rasterize(mu, [0.05, 0.05, 0.05])
+    out = directional_l2_vs_xray(grid)
     assert out["left"] > 0 and out["right"] > 0
     assert 0.05 < out["ratio"] < 20.0
 

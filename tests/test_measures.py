@@ -141,13 +141,6 @@ def test_rasterize_preserves_mass():
     assert g.total_mass == pytest.approx(mu.total_mass, rel=1e-12)
 
 
-def test_rasterize_clips_out_of_window():
-    mu = DiscreteMeasure(np.array([[0.05, 0.05, 0.05], [5.0, 5.0, 5.0]]),
-                         np.array([1.0, 1.0]))
-    g = rasterize(mu, [0.1, 0.1, 0.1], origin=[0, 0, 0], shape=(10, 10, 10))
-    assert g.total_mass == pytest.approx(1.0)
-
-
 def test_delta_measure_report_uniform_grid_passes():
     # a flat density is its own ball average up to discretization
     delta = 0.2

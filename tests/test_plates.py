@@ -11,11 +11,27 @@ from heislab.duality import LightRay, dual_ray
 from heislab.plates import (ModifiedPlate, Plate, _plate_candidates,
                             _uniform_euclidean_ball, ball_to_modified_plate,
                             compose_center, count_memberships,
-                            plate_to_ball, rect_contains,
-                            same_direction_separation)
+                            rect_contains, same_direction_separation)
 from heislab.sampling import make_rng, unit_ball_points
 
 coord = st.floats(-1, 1, allow_nan=False)
+
+
+def _plate_sample(plate, n, rng):
+    """n uniform points of a fixed-direction Plate, |s| <= 2."""
+    w0 = rng.random((n, 2)) * [2 * plate.r, 2 * plate.r ** 2] \
+        - [plate.r, plate.r ** 2]
+    s = rng.random(n) * 4.0 - 2.0
+    w1 = w0[:, 0]
+    w2 = w0[:, 1] - plate.y * w0[:, 0]
+    return np.stack([s,
+                     plate.u + w1 - s * plate.y,
+                     plate.v + w2 + 0.5 * s * plate.y ** 2], axis=1)
+
+
+def _plate_to_ball(plate):
+    """(center, radius) of the ball whose dual plate is the given plate."""
+    return compose_center(plate.u, plate.v, plate.y), plate.r / 2.0
 
 
 def contains_grid(plate, q, n_grid=65, tol=1e-9):
@@ -106,10 +122,10 @@ def test_dual_ray_compose_center_roundtrip(x, y, t):
 
 
 def test_plate_samples_are_members():
-    plate = Plate(0.3, -0.1, 0.8, 0.2, x_halfwidth=1.5)
-    pts = plate.sample(2000, make_rng(1))
+    plate = Plate(0.3, -0.1, 0.8, 0.2)
+    pts = _plate_sample(plate, 2000, make_rng(1))
     assert np.all(plate.contains(pts, tol=1e-9))
-    assert float(np.abs(pts[:, 0]).max()) <= 1.5 + 1e-12
+    assert float(np.abs(pts[:, 0]).max()) <= 2.0
 
 
 def test_plate_rejects_far_points():
@@ -143,8 +159,8 @@ def test_modified_contains_matches_grid_oracle():
 
 def test_modified_plate_contains_fixed_direction_plate():
     mp = ModifiedPlate(0.1, 0.2, 0.5, 0.2)
-    fixed = Plate(0.1, 0.2, 0.5, 0.2, x_halfwidth=2.0)
-    pts = fixed.sample(3000, make_rng(4))
+    fixed = Plate(0.1, 0.2, 0.5, 0.2)
+    pts = _plate_sample(fixed, 3000, make_rng(4))
     assert np.all(mp.contains(pts, tol=1e-9))
 
 
@@ -256,7 +272,7 @@ def test_ball_to_plate_preconditions():
 def test_plate_to_ball_roundtrip():
     center = (0.2, -0.3, 0.1)
     plate = ball_to_modified_plate(center, 0.2)
-    back_center, back_radius = plate_to_ball(plate)
+    back_center, back_radius = _plate_to_ball(plate)
     assert np.allclose(back_center, center, atol=1e-12)
     assert back_radius == pytest.approx(0.2)
 
