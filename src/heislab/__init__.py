@@ -6,8 +6,7 @@ from .projections import parabolic_dist, pi_e, pixel_area
 from .cinematic import (f_d1, f_d2, f_eval, graph_overlap_integral,
                         jet_jacobian_absdet, rotate_point)
 from .duality import (HorizontalLine, LightRay, dual_ray,
-                      incident_point_line, incident_point_ray, line_of,
-                      xray_transform)
+                      incident_point_line, incident_point_ray, xray_transform)
 from .plates import (ModifiedPlate, Plate, ball_to_modified_plate,
                      compose_center, same_direction_separation)
 from .delta_sets import (BallFamily, covering_number, generate, read_family,

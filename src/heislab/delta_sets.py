@@ -331,8 +331,7 @@ def write_family(path, family):
         fh.write("%.17g %.17g %.17g %d %s\n"
                  % (family.delta, family.claimed_t, family.claimed_C,
                     len(family), family.kind))
-        for x, y, t in family.centers:
-            fh.write("%.17g %.17g %.17g\n" % (x, y, t))
+        np.savetxt(fh, family.centers, fmt="%.17g")
 
 
 def read_family(path):

@@ -21,16 +21,18 @@ The X-ray transform integrates a density over a line against arclength,
 with constant speed sqrt(1 + a^2 + b^2 / 4).
 
 All predicates run exactly on Fraction/int inputs (tol=0) and to a
-tolerance on floats; dual_ray, line_of and the residuals run on columns
-of arrays too, as in line_residuals(pts.T, line_of(abc.T)).
+tolerance on floats; lines, rays and the residuals run on columns of
+arrays too, one line per entry, as in
+line_residuals(pts.T, HorizontalLine(*abc.T)).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import PAIR_BLOCK
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,9 @@ class HorizontalLine:
         return (self.a * s + self.b, s, self.b * s / 2 + self.c)
 
     def speed(self):
-        a, b = float(self.a), float(self.b)
-        return math.sqrt(1.0 + a * a + b * b / 4.0)
+        a = np.asarray(self.a, dtype=float)
+        b = np.asarray(self.b, dtype=float)
+        return np.sqrt(1.0 + a * a + b * b / 4.0)
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,6 @@ class LightRay:
 
     def point_at(self, s):
         return (s, self.u - s * self.y, self.v + s * self.y ** 2 / 2)
-
-
-def line_of(pstar):
-    """The line whose parameter point is pstar = (a, b, c)."""
-    a, b, c = pstar
-    return HorizontalLine(a, b, c)
 
 
 def dual_ray(p):
@@ -96,22 +93,32 @@ def incident_point_ray(pstar, ray, tol=1e-10):
 
 
 def xray_transform(density, line):
-    """Arclength integral of a gridded density over a horizontal line.
+    """Arclength integrals of a gridded density over horizontal lines.
 
     density must expose origin (3,), spacing (3,), values (nx, ny, nz);
-    lookup is nearest-cell.  The quadrature step along the y-parameter
-    is half the smallest spacing.
+    lookup is nearest-cell.  One integral per line, in the broadcast
+    shape of line's fields.  Every line is sampled at the same
+    y-parameters, half the smallest spacing apart, in blocks of about
+    core.PAIR_BLOCK (line, sample) entries.
     """
     origin = np.asarray(density.origin, dtype=float)
     spacing = np.asarray(density.spacing, dtype=float)
     values = density.values
-    line = HorizontalLine(float(line.a), float(line.b), float(line.c))
+    fields = np.broadcast_arrays(line.a, line.b, line.c)
+    a, b, c = (np.asarray(f, dtype=float).reshape(-1, 1) for f in fields)
     step = float(spacing.min()) / 2.0
-    y0 = origin[1]
     y1 = origin[1] + spacing[1] * values.shape[1]
-    s = np.arange(y0 + step / 2.0, y1, step)
-    pts = np.stack(line.point_at(s), axis=1)
-    idx = np.floor((pts - origin) / spacing).astype(np.int64)
-    ok = np.all((idx >= 0) & (idx < np.array(values.shape)), axis=1)
-    total = float(values[idx[ok, 0], idx[ok, 1], idx[ok, 2]].sum())
-    return total * line.speed() * step
+    s = np.arange(origin[1] + step / 2.0, y1, step)
+    total = np.zeros(len(a))
+    block = max(1, PAIR_BLOCK // max(1, len(s)))
+    for k in range(0, len(a), block):
+        part = HorizontalLine(a[k:k + block], b[k:k + block], c[k:k + block])
+        idx = np.broadcast_arrays(*(np.floor((p - o) / h) for p, o, h
+                                    in zip(part.point_at(s), origin, spacing)))
+        ok = np.logical_and.reduce([(i >= 0) & (i < n)
+                                    for i, n in zip(idx, values.shape)])
+        hits = values[tuple(i[ok].astype(np.int64) for i in idx)]
+        total[k:k + block] = np.bincount(np.nonzero(ok)[0], weights=hits,
+                                         minlength=len(ok))
+    speed = HorizontalLine(a, b, c).speed()[:, 0]
+    return (total * speed * step).reshape(fields[0].shape)

@@ -234,17 +234,12 @@ def directional_l2_vs_xray(grid):
         sums = np.add.reduceat(m, np.concatenate([[0], cuts]))
         left_vals.append(float((sums ** 2).sum()) / (pixel * pixel))
     left = float(np.trapezoid(left_vals, thetas))
-    a_grid = np.linspace(-1.0, 1.0, 9)
     bc = np.linspace(-1.5, 1.5, 21)
+    lines = np.meshgrid(np.linspace(-1.0, 1.0, 9), bc, bc, indexing="ij")
+    xv = xray_transform(grid, HorizontalLine(*lines))
     da = 2.0 / 8
     dbc = 3.0 / 20
-    right = 0.0
-    for a in a_grid:
-        for b in bc:
-            for c in bc:
-                xv = xray_transform(grid, HorizontalLine(a, b, c))
-                right += xv * xv
-    right *= da * dbc * dbc
+    right = float((xv * xv).sum()) * (da * dbc * dbc)
     return {"left": left, "right": right,
             "ratio": left / right if right > 0 else float("inf")}
 

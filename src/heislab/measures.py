@@ -155,13 +155,12 @@ def rasterize(mu, spacing):
     spacing = np.asarray(spacing, dtype=float).reshape(3)
     pts = mu.points
     origin = np.floor(pts.min(axis=0) / spacing) * spacing
-    idx = np.floor((pts - origin) / spacing).astype(np.int64)
-    shape = tuple(idx.max(axis=0) + 1)
     # floor(min / spacing) * spacing can round above the least atoms,
-    # which then get index -1 and are left out
-    ok = np.all(idx >= 0, axis=1)
+    # whose index would then be -1: they go in the first cell
+    idx = np.maximum(np.floor((pts - origin) / spacing), 0).astype(np.int64)
+    shape = tuple(idx.max(axis=0) + 1)
     values = np.zeros(shape)
-    np.add.at(values, (idx[ok, 0], idx[ok, 1], idx[ok, 2]), mu.weights[ok])
+    np.add.at(values, (idx[:, 0], idx[:, 1], idx[:, 2]), mu.weights)
     return GridDensity(origin, spacing, values / float(np.prod(spacing)))
 
 

@@ -97,7 +97,7 @@ def monte_carlo_ball_volume(n, seed=0):
     hits = 0
     done = 0
     while done < n:
-        m = min(n - done, 4_000_000)
+        m = min(n - done, 1 << 18)
         raw = rng.random((m, 3)) * _BOX_SCALE + _BOX_LO
         hits += int(np.count_nonzero(_in_unit_ball(raw)))
         done += m

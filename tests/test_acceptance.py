@@ -23,7 +23,7 @@ from heislab.delta_sets import (BallFamily, gen_heis_lattice,
                                 gen_horizontal_line, gen_lattice_slab,
                                 gen_random3, gen_t_axis)
 from heislab.duality import (HorizontalLine, dual_ray, incident_point_line,
-                             incident_point_ray, line_of, line_residuals,
+                             incident_point_ray, line_residuals,
                              ray_residuals)
 from heislab.experiments import (box_dimension, derive_constants, fit_loglog,
                                  plate_l2_energy, projection_area,
@@ -46,7 +46,7 @@ def test_acceptance_01_duality_biconditional():
     s = rng.random(100000) * 2 - 1
     pts = np.stack([abc[:, 0] * s + abc[:, 1], s,
                     abc[:, 1] * s / 2 + abc[:, 2]], axis=1)
-    R = np.stack(line_residuals(pts.T, line_of(abc.T)), axis=1)
+    R = np.stack(line_residuals(pts.T, HorizontalLine(*abc.T)), axis=1)
     S = np.stack(ray_residuals(abc.T, dual_ray(pts.T)), axis=1)
     worst = max(float(np.max(np.abs(R))), float(np.max(np.abs(S))))
     assert worst <= 1e-10
@@ -55,7 +55,7 @@ def test_acceptance_01_duality_biconditional():
     bump = np.zeros_like(pts)
     bump[:, 2] = np.where(rng.random(100000) < 0.5, 0.0, 1e-3)
     moved = pts + bump
-    Rm = np.stack(line_residuals(moved.T, line_of(abc.T)), axis=1)
+    Rm = np.stack(line_residuals(moved.T, HorizontalLine(*abc.T)), axis=1)
     Sm = np.stack(ray_residuals(abc.T, dual_ray(moved.T)), axis=1)
     hit_line = np.all(np.abs(Rm) <= 1e-10, axis=1)
     hit_ray = np.all(np.abs(Sm) <= 1e-10, axis=1)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
@@ -14,6 +14,8 @@ from heislab.delta_sets import gen_heis_lattice
 from heislab.sampling import (make_rng, monte_carlo_ball_volume,
                               quadrature_ball_volume, uniform_ball_points,
                               unit_ball_points)
+
+EPS = np.finfo(float).eps
 
 coord = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 point = st.tuples(coord, coord, coord).map(np.array)
@@ -75,11 +77,20 @@ def test_norm_homogeneous_and_symmetric(p, lam):
 
 
 @given(point, point, point)
+@example(p=(0, 0, 0), q=(0, 0, 1e-15), r=(0, 0, 1))
 @settings(max_examples=200, deadline=None)
 def test_left_invariance_and_triangle(p, q, r):
+    # Near the vertical axis d = 2 sqrt(|tau|), so compare d^2, about
+    # 4 |tau| there.  With coordinates up to m, tau sums products of
+    # translated coordinates up to (2 m)^2, and a few roundings of those
+    # move d^2 by up to about 32 eps (1 + m)^2.  That is below 1e-12 for
+    # m <= 10, so wherever d >= 1e-3 the check is no looser than
+    # |d' - d| <= max(1e-8 d, 1e-9).
     d = heis_dist(p, q)
-    assert heis_dist(group_mul(r, p), group_mul(r, q)) == pytest.approx(
-        d, rel=1e-8, abs=1e-9)
+    m = max(float(np.max(np.abs(v))) for v in (p, q, r))
+    moved = heis_dist(group_mul(r, p), group_mul(r, q))
+    assert moved * moved == pytest.approx(
+        d * d, rel=1e-8, abs=32 * EPS * (1 + m) ** 2)
     assert d <= heis_dist(p, r) + heis_dist(r, q) + 1e-9
 
 

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heislab.core import gauge_norm, group_mul, heis_dist
 from heislab import delta_sets
@@ -277,6 +279,33 @@ def test_family_roundtrip_exact(tmp_path):
     assert len(header) == 5
     assert int(header[3]) == len(fam)
     assert header[4] == "random3"
+
+
+def write_family_per_row(path, family):
+    """write_family's file, one formatted row at a time; the oracle."""
+    with open(path, "w") as fh:
+        fh.write("%.17g %.17g %.17g %d %s\n"
+                 % (family.delta, family.claimed_t, family.claimed_C,
+                    len(family), family.kind))
+        for x, y, t in family.centers:
+            fh.write("%.17g %.17g %.17g\n" % (x, y, t))
+
+
+edge_coord = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e300, -1e300, 0.1, -1 / 3]))
+
+
+@given(st.lists(st.tuples(edge_coord, edge_coord, edge_coord), max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_write_family_matches_per_row_writer(tmp_path_factory, rows):
+    d = tmp_path_factory.mktemp("fam")
+    fam = BallFamily(np.array(rows, dtype=float).reshape(-1, 3), 0.125,
+                     3.0, 8.0, "random3")
+    write_family(d / "a.txt", fam)
+    write_family_per_row(d / "b.txt", fam)
+    assert (d / "a.txt").read_bytes() == (d / "b.txt").read_bytes()
 
 
 def test_read_family_four_field_header_is_custom(tmp_path):

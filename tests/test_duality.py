@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heislab.duality
 from heislab.core import group_mul
 from heislab.duality import (HorizontalLine, LightRay, dual_ray,
-                             incident_point_line, incident_point_ray, line_of,
+                             incident_point_line, incident_point_ray,
                              line_residuals, ray_residuals, xray_transform)
 from heislab.measures import GridDensity
 from heislab.sampling import make_rng
@@ -30,6 +32,39 @@ def _ray_direction(ray, s=1):
 def _line_tangent(line):
     """Unnormalized tangent (a, 1, b/2) of a HorizontalLine."""
     return (line.a, 1, line.b / 2)
+
+
+def xray_transform_per_line(density, line):
+    """Arclength integral over one line with float fields; the oracle."""
+    origin = np.asarray(density.origin, dtype=float)
+    spacing = np.asarray(density.spacing, dtype=float)
+    values = density.values
+    a, b, c = float(line.a), float(line.b), float(line.c)
+    step = float(spacing.min()) / 2.0
+    y0 = origin[1]
+    y1 = origin[1] + spacing[1] * values.shape[1]
+    s = np.arange(y0 + step / 2.0, y1, step)
+    pts = np.stack(HorizontalLine(a, b, c).point_at(s), axis=1)
+    idx = np.floor((pts - origin) / spacing).astype(np.int64)
+    ok = np.all((idx >= 0) & (idx < np.array(values.shape)), axis=1)
+    total = float(values[idx[ok, 0], idx[ok, 1], idx[ok, 2]].sum())
+    return total * math.sqrt(1.0 + a * a + b * b / 4.0) * step
+
+
+def _line_grid(rng, shape):
+    """Lines with |a| <= 1.2 and |b|, |c| <= 1.8, some missing the grid."""
+    return HorizontalLine(*(rng.random((3,) + shape)
+                            * np.array([2.4, 3.6, 3.6])[:, None, None]
+                            - np.array([1.2, 1.8, 1.8])[:, None, None]))
+
+
+def _random_grid(rng, integer):
+    shape = (23, 31, 40)
+    values = (rng.integers(0, 50, shape).astype(float) if integer
+              else rng.random(shape) * 3.0)
+    values[rng.random(shape) < 0.3] = 0.0
+    return GridDensity(origin=[-0.6, -1.1, -1.8],
+                       spacing=[0.05, 0.07, 0.09], values=values)
 
 
 def test_line_is_horizontal():
@@ -94,7 +129,7 @@ def test_incident_points_have_tiny_residuals_in_float():
     t = abc[:, 1] * s / 2 + abc[:, 2]
     pts = np.stack([x, s, t], axis=1)
     # the residuals run on columns of arrays as they do on Fractions
-    R = line_residuals(pts.T, line_of(abc.T))
+    R = line_residuals(pts.T, HorizontalLine(*abc.T))
     S = ray_residuals(abc.T, dual_ray(pts.T))
     assert float(np.max(np.abs(R))) <= 1e-14
     assert float(np.max(np.abs(S))) <= 1e-14
@@ -116,9 +151,66 @@ def test_ray_point_form():
     assert np.allclose(base, [0.0, 0.3, -0.7])
 
 
-def test_line_of_roundtrip():
-    line = line_of((1, 2, 3))
-    assert (line.a, line.b, line.c) == (1, 2, 3)
+def test_speed_on_arrays_matches_scalar_formula():
+    a, b = make_rng(4).random((2, 50)) * 6 - 3
+    got = HorizontalLine(a, b, 0.0).speed()
+    assert got.shape == (50,)
+    assert got.tolist() == [math.sqrt(1.0 + x * x + y * y / 4.0)
+                            for x, y in zip(a.tolist(), b.tolist())]
+
+
+@pytest.mark.parametrize("integer", [True, False])
+def test_xray_transform_matches_per_line_oracle(integer):
+    # integer-valued sums are exact in any order, so those lines agree
+    # bit for bit; float sums group their terms differently
+    rng = make_rng(21 if integer else 22)
+    g = _random_grid(rng, integer)
+    lines = _line_grid(rng, (6, 40))
+    got = xray_transform(g, lines)
+    assert got.shape == (6, 40)
+    want = np.array([[xray_transform_per_line(g, HorizontalLine(a, b, c))
+                      for a, b, c in zip(*(f[i] for f in
+                                           (lines.a, lines.b, lines.c)))]
+                     for i in range(6)])
+    assert np.count_nonzero(want) > 100 and np.any(want == 0)
+    if integer:
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_xray_transform_broadcasts_line_fields():
+    rng = make_rng(23)
+    g = _random_grid(rng, False)
+    one = xray_transform(g, HorizontalLine(0.2, -0.3, 0.1))
+    assert one.shape == ()
+    assert float(one) == pytest.approx(
+        xray_transform_per_line(g, HorizontalLine(0.2, -0.3, 0.1)),
+        rel=1e-12)
+    bc = np.linspace(-1.5, 1.5, 21)
+    lines = HorizontalLine(*np.meshgrid(np.linspace(-1, 1, 9), bc, bc,
+                                        indexing="ij"))
+    grid_of_lines = xray_transform(g, lines)
+    assert grid_of_lines.shape == (9, 21, 21)
+    # fields of different shapes broadcast against each other
+    row = xray_transform(g, HorizontalLine(0.2, bc, 0.1))
+    assert row.shape == (21,)
+    assert row[7] == xray_transform(g, HorizontalLine(0.2, bc[7], 0.1))
+    # t = c stays above the grid's t-range [-1.8, 1.8)
+    assert xray_transform(g, HorizontalLine(0.0, 0.0, 5.0)) == 0.0
+    assert xray_transform(g, HorizontalLine(np.zeros(3), 0.0, 5.0)).tolist() \
+        == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("block", [1, 31, 500, 10 ** 4])
+def test_xray_transform_blocks_do_not_change_the_result(monkeypatch, block):
+    # one sample row per line block or less, a few lines, a whole block
+    rng = make_rng(24)
+    g = _random_grid(rng, False)
+    lines = _line_grid(rng, (7, 30))
+    want = xray_transform(g, lines)
+    monkeypatch.setattr(heislab.duality, "PAIR_BLOCK", block)
+    assert xray_transform(g, lines).tobytes() == want.tobytes()
 
 
 def test_xray_transform_constant_density():

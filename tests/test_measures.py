@@ -141,6 +141,17 @@ def test_rasterize_preserves_mass():
     assert g.total_mass == pytest.approx(mu.total_mass, rel=1e-12)
 
 
+def test_rasterize_keeps_an_atom_just_below_its_origin():
+    # floor(x / h) * h rounds above x here, so x's cell index is -1
+    h = 0.0026527635528529095
+    x = -0.055708034609911104
+    mu = DiscreteMeasure([[x, 0.0, 0.0], [x + 5 * h, 0.0, 0.0]], [1.0, 1.0])
+    g = rasterize(mu, [h, 1.0, 1.0])
+    assert g.origin[0] > x
+    assert g.total_mass == 2.0
+    assert g.values[0, 0, 0] * g.cell_volume == 1.0
+
+
 def test_delta_measure_report_uniform_grid_passes():
     # a flat density is its own ball average up to discretization
     delta = 0.2
