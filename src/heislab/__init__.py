@@ -2,7 +2,7 @@
 
 from .core import (UNIT_BALL_VOLUME, ball_volume, dilate, gauge_norm,
                    group_mul, heis_dist, heis_dist_trunc)
-from .projections import parabolic_dist, pi_e, pixel_area
+from .projections import parabolic_dist, pi_e, projected_ball_profile
 from .cinematic import (f_d1, f_d2, f_eval, graph_overlap_integral,
                         jet_jacobian_absdet, rotate_point)
 from .duality import (HorizontalLine, LightRay, dual_ray,

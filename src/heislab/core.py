@@ -58,10 +58,17 @@ def dilate(lam, p):
 
 
 def gauge_norm(p):
-    """Homogeneous gauge norm ((x^2+y^2)^2 + 16 t^2)^(1/4)."""
+    """Homogeneous gauge norm ((x^2+y^2)^2 + 16 t^2)^(1/4).
+
+    The squares and the fourth root (two np.sqrt) are correctly rounded,
+    so a norm or a distance (heis_dist computes alike) has the same bits
+    however the points are blocked; numpy's ** rounds arrays and single
+    points apart.
+    """
     p = _as_points(p)
-    zsq = p[..., 0] ** 2 + p[..., 1] ** 2
-    return (zsq ** 2 + 16.0 * p[..., 2] ** 2) ** 0.25
+    return np.sqrt(np.sqrt(np.square(np.square(p[..., 0])
+                                     + np.square(p[..., 1]))
+                           + 16.0 * np.square(p[..., 2])))
 
 
 def heis_dist(p, q):
@@ -72,7 +79,7 @@ def heis_dist(p, q):
     dy = p[..., 1] - q[..., 1]
     tau = (p[..., 2] - q[..., 2]
            + 0.5 * (q[..., 1] * p[..., 0] - q[..., 0] * p[..., 1]))
-    return ((dx * dx + dy * dy) ** 2 + 16.0 * tau * tau) ** 0.25
+    return np.sqrt(np.sqrt(np.square(dx * dx + dy * dy) + 16.0 * tau * tau))
 
 
 def heis_dist_trunc(p, q, delta):

@@ -189,7 +189,9 @@ def layer_decomposition(mu, delta):
     m = ball_masses(mu, mu.points, delta)
     levels = np.full(len(m), np.iinfo(np.int64).min, dtype=np.int64)
     pos = m > 0
-    levels[pos] = np.ceil(np.log2(m[pos])).astype(np.int64)
+    # m = f 2^e with f in [1/2, 1): alpha = 2^e, or m itself when f = 1/2
+    frac, exp = np.frexp(m[pos])
+    levels[pos] = exp - (frac == 0.5)
     out = []
     for lev in distinct(levels[pos]):
         idx = np.nonzero(levels == lev)[0]

@@ -223,9 +223,7 @@ def same_direction_separation(c1, c2, r, seeds):
             pts[pair, k])
         met[j[inside]] = True
     ratios = np.full(len(c1), np.nan)
-    # heis_dist a pair at a time: numpy's array and scalar powers can
-    # round apart, and the ratios keep the one-pair values
-    ratios[met] = [heis_dist(a, b) / r for a, b in zip(c1[met], c2[met])]
+    ratios[met] = heis_dist(c1[met], c2[met]) / r
     return ratios
 
 

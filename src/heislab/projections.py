@@ -72,8 +72,18 @@ def distinct(keys, presorted=False):
     return k[new]
 
 
-def pixel_area(w, pixel):
-    """Area of the pixel rasterization of a chart point cloud."""
-    if pixel <= 0:
-        raise ValueError("pixel must be positive")
-    return len(distinct(pixel_keys(w, pixel))) * pixel * pixel
+def projected_ball_profile(alpha):
+    """Half-height g(alpha) of the projected unit ball, for |alpha| <= 1.
+
+    pi_e(B(0, 1)) = {(alpha, beta) : |beta| <= g(alpha)} for every e:
+    over the chart column alpha = <z, Je> the height t + <z, e> alpha / 2
+    peaks where |z|^2 = |alpha|^(2/3), so with u = |alpha|^(4/3)
+
+        g(alpha) = (1 + 2 u) sqrt(1 - u) / 4,
+
+    and the region has area 2 sqrt(pi) Gamma(3/4) / Gamma(1/4).  The
+    cube root is np.cbrt, which rounds alike for any blocking of alpha.
+    """
+    s = np.cbrt(np.square(alpha))
+    u = s * s
+    return (1.0 + 2.0 * u) * np.sqrt(1.0 - u) / 4.0

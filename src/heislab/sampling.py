@@ -1,4 +1,4 @@
-"""Deterministic sampling helpers: Philox RNG and low-discrepancy ball clouds."""
+"""Deterministic sampling helpers: Philox RNG, uniform ball points, ball volumes."""
 
 from __future__ import annotations
 
@@ -19,42 +19,6 @@ def make_rng(seed):
 
 def _in_unit_ball(p):
     return (p[:, 0] ** 2 + p[:, 1] ** 2) ** 2 + 16.0 * p[:, 2] ** 2 <= 1.0
-
-
-def _van_der_corput(n, base):
-    """Radical inverses of 0 .. n - 1 in base: one Halton coordinate.
-
-    Level k holds the inverses of 0 .. base^k - 1, and level k + 1 adds
-    d c_{k+1} to level k for each digit d = 0 .. base - 1, where c_{k+1}
-    = (1/base)/base/.../base.  The digits are added lowest first, as in
-    scipy's unscrambled Halton engine, so the bits are the same.
-    """
-    v = np.zeros(1)
-    c = 1.0 / base
-    while len(v) < n:
-        digits = min(base, -(-n // len(v)))
-        v = np.concatenate([v + d * c for d in range(digits)])
-        c /= base
-    return v[:n]
-
-
-def unit_ball_points(n):
-    """First n Halton points of the bounding box that land in the unit ball.
-
-    Unscrambled Halton, so the cloud is deterministic and nested: the
-    first n points of a longer cloud equal the n-point cloud.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    # acceptance rate is V1 / box volume ~ 0.617
-    m = max(4096, int(n / 0.55) + 64)
-    while True:
-        box = np.stack([_van_der_corput(m, b) for b in (2, 3, 5)], axis=1)
-        box = box * _BOX_SCALE + _BOX_LO
-        pts = box[_in_unit_ball(box)]
-        if len(pts) >= n:
-            return pts[:n]
-        m *= 2
 
 
 def _draw_rows(n):

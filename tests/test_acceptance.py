@@ -141,10 +141,10 @@ def test_acceptance_05_projected_area_left_invariance():
     thetas = np.arange(16) * math.pi / 16
     worst = 0.0
     for th in thetas:
-        base = projection_area(th, centers, radii, pix, pts_per_ball=4000)
+        base = projection_area(th, centers, radii, pix)
         for g in translates:
             moved = group_mul(g, centers)
-            area = projection_area(th, moved, radii, pix, pts_per_ball=4000)
+            area = projection_area(th, moved, radii, pix)
             worst = max(worst, abs(area - base) / base)
     assert worst <= 0.02
     print("PASS projected-area left invariance: worst rel dev %.4f" % worst)
@@ -260,30 +260,29 @@ def test_acceptance_10_projection_exponents_by_dimension():
     deltas = [2.0 ** -k for k in range(3, 7)]
     thetas = np.arange(16) * math.pi / 16
 
-    def best_areas(make_family, pixel_of, pts_per_ball):
+    def best_areas(make_family, pixel_of):
         areas = {}
         for delta in deltas:
             fam = make_family(delta)
             pix = pixel_of(delta)
             areas[delta] = max(
-                projection_area(th, fam.centers, fam.delta, pix,
-                                pts_per_ball=pts_per_ball)
+                projection_area(th, fam.centers, fam.delta, pix)
                 for th in thetas)
         return areas
 
     # t = 1: a line of balls projects to area ~ delta^2 in the best
     # direction; resolving that needs pixels below delta^2
-    a1 = best_areas(gen_horizontal_line, lambda d: d * d / 2, 2000)
+    a1 = best_areas(gen_horizontal_line, lambda d: d * d / 2)
     e1, _ = projection_exponent(a1)
     assert abs(e1 - 2.0) <= 0.35, (a1, e1)
 
     # t = 2: vertical-axis families project to area ~ delta
-    a2 = best_areas(lambda d: gen_t_axis(d, s=2.0), lambda d: d / 2, 200)
+    a2 = best_areas(lambda d: gen_t_axis(d, s=2.0), lambda d: d / 2)
     e2, _ = projection_exponent(a2)
     assert abs(e2 - 1.0) <= 0.35, (a2, e2)
 
     # t = 3: full-dimensional families keep area ~ 1
-    a3 = best_areas(gen_lattice_slab, lambda d: d / 2, 200)
+    a3 = best_areas(gen_lattice_slab, lambda d: d / 2)
     e3, _ = projection_exponent(a3)
     assert abs(e3 - 0.0) <= 0.35, (a3, e3)
 
@@ -291,8 +290,8 @@ def test_acceptance_10_projection_exponents_by_dimension():
     # comparable area (no exceptional directions)
     delta = 2.0 ** -5
     fam = gen_t_axis(delta, s=2.0)
-    per_dir = [projection_area(th, fam.centers, delta, delta / 2,
-                               pts_per_ball=200) for th in thetas]
+    per_dir = [projection_area(th, fam.centers, delta, delta / 2)
+               for th in thetas]
     assert max(per_dir) / min(per_dir) <= 3.0
     print("PASS projection exponents: t=1 -> %.2f, t=2 -> %.2f, "
           "t=3 -> %.2f; axis anisotropy %.2f"

@@ -170,7 +170,7 @@ def test_package_imports_no_scipy(tmp_path, child_env):
 
 
 # scipy is a test dependency only: with it made unimportable, the
-# commands that sample the Halton cloud still run
+# commands that sample ball points and project balls still run
 NO_SCIPY = ("import sys\n"
             "sys.modules['scipy'] = None\n"
             "from heislab.cli import main\n"
@@ -351,3 +351,26 @@ def test_experiment_rejects_zero_counts(tmp_path, capsys, experiment, kind,
     assert_one_error_line(code, stderr)
     assert flag in stderr
     assert not (tmp_path / "r").exists()
+
+
+def test_points_per_ball_is_accepted_and_has_no_effect(tmp_path, capsys):
+    # the flag stays for the benchmark's command lines: any value from 1
+    # up writes the same reports, and 0 is still rejected
+    blobs = []
+    for pts in ("1", "500"):
+        out_dir = tmp_path / pts
+        code, _, _ = run_cli(
+            ["experiment", "best-direction", "--kind", "horizontal-line",
+             "--delta", "0.25", "--directions", "4", "--points-per-ball",
+             pts, "--out-dir", str(out_dir)], capsys)
+        assert code == 0
+        blobs.append({ext: (out_dir / ("best_direction" + ext)).read_bytes()
+                      for ext in (".json", ".csv", ".svg")})
+    assert blobs[0] == blobs[1]
+    code, stdout, stderr = run_cli(
+        ["experiment", "best-direction", "--kind", "horizontal-line",
+         "--delta", "0.25", "--points-per-ball", "0",
+         "--out-dir", str(tmp_path / "zero")], capsys)
+    assert stdout == ""
+    assert_one_error_line(code, stderr)
+    assert "--points-per-ball" in stderr

@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import qmc
 
 import heislab.core
-from heislab import sampling
 from heislab.core import (UNIT_BALL_VOLUME, ball_volume, dilate, gauge_norm,
                           gauge_pairs, group_mul, heis_dist, heis_dist_trunc)
 from heislab.delta_sets import gen_heis_lattice
 from heislab.sampling import (make_rng, monte_carlo_ball_volume,
-                              quadrature_ball_volume, uniform_ball_points,
-                              unit_ball_points)
+                              quadrature_ball_volume, uniform_ball_points)
 
 EPS = np.finfo(float).eps
 
@@ -94,6 +91,37 @@ def test_left_invariance_and_triangle(p, q, r):
     assert d <= heis_dist(p, r) + heis_dist(r, q) + 1e-9
 
 
+@st.composite
+def row_blockings(draw):
+    """Points (some on the axis, some tiny or huge) and cut positions."""
+    wide = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from(
+        [0.0, -0.0, 1e-300, 5e-324, 1e-8, 0.5, 1.0])
+    pts = draw(st.lists(st.tuples(wide, wide, wide), min_size=1,
+                        max_size=40))
+    cuts = draw(st.lists(st.integers(0, len(pts)), max_size=6))
+    return np.array(pts), sorted(set(cuts) | {0, len(pts)})
+
+
+@given(row_blockings(), row_blockings())
+@settings(max_examples=200, deadline=None)
+def test_distances_and_norms_do_not_depend_on_blocking(a, b):
+    # numpy's x ** 0.25 rounds arrays and single points apart; the
+    # nested square roots do not, so every blocking gives the same bits
+    (p, cuts), (q, _) = a, b
+    q = np.resize(q, p.shape)
+    whole_d, whole_n = heis_dist(p, q), gauge_norm(p)
+    blocked_d = np.concatenate([heis_dist(p[i:j], q[i:j])
+                                for i, j in zip(cuts, cuts[1:])])
+    blocked_n = np.concatenate([gauge_norm(p[i:j])
+                                for i, j in zip(cuts, cuts[1:])])
+    one_d = np.array([heis_dist(x, y) for x, y in zip(p, q)])
+    one_n = np.array([gauge_norm(x) for x in p])
+    for got in (blocked_d, one_d):
+        assert got.tobytes() == whole_d.tobytes()
+    for got in (blocked_n, one_n):
+        assert got.tobytes() == whole_n.tobytes()
+
+
 def test_truncated_metric():
     p = np.zeros(3)
     q = np.array([0.1, 0.0, 0.0])
@@ -130,67 +158,9 @@ def test_ball_contains_and_volume():
     assert ball_volume(radius) == pytest.approx(UNIT_BALL_VOLUME * 0.3 ** 4)
 
 
-def test_halton_cloud_nested_and_inside():
-    a = unit_ball_points(100)
-    b = unit_ball_points(1000)
-    assert np.array_equal(a, b[:100])
-    assert np.all(gauge_norm(b) <= 1.0)
-
-
-def _engine_unit_ball_points(n):
-    """unit_ball_points from scipy's Halton engine; oracle for the recurrence.
-
-    Draws from one unscrambled engine until n box points land in the unit
-    ball.  Nothing is kept across calls, so each call sees the current
-    sampling._in_unit_ball.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    # acceptance rate is V1 / box volume ~ 0.617
-    draw = max(4096, int(n / 0.55) + 64)
-    eng = qmc.Halton(d=3, scramble=False)
-    pts = np.empty((0, 3))
-    while len(pts) < n:
-        raw = eng.random(draw) * sampling._BOX_SCALE + sampling._BOX_LO
-        pts = np.concatenate([pts, raw[sampling._in_unit_ball(raw)]])
-    return pts[:n].copy()
-
-
-HALTON_SIZES = [1, 2218, 2219, 400000]
-
-
-@pytest.mark.parametrize("n", HALTON_SIZES)
-def test_unit_ball_points_match_the_engine(n):
-    want = _engine_unit_ball_points(n)
-    assert unit_ball_points(n).tobytes() == want.tobytes()
-
-
-def test_unit_ball_points_match_the_engine_when_a_draw_falls_short(
-        monkeypatch):
-    # keeping the lower half of the ball (about a third of the box) makes
-    # the first prefix too short, so the doubling and the engine's second
-    # draw both run
-    in_ball = sampling._in_unit_ball
-    monkeypatch.setattr(sampling, "_in_unit_ball",
-                        lambda p: in_ball(p) & (p[:, 2] < 0.0))
-    for n in HALTON_SIZES:
-        got = unit_ball_points(n)
-        assert np.all(got[:, 2] < 0.0)
-        assert got.tobytes() == _engine_unit_ball_points(n).tobytes()
-
-
-@pytest.mark.parametrize("column, base", [(0, 2), (1, 3), (2, 5)])
-def test_van_der_corput_matches_the_engine(column, base):
-    for k in range(1, 8):
-        for n in (base ** k, base ** k + 1):
-            want = qmc.Halton(d=3, scramble=False).random(n)[:, column]
-            got = sampling._van_der_corput(n, base)
-            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
-
-
 def test_ball_points_inside_ball():
     c = np.array([0.3, -0.2, 0.1])
-    pts = group_mul(c, dilate(0.25, unit_ball_points(500)))
+    pts = group_mul(c, dilate(0.25, uniform_ball_points(500, make_rng(3))))
     assert float(heis_dist(pts, c).max()) <= 0.25 + 1e-12
 
 

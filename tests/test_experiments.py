@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heislab import experiments, sampling
+from heislab.cinematic import f_eval
 from heislab.core import dilate, gauge_norm, group_mul, heis_dist
 from heislab.delta_sets import (BallFamily, gen_horizontal_line,
                                 gen_lattice_slab, gen_random3, gen_t_axis)
-from heislab.experiments import (_ball_charts, _cell_counts,
+from heislab.experiments import (_cell_counts,
                                  best_direction_scan, box_dimension,
                                  covering_count_2d, directional_l2_vs_xray,
                                  family_regularity_constant, fit_loglog,
@@ -18,44 +19,31 @@ from heislab.experiments import (_ball_charts, _cell_counts,
                                  rho_dimension)
 from heislab.measures import DiscreteMeasure, rasterize
 from heislab.plates import ball_to_modified_plate, same_direction_separation
-from heislab.projections import pi_e, pixel_area, pixel_keys
+from heislab.projections import pi_e, projected_ball_profile, ze_zje
 from heislab.reports import ExperimentReport, read_manifest, write_manifest
-from heislab.sampling import make_rng, uniform_ball_points, unit_ball_points
+from heislab.sampling import make_rng, uniform_ball_points
 
 
-def projection_area_cloud(theta, centers, radius, pixel, pts_per_ball=200,
-                          chunk=20000):
-    """Oracle for projection_area: left-translate the dilated 3-D cloud of
-    every ball with group_mul, then project every point with pi_e."""
+def projection_area_set(theta, centers, radius, pixel):
+    """Oracle for projection_area: a Python set of (column, row) pixels,
+    filled one ball and one column at a time from the same interval ends."""
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
     radius = np.broadcast_to(np.asarray(radius, dtype=float), (len(centers),))
-    cloud = unit_ball_points(pts_per_ball)
-    parts = []
-    for i in range(0, len(centers), chunk):
-        r = radius[i:i + chunk, None, None]
-        offs = cloud[None, :, :] * np.concatenate(
-            [np.broadcast_to(r, (len(r), len(cloud), 2)),
-             np.broadcast_to(r ** 2, (len(r), len(cloud), 1))], axis=2)
-        pts = group_mul(centers[i:i + chunk, None, :], offs).reshape(-1, 3)
-        parts.append(np.unique(pixel_keys(pi_e(theta, pts), pixel)))
-    total = np.unique(np.concatenate(parts)) if parts else np.empty(0)
-    return len(total) * pixel * pixel
-
-
-def projection_area_unique(theta, centers, radius, pixel, pts_per_ball=200):
-    """projection_area with np.unique counting the pixels of each block and
-    of their union; oracle for the sort-based count."""
-    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
-    radius = np.broadcast_to(np.asarray(radius, dtype=float), (len(centers),))
-    if len(centers) == 0:
-        return 0.0
-    cloud = pi_e(theta, unit_ball_points(pts_per_ball))
-    step = max(1, experiments.PAIR_BLOCK // len(cloud))
-    parts = [np.unique(pixel_keys(_ball_charts(theta, centers[i:i + step],
-                                               radius[i:i + step], cloud),
-                                  pixel))
-             for i in range(0, len(centers), step)]
-    return len(np.unique(np.concatenate(parts))) * pixel * pixel
+    pixels = set()
+    for c, r in zip(centers, radius):
+        ze, ac = (float(v) for v in ze_zje(theta, c))
+        bc = float(f_eval(c, theta))
+        r = float(r)
+        for col in range(math.ceil((ac - r) / pixel - 0.5),
+                         math.floor((ac + r) / pixel - 0.5) + 1):
+            da = (col + 0.5) * pixel - ac
+            half = r * r * float(projected_ball_profile(
+                min(max(da / r, -1.0), 1.0)))
+            mid = bc + ze * da
+            for row in range(math.floor((mid - half) / pixel),
+                             math.floor((mid + half) / pixel) + 1):
+                pixels.add((col, row))
+    return len(pixels) * pixel * pixel
 
 
 def greedy_net_2d(points, scale, metric="euclidean"):
@@ -91,67 +79,113 @@ def test_projection_exponent_sign_convention():
     assert resid == pytest.approx(0.0, abs=1e-10)
 
 
-def test_projection_area_single_ball_matches_pixel_area():
-    pix = 2.0 ** -6
-    a = projection_area(0.4, np.zeros((1, 3)), 1.0, pix, pts_per_ball=50000)
-    cloud = group_mul(np.zeros(3), dilate(1.0, unit_ball_points(50000)))
-    b = pixel_area(pi_e(0.4, cloud), pix)
-    assert a == pytest.approx(b, rel=1e-12)
+PROJECTED_BALL_AREA = 2 * math.sqrt(math.pi) * math.gamma(0.75) \
+    / math.gamma(0.25)
+
+
+@pytest.mark.parametrize("k", [6, 8, 10])
+def test_projection_area_single_ball_matches_closed_form(k):
+    # each column's two floor roundings add about one pixel: the raster
+    # exceeds the area by about 2 pixel, never by less than 0
+    pix = 2.0 ** -k
+    for th in (0.0, 0.4, 2.5):
+        excess = projection_area(th, np.zeros((1, 3)), 1.0, pix) \
+            - PROJECTED_BALL_AREA
+        assert 0.0 <= excess <= 4 * pix, (th, excess)
 
 
 def test_projection_area_union_subadditive():
     pix = 2.0 ** -5
     centers = np.array([[0.0, 0.0, 0.0], [0.05, 0.0, 0.0]])
-    both = projection_area(0.0, centers, 0.3, pix, pts_per_ball=5000)
-    one = projection_area(0.0, centers[:1], 0.3, pix, pts_per_ball=5000)
+    both = projection_area(0.0, centers, 0.3, pix)
+    one = projection_area(0.0, centers[:1], 0.3, pix)
     assert one < both < 2 * one  # heavy overlap
 
 
 def test_projection_area_per_ball_radii():
     pix = 2.0 ** -6
     centers = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
-    a = projection_area(0.3, centers, [0.2, 0.3], pix, pts_per_ball=2000)
-    b = projection_area(0.3, centers, [0.3, 0.2], pix, pts_per_ball=2000)
+    a = projection_area(0.3, centers, [0.2, 0.3], pix)
+    b = projection_area(0.3, centers, [0.3, 0.2], pix)
     assert a > 0 and b > 0 and a != b
 
 
 def test_projection_area_pixel_guard():
     with pytest.raises(ValueError):
         projection_area(0.0, np.zeros((1, 3)), 0.1, 0.06)
+    with pytest.raises(ValueError):
+        projection_area(0.0, np.zeros((1, 3)), 0.1, 0.0)
+    # two tiny balls far apart: 2^28 columns times 2^28 rows of keys
+    with pytest.raises(ValueError, match="too many pixels"):
+        projection_area(0.0, [[0.0, -1.0, -1.0], [0.0, 1.0, 1.0]], 2.0 ** -26,
+                        2.0 ** -27)
 
 
-@pytest.mark.parametrize("make,pixel_of,pts", [
-    (gen_lattice_slab, lambda d: d / 2, 200),
-    (gen_horizontal_line, lambda d: d * d / 2, 2000),
-    (lambda d: gen_t_axis(d, s=2.0), lambda d: d / 2, 200),
+def test_projection_area_ignores_points_per_ball():
+    fam = gen_lattice_slab(2.0 ** -4, x0=0.3)
+    want = projection_area(0.9, fam.centers, fam.delta, fam.delta / 2)
+    for pts in (1, 100, 4000):
+        assert projection_area(0.9, fam.centers, fam.delta, fam.delta / 2,
+                               pts) == want
+
+
+@pytest.mark.parametrize("make,pixel_of", [
+    (gen_lattice_slab, lambda d: d / 2),
+    (gen_horizontal_line, lambda d: d * d / 2),
+    (lambda d: gen_t_axis(d, s=2.0), lambda d: d / 2),
 ], ids=["slab", "line", "t-axis"])
-def test_projection_area_matches_cloud_oracle(make, pixel_of, pts):
-    fam = make(2.0 ** -4)
+def test_projection_area_matches_set_oracle(make, pixel_of):
+    fam = make(2.0 ** -3)
     pix = pixel_of(fam.delta)
     for th in np.arange(8) * math.pi / 8:
-        assert projection_area(th, fam.centers, fam.delta, pix, pts) \
-            == projection_area_cloud(th, fam.centers, fam.delta, pix, pts)
+        assert projection_area(th, fam.centers, fam.delta, pix) \
+            == projection_area_set(th, fam.centers, fam.delta, pix)
 
 
-def test_projection_area_per_ball_radii_match_cloud_oracle():
+def test_projection_area_per_ball_radii_match_set_oracle():
     rng = make_rng(11)
-    centers = uniform_ball_points(300, rng, 0.8)
-    radii = rng.random(300) * 0.2 + 0.05
+    centers = uniform_ball_points(60, rng, 0.8)
+    radii = rng.random(60) * 0.2 + 0.05
     for th in (0.0, 0.4, math.pi / 2, 2.9):
-        assert projection_area(th, centers, radii, 2.0 ** -7, 500) \
-            == projection_area_cloud(th, centers, radii, 2.0 ** -7, 500)
+        assert projection_area(th, centers, radii, 2.0 ** -6) \
+            == projection_area_set(th, centers, radii, 2.0 ** -6)
 
 
-@pytest.mark.parametrize("block", [None, 20000, 100])
-def test_projection_area_matches_unique_oracle(monkeypatch, block):
-    fam = gen_lattice_slab(2.0 ** -4, x0=0.3)
-    if block:
-        monkeypatch.setattr(experiments, "PAIR_BLOCK", block)
-    for th in (0.0, 0.9, 2.2):
-        assert projection_area(th, fam.centers, fam.delta, fam.delta / 2,
-                               100) \
-            == projection_area_unique(th, fam.centers, fam.delta,
-                                      fam.delta / 2, 100)
+@st.composite
+def ball_families(draw):
+    """Balls that nest, overlap, repeat or sit far off the axis (sheared),
+    with one radius or one per ball, and a pixel at most half of each."""
+    n = draw(st.integers(0, 6))
+    # dyadic coordinates, radii and directions 0 and pi/2 put column
+    # centres on the rim, where g = 0, and interval ends on pixel edges
+    unit = st.floats(-1.0, 1.0, allow_nan=False) \
+        | st.integers(-256, 256).map(lambda i: i / 256)
+    centers = [draw(st.tuples(unit, unit, unit)) for _ in range(n)]
+    # a ball at another's center (nested), or one pixel-scale step away
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        c = draw(st.sampled_from(centers))
+        step = draw(st.sampled_from([0.0, 1e-3, 2.0 ** -6, 0.1]))
+        centers.append((c[0] + step, c[1], c[2] - step))
+    n = len(centers)
+    radii = st.floats(0.05, 0.5) | st.sampled_from([0.0625, 0.125, 0.5])
+    if draw(st.booleans()):
+        radius = draw(radii)
+        rmin = radius
+    else:
+        radius = draw(st.lists(radii, min_size=n, max_size=n))
+        rmin = min(radius, default=0.5)
+    pixel = rmin / 2 * draw(st.sampled_from([1.0, 0.5, 0.3, 0.125]))
+    pixel = draw(st.sampled_from([pixel, 2.0 ** math.floor(math.log2(pixel))]))
+    theta = draw(st.floats(-7.0, 7.0) | st.sampled_from([0.0, math.pi / 2]))
+    return theta, np.array(centers).reshape(-1, 3), radius, pixel
+
+
+@given(ball_families())
+@settings(max_examples=200, deadline=None)
+def test_projection_area_matches_set_oracle_on_any_family(case):
+    theta, centers, radius, pixel = case
+    assert projection_area(theta, centers, radius, pixel) \
+        == projection_area_set(theta, centers, radius, pixel)
 
 
 def test_covering_count_2d_matches_unique_oracle():
@@ -162,18 +196,6 @@ def test_covering_count_2d_matches_unique_oracle():
             ha, hb = h(s)
             keys = np.floor(w[:, 0] / ha) * 1e6 + np.floor(w[:, 1] / hb)
             assert covering_count_2d(w, s, metric) == len(np.unique(keys))
-
-
-@pytest.mark.parametrize("block", [30000, 15000, 10000, 100])
-def test_projection_area_blocks_match_cloud_oracle(monkeypatch, block):
-    # 150 balls x 200 points: one block, two, three, and blocks smaller
-    # than one ball's cloud
-    rng = make_rng(12)
-    centers = uniform_ball_points(150, rng, 0.7)
-    radii = rng.random(150) * 0.1 + 0.1
-    want = projection_area_cloud(1.3, centers, radii, 2.0 ** -7)
-    monkeypatch.setattr(experiments, "PAIR_BLOCK", block)
-    assert projection_area(1.3, centers, radii, 2.0 ** -7) == want
 
 
 def test_projection_area_empty_family_is_zero():
@@ -188,14 +210,25 @@ coord = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
 
 
 @given(st.floats(-7.0, 7.0), st.tuples(coord, coord, coord),
-       st.floats(1e-6, 2.0), st.integers(0, 999))
+       st.floats(1e-3, 2.0), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_ball_charts_shear_identity(theta, c, r, k):
+def test_ball_charts_shear_identity(theta, c, r, seed):
+    # pi_e(c * delta_r(u)) = (a_c + r alpha, b_c + <z_c, e> r alpha
+    # + r^2 beta) with (alpha, beta) = pi_e(u) and |beta| <= g(alpha):
+    # each chart point lies in its column's interval
     c = np.array(c)
-    u = unit_ball_points(1000)[k]
-    w = _ball_charts(theta, c[None], np.array([r]), pi_e(theta, u[None]))
-    want = pi_e(theta, group_mul(c, dilate(r, u)))
-    assert np.allclose(w[0, 0], want, rtol=0, atol=1e-12)
+    u = uniform_ball_points(200, make_rng(seed))
+    w = pi_e(theta, group_mul(c, dilate(r, u)))
+    alpha, beta = pi_e(theta, u).T
+    ze, ac = ze_zje(theta, c)
+    bc = f_eval(c, theta)
+    assert np.allclose(w, np.stack([ac + r * alpha, bc + r * r * beta
+                                    + ze * r * alpha], axis=-1),
+                       rtol=0, atol=1e-12)
+    da = w[:, 0] - ac
+    off = w[:, 1] - bc - ze * da
+    g = projected_ball_profile(np.clip(da / r, -1.0, 1.0))
+    assert np.all(np.abs(off) <= r * r * g + 1e-12 * (1.0 + r * r))
 
 
 def unique_cell_counts(vals, cells):
@@ -242,7 +275,7 @@ def test_rho_dimension_matches_unique_counts():
 
 def test_best_direction_scan_tiny_family():
     fam = gen_horizontal_line(0.25)
-    out = best_direction_scan(fam, n_directions=8, pts_per_ball=500)
+    out = best_direction_scan(fam, n_directions=8)
     assert len(out["thetas"]) == 8
     assert out["best_area"] == pytest.approx(max(out["areas"]))
     assert out["best_theta"] in out["thetas"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heislab.measures
 from heislab.core import group_mul, heis_dist, heis_dist_trunc
@@ -195,6 +197,36 @@ def test_layer_decomposition_partition_and_bounds():
         assert np.all(m[idx] <= alpha + 1e-12)
         assert np.all(m[idx] >= alpha / 2 - 1e-12)
         assert discard == (alpha <= delta ** 10)
+
+
+# an exact power of two, or its neighbour below or above
+dyadic_mass = st.builds(
+    lambda k, toward: float(np.nextafter(2.0 ** k, toward * 2.0 ** k)),
+    st.integers(-40, 2), st.sampled_from([0.0, 1.0, np.inf]))
+
+
+@given(st.lists(dyadic_mass | st.floats(1e-12, 4.0), min_size=1,
+                max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_layer_decomposition_levels_hold_their_masses(masses):
+    # atoms a unit apart at delta 0.1: each ball holds its own atom alone
+    pts = np.zeros((len(masses), 3))
+    pts[:, 0] = np.arange(len(masses))
+    mu = DiscreteMeasure(pts, np.array(masses))
+    assert np.array_equal(ball_masses(mu, mu.points, 0.1), masses)
+    layers = layer_decomposition(mu, 0.1)
+    seen = np.concatenate([idx for _, idx, _ in layers])
+    assert sorted(seen.tolist()) == list(range(len(masses)))
+    for alpha, idx, _ in layers:
+        m = np.array(masses)[idx]
+        assert np.all(alpha / 2 < m) and np.all(m <= alpha), (alpha, m)
+
+
+def test_layer_decomposition_just_above_a_power_of_two():
+    m = float(np.nextafter(2.0 ** -10, 1.0))
+    mu = DiscreteMeasure(np.zeros((1, 3)), np.array([m]))
+    [(alpha, idx, _)] = layer_decomposition(mu, 0.1)
+    assert alpha == 2.0 ** -9 and list(idx) == [0]
 
 
 def test_grid_z_is_euclidean_and_in_ball():

@@ -12,7 +12,7 @@ from heislab.plates import (ModifiedPlate, Plate, _plate_candidates,
                             _uniform_euclidean_ball, ball_to_modified_plate,
                             compose_center, count_memberships,
                             rect_contains, same_direction_separation)
-from heislab.sampling import make_rng, unit_ball_points
+from heislab.sampling import make_rng, uniform_ball_points
 
 coord = st.floats(-1, 1, allow_nan=False)
 
@@ -227,7 +227,7 @@ def test_ball_dual_rays_fill_modified_plate():
         center = rng.random(3) * [1.0, 1.0, 0.2] - [0.5, 0.5, 0.1]
         r = float(rng.random() * 0.3 + 0.05)
         plate = ball_to_modified_plate(center, r)
-        pts = group_mul(center, dilate(r, unit_ball_points(64)))
+        pts = group_mul(center, dilate(r, uniform_ball_points(64, rng)))
         for p in pts:
             ray = dual_ray(tuple(p))
             if not plate.contains_ray(ray, tol=1e-9):
@@ -243,7 +243,7 @@ def test_ball_to_plate_scale_and_center():
 
 
 def test_ball_to_plate_on_arrays_matches_per_center():
-    centers = group_mul((0.0, 0.0, 0.0), dilate(0.9, unit_ball_points(50)))
+    centers = uniform_ball_points(50, make_rng(50), 0.9)
     plate = ball_to_modified_plate(centers, 0.1)
     for k, c in enumerate(centers):
         one = ball_to_modified_plate(c, 0.1)

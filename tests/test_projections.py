@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from heislab.core import _as_points, group_mul, heis_dist, dilate
-from heislab.projections import (distinct, parabolic_dist, pi_e, pixel_area,
-                                 pixel_keys)
+from heislab.projections import (distinct, parabolic_dist, pi_e, pixel_keys,
+                                 projected_ball_profile)
 from heislab.sampling import make_rng, uniform_ball_points
 
 
@@ -80,14 +82,19 @@ def test_vertical_axis_maps_to_height_axis():
         assert w[0, 1] == 0.7
 
 
+def cloud_area(w, pixel):
+    """Area of the pixels that hold a chart point of the cloud w."""
+    return len(np.unique(pixel_keys(w, pixel))) * pixel * pixel
+
+
 def test_left_invariance_of_projected_area():
     # Leb(pi_e(g E)) = Leb(pi_e(E)) for the sampled unit ball
     rng = make_rng(7)
     E = uniform_ball_points(200000, rng, 0.5)
     g = np.array([0.3, -0.4, 0.2])
     pix = 2.0 ** -7
-    a0 = pixel_area(pi_e(0.9, E), pix)
-    a1 = pixel_area(pi_e(0.9, group_mul(g, E)), pix)
+    a0 = cloud_area(pi_e(0.9, E), pix)
+    a1 = cloud_area(pi_e(0.9, group_mul(g, E)), pix)
     assert a1 == pytest.approx(a0, rel=0.02)
 
 
@@ -95,8 +102,8 @@ def test_projected_ball_area_scales_as_r_cubed():
     rng = make_rng(8)
     E = uniform_ball_points(200000, rng, 1.0)
     pix = 2.0 ** -6
-    a1 = pixel_area(pi_e(0.3, E), pix)
-    a2 = pixel_area(pi_e(0.3, dilate(0.5, E)), pix * 0.5)
+    a1 = cloud_area(pi_e(0.3, E), pix)
+    a2 = cloud_area(pi_e(0.3, dilate(0.5, E)), pix * 0.5)
     assert a2 == pytest.approx(a1 / 8, rel=0.05)
 
 
@@ -124,27 +131,15 @@ def test_parabolic_comparable_to_gauge_on_plane():
     assert 0.7 <= ratio.min() and ratio.max() <= 2.0 + 1e-9
 
 
-def test_pixel_area_basics():
-    w = np.array([[0.01, 0.01], [0.02, 0.02], [0.9, 0.9]])
-    assert pixel_area(w, 0.1) == pytest.approx(2 * 0.01)
-    with pytest.raises(ValueError):
-        pixel_area(w, 0.0)
-
-
-def test_pixel_area_rejects_indices_outside_int32():
+def test_pixel_keys_reject_indices_outside_int32():
     # index 2^32 would share the key of index 0 in a 32-bit packing
     p = 0.1
     with pytest.raises(ValueError):
-        pixel_area(np.array([[0.0, 0.0], [2.0 ** 32 * p, 0.0]]), p)
+        pixel_keys(np.array([[0.0, 0.0], [2.0 ** 32 * p, 0.0]]), p)
     with pytest.raises(ValueError):
-        pixel_area(np.array([[0.0, -(2.0 ** 31 + 1) * p]]), p)
-    assert pixel_area(np.array([[0.0, 0.0], [(2.0 ** 31 - 1) * p, 0.0]]),
-                      p) == pytest.approx(2 * p * p)
-
-
-def pixel_area_unique(w, pixel):
-    """pixel_area through np.unique; oracle for the sort-based count."""
-    return len(np.unique(pixel_keys(w, pixel))) * pixel * pixel
+        pixel_keys(np.array([[0.0, -(2.0 ** 31 + 1) * p]]), p)
+    keys = pixel_keys(np.array([[0.0, 0.0], [(2.0 ** 31 - 1) * p, 0.0]]), p)
+    assert len(np.unique(keys)) == 2
 
 
 INT64 = np.iinfo(np.int64)
@@ -176,7 +171,44 @@ def test_distinct_of_nothing_and_of_one_key():
     assert list(distinct(np.array([INT64.min] * 3))) == [INT64.min]
 
 
-@pytest.mark.parametrize("pixel", [2.0 ** -3, 2.0 ** -6, 0.013])
-def test_pixel_area_matches_unique_oracle(pixel):
-    w = pi_e(0.7, uniform_ball_points(20000, make_rng(4)))
-    assert pixel_area(w, pixel) == pixel_area_unique(w, pixel)
+def profile_by_maximisation(alpha):
+    """max over the ball's fibre {<z, Je> = alpha} of the chart height
+    t + W alpha / 2, W = <z, e>, by scipy's bounded scalar search."""
+    wmax = math.sqrt(max(0.0, 1.0 - alpha * alpha))
+
+    def height(w):
+        return math.sqrt(max(0.0, 1.0 - (w * w + alpha * alpha) ** 2)) / 4 \
+            + w * alpha / 2
+    if wmax == 0.0:
+        return height(0.0)
+    res = minimize_scalar(lambda w: -height(w), bounds=(-wmax, wmax),
+                          method="bounded", options={"xatol": 1e-14})
+    return -res.fun
+
+
+def test_projected_ball_profile_matches_maximisation():
+    alphas = np.concatenate([np.linspace(-1.0, 1.0, 401), [0.0, 1.0, -1.0]])
+    got = projected_ball_profile(alphas)
+    want = np.array([profile_by_maximisation(float(a)) for a in alphas])
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert projected_ball_profile(0.0) == 0.25
+    assert projected_ball_profile(1.0) == projected_ball_profile(-1.0) == 0.0
+
+
+def test_projected_ball_profile_area_is_closed_form():
+    area, _ = quad(lambda a: 2.0 * projected_ball_profile(a), -1.0, 1.0,
+                   epsabs=0.0, epsrel=1e-13)
+    closed = 2.0 * math.sqrt(math.pi) * math.gamma(0.75) / math.gamma(0.25)
+    assert area == pytest.approx(closed, rel=1e-10)
+
+
+@given(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1,
+                max_size=50), st.integers(1, 7))
+@settings(max_examples=100, deadline=None)
+def test_projected_ball_profile_does_not_depend_on_blocking(alphas, step):
+    a = np.array(alphas)
+    whole = projected_ball_profile(a)
+    blocked = np.concatenate([projected_ball_profile(a[i:i + step])
+                              for i in range(0, len(a), step)])
+    one = np.array([projected_ball_profile(x) for x in alphas])
+    assert blocked.tobytes() == whole.tobytes() == one.tobytes()

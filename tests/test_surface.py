@@ -74,3 +74,34 @@ def test_every_import_is_used(path):
             bound += [a.asname or a.name.split(".")[0] for a in node.names]
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert [name for name in bound if name not in used] == []
+
+
+# (module, function, parameter) that no body reads, each with its reason
+UNREAD_PARAMETERS = {
+    ("experiments", "projection_area", "points_per_ball"):
+        "perfbench/workloads.py passes the sampled path's point count "
+        "positionally; it has no effect since the column raster",
+}
+
+
+def test_every_parameter_is_read():
+    # a parameter is read when its name is loaded somewhere in the body,
+    # nested functions included
+    unread = []
+    for path in MODULES:
+        module = os.path.basename(path)[:-3]
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loaded = {n.id for part in body for n in ast.walk(part)
+                      if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Load)}
+            a = node.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs \
+                    + [x for x in (a.vararg, a.kwarg) if x]:
+                if arg.arg not in loaded:
+                    unread.append((module, getattr(node, "name", "<lambda>"),
+                                   arg.arg))
+    assert sorted(unread) == sorted(UNREAD_PARAMETERS)
