@@ -19,9 +19,9 @@ from .delta_sets import dyadic_ball_counts, verify_delta_t_set
 from .duality import HorizontalLine, dual_ray, xray_transform
 from .projections import (distinct, pack_pixels, parabolic_dist, pi_e,
                           pixel_keys, projected_ball_profile, ze_zje)
-from .sampling import (ONE_POINT_DRAW, first_ball_points, make_rng,
-                       monte_carlo_ball_volume, quadrature_ball_volume,
-                       uniform_ball_points)
+from .sampling import (make_rng, monte_carlo_ball_volume,
+                       quadrature_ball_volume, uniform_ball_points,
+                       uniform_euclidean_ball)
 
 
 def projection_area(theta, centers, radius, pixel, points_per_ball=None):
@@ -141,7 +141,7 @@ def plate_l2_energy(family, n_samples=200000, seed=0, verify=True):
                              "(delta, 3, C) family")
     plate = plates.ball_to_modified_plate(family.centers, family.delta)
     rng = make_rng(seed)
-    pts = plates._uniform_euclidean_ball(n_samples, rng, 2.0)
+    pts = uniform_euclidean_ball(n_samples, rng, 2.0)
     counts = plates.count_memberships(plate.u, plate.v, plate.y, plate.r, pts)
     vol = 4.0 / 3.0 * math.pi * 8.0
     energy = vol * float(np.mean(counts.astype(float) ** 2))
@@ -256,55 +256,93 @@ def directional_l2_vs_xray(grid):
 SEPARATION_RADIUS = 2.0 ** -6
 
 
-def _separation_draws(rng, n_pairs):
-    """Unit-ball points p1, p2 and uniforms a of the same-direction pairs.
+def _blocks(n, points_each):
+    """Slices of range(n), items of points_each points, that hold about
+    PLATE_BLOCK / 2 points each: the size of a membership call."""
+    step = max(1, plates.PLATE_BLOCK // (2 * points_each))
+    return [slice(b, b + step) for b in range(0, n, step)]
 
-    Pair i draws as uniform_ball_points(1, rng), rng.random() and
-    uniform_ball_points(1, rng) would, in that order, and every pair
-    comes from one rng.random call.  A pair whose first draw of a ball
-    point misses the ball is drawn by those calls themselves, from the
-    state before it, and the bulk draw resumes after it: the generator
-    ends where the calls leave it.
+
+def _ball_plate_pass(rng, n_balls):
+    """Dual-ray inclusions, and the plate outer and recovery constants.
+
+    Ball i is B(c_i, r_i), c_i uniform in B(0.9) with |y| clamped to
+    0.95 and r_i uniform in [0.02, 0.22).  Its 10 points in B(c_i,
+    0.999 r_i), 10 rays of its plate Pi_{2 r_i} and 24 recovery
+    candidates in B(c_i, 4 r_i) come from one draw each for all balls;
+    a candidate is recovered if its dual ray, at 21 values of s in
+    [-1, 1], stays inside the plate wherever it is in the unit ball.
     """
-    k = ONE_POINT_DRAW
-    out = np.empty((n_pairs, 7))
-    i = 0
-    while i < n_pairs:
-        state = rng.bit_generator.state
-        raw = rng.random((n_pairs - i, 2 * k + 1))
-        p1, ok1 = first_ball_points(raw[:, :k])
-        p2, ok2 = first_ball_points(raw[:, k + 1:])
-        ok = ok1 & ok2
-        good = len(ok) if ok.all() else int(np.argmin(ok))
-        out[i:i + good] = np.column_stack([p1, raw[:, k], p2])[:good]
-        i += good
-        if i < n_pairs:
-            rng.bit_generator.state = state
-            rng.random((good, 2 * k + 1))
-            out[i, :3] = uniform_ball_points(1, rng)[0]
-            out[i, 3] = rng.random()
-            out[i, 4:] = uniform_ball_points(1, rng)[0]
-            i += 1
-    return out[:, :3], out[:, 3], out[:, 4:]
+    c = uniform_ball_points(n_balls, rng, 0.9)
+    c[:, 1] = np.clip(c[:, 1], -0.95, 0.95)
+    r = rng.random(n_balls) * 0.2 + 0.02
+    pts = uniform_ball_points(n_balls * 10, rng).reshape(n_balls, 10, 3)
+    ray_uni = rng.random((n_balls, 10, 3))
+    cand = uniform_ball_points(n_balls * 24, rng).reshape(n_balls, 24, 3)
+    svals = np.linspace(-1.0, 1.0, 21)[:, None, None]
+    inc, outer, recov = 0, 0.0, 0.0
+    for sl in _blocks(n_balls, 24 * 21):
+        cb, rb = c[sl, None], r[sl, None]
+        plate = plates.ball_to_modified_plate(cb, rb)
+        qs = group_mul(cb, dilate(rb * 0.999, pts[sl]))
+        inc += int(np.count_nonzero(
+            plate.contains_ray(dual_ray(np.moveaxis(qs, -1, 0)))))
+        rays = plate.sample_rays(ray_uni[sl])
+        p = plates.compose_center(rays.u, rays.v, rays.y)
+        outer = float((heis_dist(p, cb) / rb).max(initial=outer))
+        # ray point s of candidate k of ball i is ray_pts[s, i, k]
+        q = group_mul(cb, dilate(4 * rb, cand[sl]))
+        ray_pts = np.stack(np.broadcast_arrays(*dual_ray(
+            np.moveaxis(q, -1, 0)).point_at(svals)), axis=-1)
+        tested = np.linalg.norm(ray_pts, axis=-1) <= 1.0
+        kept = np.any(tested, axis=0) & np.all(
+            plate.contains(ray_pts) | ~tested, axis=0)
+        recov = float((heis_dist(q, cb) / rb)[kept].max(initial=recov))
+    return inc, outer, recov
 
 
 def _separation_pairs(rng, n_pairs):
-    """Centers c1, c2 of the same-direction pairs kept, and their indices.
+    """Centers c1, c2 of the same-direction pairs kept.
 
-    c2 lies within a random multiple (up to 6) of the radius of c1, with
-    the direction gap clamped to the radius, the regime where the
-    separation bound applies; pairs with c2 outside the unit ball or
-    |y2| > 1 are dropped.
+    c1 is uniform in B(0.8) with |y| clamped to 0.9, and c2 lies within a
+    random multiple (up to 6) of the radius of c1, with the direction gap
+    clamped to the radius, the regime where the separation bound applies;
+    pairs with c2 outside the unit ball or |y2| > 1 are dropped.
     """
     r = SEPARATION_RADIUS
-    p1, a, p2 = _separation_draws(rng, n_pairs)
-    c1 = dilate(0.8, p1)
+    c1 = uniform_ball_points(n_pairs, rng, 0.8)
     c1[:, 1] = np.clip(c1[:, 1], -0.9, 0.9)
-    c2 = group_mul(c1, dilate(r * (a * 6.0), p2))
+    scale = r * (rng.random(n_pairs) * 6.0)
+    c2 = group_mul(c1, dilate(scale, uniform_ball_points(n_pairs, rng)))
     gap = c2[:, 1] - c1[:, 1]
     c2[:, 1] = c1[:, 1] + gap * np.minimum(1.0, r / (np.abs(gap) + 1e-300))
-    kept = np.flatnonzero((gauge_norm(c2) <= 1.0) & (np.abs(c2[:, 1]) <= 1.0))
-    return c1[kept], c2[kept], kept
+    kept = (gauge_norm(c2) <= 1.0) & (np.abs(c2[:, 1]) <= 1.0)
+    return c1[kept], c2[kept]
+
+
+def _sandwich_c(rng):
+    """Largest c = k / 16 whose 40 trials all hold.
+
+    A trial draws a center c0 uniform in B(0.8) with |y| clamped to 0.9
+    and a radius r uniform in [0.01, 0.11), and holds if 200 points of
+    the modified plate Pi_{c r} on the dual ray of c0 lie in the rigid
+    plate P_r there.  The 640 trials are drawn at once, c-major.
+    """
+    cvals = np.linspace(1.0 / 16, 1.0, 16)
+    n = len(cvals) * 40
+    c0 = uniform_ball_points(n, rng, 0.8)
+    c0[:, 1] = np.clip(c0[:, 1], -0.9, 0.9)
+    r = rng.random(n) * 0.1 + 0.01
+    cr = np.repeat(cvals, 40) * r
+    ray = dual_ray(c0.T)
+    held = np.empty(n, dtype=bool)
+    for sl in _blocks(n, 200):
+        u, v, y = ray.u[sl], ray.v[sl], ray.y[sl]
+        pts = plates.ModifiedPlate(u, v, y, cr[sl]).sample(
+            rng.random((len(u), 800)))
+        rigid = plates.Plate(u[:, None], v[:, None], y[:, None], r[sl, None])
+        held[sl] = np.all(rigid.contains(pts, tol=1e-9), axis=-1)
+    return float(cvals[held.reshape(-1, 40).all(axis=1)].max(initial=0.0))
 
 
 def derive_constants(seed=0, n_balls=100, n_pairs=2000):
@@ -314,7 +352,6 @@ def derive_constants(seed=0, n_balls=100, n_pairs=2000):
     description of its oracle; the checked-in manifest is the regression
     baseline for these numbers.
     """
-    n_rays = 10  # dual rays, and plate rays, tested per ball
     rng = make_rng(seed)
     entries = {}
 
@@ -350,64 +387,24 @@ def derive_constants(seed=0, n_balls=100, n_pairs=2000):
     put("parabolic_bilip_hi", float((dg[ok] / dp[ok]).max()), 20000,
         "max gauge/parabolic distance ratio on the plane x=0")
 
-    # ball-plate correspondence constants
-    inc = 0
-    outer = 0.0
-    recov = 0.0
-    svals = np.linspace(-1.0, 1.0, 21)[:, None]
-    for _ in range(n_balls):
-        c = uniform_ball_points(1, rng, 0.9)[0]
-        c[1] = min(max(c[1], -0.95), 0.95)
-        r = float(rng.random() * 0.2 + 0.02)
-        plate = plates.ball_to_modified_plate(c, r)
-        qs = group_mul(c, dilate(r * 0.999, uniform_ball_points(n_rays, rng)))
-        inc += int(np.count_nonzero(plate.contains_ray(dual_ray(qs.T))))
-        rays = plate.sample_rays(n_rays, rng)
-        p = plates.compose_center(rays.u, rays.v, rays.y)
-        outer = max(outer, float((heis_dist(p, c) / r).max()))
-        # recovery: points whose sampled dual rays stay inside the plate;
-        # ray point s of candidate k is ray_pts[s, k], tested if in B(1)
-        cand = group_mul(c, dilate(4 * r, uniform_ball_points(24, rng)))
-        ray_pts = np.stack(np.broadcast_arrays(
-            *dual_ray(cand.T).point_at(svals)), axis=-1)
-        tested = np.linalg.norm(ray_pts, axis=-1) <= 1.0
-        kept = np.any(tested, axis=0) & np.all(
-            plate.contains(ray_pts) | ~tested, axis=0)
-        if np.any(kept):
-            recov = max(recov, float((heis_dist(cand[kept], c) / r).max()))
-    tot = n_balls * n_rays
-    put("dual_ray_inclusion_rate", inc / tot, tot,
+    # ball-plate correspondence constants: 10 dual rays, 10 plate rays and
+    # 24 recovery candidates a ball
+    inc, outer, recov = _ball_plate_pass(rng, n_balls)
+    put("dual_ray_inclusion_rate", inc / (n_balls * 10), n_balls * 10,
         "fraction of dual rays of ball points inside the scale-2r plate")
-    put("plate_outer_C", outer, n_balls * n_rays,
+    put("plate_outer_C", outer, n_balls * 10,
         "max d(base point of plate ray, ball center) / r")
     put("plate_recovery_C", recov, n_balls * 24,
         "max d(p, q) / r over p whose dual ray stays inside the plate of q")
 
     # same-direction separation constant
-    c1, c2, kept = _separation_pairs(rng, n_pairs)
-    ratios = plates.same_direction_separation(c1, c2, SEPARATION_RADIUS,
-                                              seed + kept)
+    c1, c2 = _separation_pairs(rng, n_pairs)
+    ratios = plates.same_direction_separation(c1, c2, SEPARATION_RADIUS, rng)
     met = ratios[~np.isnan(ratios)]
     put("same_direction_separation_C", met.max(initial=0.0), len(met),
         "max d(p1,p2)/r over same-direction pairs with intersecting plates")
 
     # inner sandwich constant: largest c with Pi_{c r} inside the rigid plate
-    best_c = 0.0
-    for cval in np.linspace(1.0 / 16, 1.0, 16):
-        good = True
-        for _ in range(40):
-            c0 = uniform_ball_points(1, rng, 0.8)[0]
-            c0[1] = min(max(c0[1], -0.9), 0.9)
-            r = float(rng.random() * 0.1 + 0.01)
-            ray = dual_ray(c0)
-            inner = plates.ModifiedPlate(ray.u, ray.v, ray.y, cval * r)
-            rigid = plates.Plate(ray.u, ray.v, ray.y, r)
-            pts = inner.sample(rng.random(4 * 200))
-            if not bool(np.all(rigid.contains(pts, tol=1e-9))):
-                good = False
-                break
-        if good:
-            best_c = float(cval)
-    put("sandwich_inner_c", best_c, 16 * 40 * 200,
+    put("sandwich_inner_c", _sandwich_c(rng), 16 * 40 * 200,
         "largest c with the scale-cr modified plate inside the rigid plate")
     return entries

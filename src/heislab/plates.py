@@ -56,7 +56,6 @@ import numpy as np
 
 from .core import gauge_norm, heis_dist, window_blocks
 from .duality import LightRay, dual_ray
-from .sampling import make_rng
 
 # Candidate pairs, and (point, direction bin) windows, per block of
 # count_memberships; the membership test tries eight directions a pair.
@@ -81,18 +80,21 @@ def compose_center(u, v, y):
 
 @dataclass(frozen=True)
 class Plate:
-    """Fixed-direction ray bundle P_r(y) based at (u, v)."""
+    """Fixed-direction ray bundle P_r(y) based at (u, v).
 
-    u: float
-    v: float
-    y: float
-    r: float
+    Fields may be arrays, one plate per entry, broadcast against q.
+    """
+
+    u: object
+    v: object
+    y: object
+    r: object
 
     def contains(self, q, tol=1e-12):
         q = np.asarray(q, dtype=float)
         s, q2, q3 = q[..., 0], q[..., 1], q[..., 2]
         w1 = q2 - self.u + s * self.y
-        w2 = q3 - self.v - 0.5 * s * self.y ** 2
+        w2 = q3 - self.v - 0.5 * s * (self.y * self.y)
         inside = rect_contains(self.y, self.r, np.stack([w1, w2], axis=-1), tol)
         return inside & (np.abs(s) <= 2.0 + tol)
 
@@ -157,26 +159,32 @@ class ModifiedPlate:
         q = np.moveaxis(q, -1, 0)
         u, v, y, r = self.u, self.v, self.y, self.r
         w1 = q[0:2 * n:2] * (2 * r) - r
-        w2 = q[1:2 * n:2] * (2 * r ** 2) - r ** 2 - y * w1
+        w2 = q[1:2 * n:2] * (2 * r * r) - r * r - y * w1
         yp = y + (q[2 * n:3 * n] * 2 - 1) * r
         s = (q[3 * n:] * 2 - 1) * 2.0
         return np.moveaxis(np.stack([s, u + w1 - s * yp,
                                      v + w2 + 0.5 * s * yp ** 2], axis=-1),
                            0, -2)
 
-    def sample_rays(self, n, rng):
-        """n uniform rays of the bundle, as a LightRay of arrays."""
-        w = rng.random((n, 3))
-        w0 = w[:, :2] * [2 * self.r, 2 * self.r ** 2] - [self.r, self.r ** 2]
-        return LightRay(self.u + w0[:, 0],
-                        self.v + w0[:, 1] - self.y * w0[:, 0],
-                        self.y + (w[:, 2] * 2 - 1) * self.r)
+    def sample_rays(self, uniforms):
+        """Rays of the bundle, as a LightRay of arrays, from uniforms.
+
+        uniforms has shape (..., 3), leading axes broadcast against the
+        fields as in sample; rng.random((n, 3)) gives n uniform rays: a
+        point (w1, w2) of the base rectangle and a direction offset each.
+        """
+        w = np.moveaxis(np.asarray(uniforms, dtype=float), -1, 0)
+        u, v, y, r = self.u, self.v, self.y, self.r
+        w1 = w[0] * (2 * r) - r
+        w2 = w[1] * (2 * r * r) - r * r
+        return LightRay(u + w1, v + w2 - y * w1, y + (w[2] * 2 - 1) * r)
 
 
 def ball_to_modified_plate(center, radius):
     """Modified plate Pi_{2r} containing the dual rays of B(center, r).
 
-    Its base is dual_ray(center), for one center or an (n, 3) array.
+    Its base is dual_ray(center), for one center or an array (..., 3) of
+    them; radius is one or broadcasts against the centers.
     Preconditions, where the correspondence is sharp: every center in
     the closed unit gauge ball, |y| <= 1 and radius in (0, 1/2].
     """
@@ -188,34 +196,34 @@ def ball_to_modified_plate(center, radius):
     r = np.asarray(radius, dtype=float)
     if not np.all((r > 0) & (r <= 0.5 + 1e-12)):
         raise ValueError("radius must lie in (0, 1/2], got %r" % radius)
-    ray = dual_ray(c.T)
+    ray = dual_ray(np.moveaxis(c, -1, 0))
     return ModifiedPlate(ray.u, ray.v, ray.y, 2.0 * radius)
 
 
-def same_direction_separation(c1, c2, r, seeds):
+def same_direction_separation(c1, c2, r, rng):
     """Separation ratios d(c1, c2) / r of same-direction balls of radius r.
 
-    c1 and c2 are (n, 3) centers with |y1 - y2| <= r, and seeds n
-    integers.  Pair i maps make_rng(seeds[i]).random(1024) through
-    ModifiedPlate.sample to 256 points of the dual plate of B(c1, r) and
-    keeps those inside the unit Euclidean ball; if one lies in the dual
-    plate of B(c2, r) its ratio is d(c1, c2) / r, else NaN.  Membership
-    is one call per PLATE_BLOCK points.
+    c1 and c2 are (n, 3) centers with |y1 - y2| <= r.  Pair i maps row i
+    of rng.random((n, 1024)) through ModifiedPlate.sample to 256 points
+    of the dual plate of B(c1, r) and keeps those inside the unit
+    Euclidean ball; if one lies in the dual plate of B(c2, r) its ratio
+    is d(c1, c2) / r, else NaN.  The rows are drawn, and membership is
+    called, PLATE_BLOCK / 256 pairs at a time; the generator's stream is
+    contiguous, so the block size changes no bit.
     """
     c1 = np.asarray(c1, dtype=float).reshape(-1, 3)
     c2 = np.asarray(c2, dtype=float).reshape(-1, 3)
-    seeds = np.asarray(seeds).reshape(-1)
-    if not len(c1) == len(c2) == len(seeds):
-        raise ValueError("c1, c2 and seeds must have the same length")
+    if len(c1) != len(c2):
+        raise ValueError("c1 and c2 must have the same length")
     if np.any(np.abs(c1[:, 1] - c2[:, 1]) > r + 1e-12):
         raise ValueError("directions differ by more than the radius")
     p1 = ball_to_modified_plate(c1, r)
     p2 = ball_to_modified_plate(c2, r)
     met = np.zeros(len(c1), dtype=bool)
-    step = PLATE_BLOCK // 256
+    step = max(1, PLATE_BLOCK // 256)
     for b in range(0, len(c1), step):
         sl = slice(b, b + step)
-        uni = np.stack([make_rng(int(s)).random(1024) for s in seeds[sl]])
+        uni = rng.random((len(c1[sl]), 1024))
         pts = ModifiedPlate(p1.u[sl], p1.v[sl], p1.y[sl], p1.r).sample(uni)
         pair, k = np.nonzero(np.linalg.norm(pts, axis=-1) <= 1.0)
         j = b + pair
@@ -225,14 +233,6 @@ def same_direction_separation(c1, c2, r, seeds):
     ratios = np.full(len(c1), np.nan)
     ratios[met] = heis_dist(c1[met], c2[met]) / r
     return ratios
-
-
-def _uniform_euclidean_ball(n, rng, radius):
-    out = np.empty((0, 3))
-    while len(out) < n:
-        raw = rng.random((int((n - len(out)) / 0.5) + 16, 3)) * 2.0 - 1.0
-        out = np.concatenate([out, raw[np.einsum("ij,ij->i", raw, raw) <= 1.0]])
-    return out[:n] * radius
 
 
 def count_memberships(u, v, y, r, pts, tol=1e-9):

@@ -21,37 +21,28 @@ def _in_unit_ball(p):
     return (p[:, 0] ** 2 + p[:, 1] ** 2) ** 2 + 16.0 * p[:, 2] ** 2 <= 1.0
 
 
-def _draw_rows(n):
-    """Box points uniform_ball_points draws at once while n are missing."""
-    return int(n / 0.55) + 16
+def _rejection_points(n, rng, lo, scale, inside, rate):
+    """n points uniform in {inside} from box points rng.random * scale + lo.
+
+    While m points are missing, it draws m / rate + 16 box points at once.
+    """
+    out = np.empty((0, 3))
+    while len(out) < n:
+        raw = rng.random((int((n - len(out)) / rate) + 16, 3)) * scale + lo
+        out = np.concatenate([out, raw[inside(raw)]])
+    return out[:n]
 
 
 def uniform_ball_points(n, rng, radius=1.0):
     """Uniform random points in the gauge ball B(0, radius) by rejection."""
-    out = np.empty((0, 3))
-    while len(out) < n:
-        raw = rng.random((_draw_rows(n - len(out)), 3)) * _BOX_SCALE + _BOX_LO
-        out = np.concatenate([out, raw[_in_unit_ball(raw)]])
-    return dilate(radius, out[:n])
+    return dilate(radius, _rejection_points(n, rng, _BOX_LO, _BOX_SCALE,
+                                            _in_unit_ball, 0.55))
 
 
-# uniforms of the first draw of uniform_ball_points(1, rng)
-ONE_POINT_DRAW = 3 * _draw_rows(1)
-
-
-def first_ball_points(raw):
-    """The point uniform_ball_points(1, rng) keeps from each first draw.
-
-    raw has shape (..., ONE_POINT_DRAW): uniforms as that call's first
-    rng.random draws them.  Returns the first of their box points in the
-    unit ball, shape (..., 3), and whether there was one; without one
-    (about 8e-8 a draw) uniform_ball_points draws again.
-    """
-    box = raw.reshape(raw.shape[:-1] + (-1, 3)) * _BOX_SCALE + _BOX_LO
-    inside = _in_unit_ball(box.reshape(-1, 3)).reshape(box.shape[:-1])
-    first = np.argmax(inside, axis=-1)[..., None, None]
-    return (np.take_along_axis(box, first, axis=-2)[..., 0, :],
-            inside.any(axis=-1))
+def uniform_euclidean_ball(n, rng, radius):
+    """Uniform random points in the euclidean ball of the given radius."""
+    return _rejection_points(n, rng, -1.0, 2.0, lambda p: np.einsum(
+        "ij,ij->i", p, p) <= 1.0, 0.5) * radius
 
 
 def monte_carlo_ball_volume(n, seed=0):

@@ -178,7 +178,7 @@ NO_SCIPY = ("import sys\n"
 
 
 @pytest.mark.parametrize("argv", [
-    ["constants", "--balls", "1", "--pairs", "0"],
+    ["constants", "--balls", "3", "--pairs", "50"],
     ["experiment", "best-direction", "--kind", "horizontal-line",
      "--delta", "0.25", "--directions", "2"],
 ])

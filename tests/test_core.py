@@ -10,7 +10,8 @@ from heislab.core import (UNIT_BALL_VOLUME, ball_volume, dilate, gauge_norm,
                           gauge_pairs, group_mul, heis_dist, heis_dist_trunc)
 from heislab.delta_sets import gen_heis_lattice
 from heislab.sampling import (make_rng, monte_carlo_ball_volume,
-                              quadrature_ball_volume, uniform_ball_points)
+                              quadrature_ball_volume, uniform_ball_points,
+                              uniform_euclidean_ball)
 
 EPS = np.finfo(float).eps
 
@@ -169,6 +170,40 @@ def test_uniform_ball_points_deterministic():
     b = uniform_ball_points(50, make_rng(9))
     assert np.array_equal(a, b)
     assert np.all(gauge_norm(a) <= 1.0)
+
+
+def euclidean_ball_loop(n, rng, radius):
+    """Oracle for uniform_euclidean_ball: its rejection loop, written out."""
+    out = np.empty((0, 3))
+    while len(out) < n:
+        raw = rng.random((int((n - len(out)) / 0.5) + 16, 3)) * 2.0 - 1.0
+        out = np.concatenate([out, raw[np.einsum("ij,ij->i", raw, raw) <= 1.0]])
+    return out[:n] * radius
+
+
+def gauge_ball_loop(n, rng, radius):
+    """Oracle for uniform_ball_points: its rejection loop, written out."""
+    out = np.empty((0, 3))
+    while len(out) < n:
+        raw = rng.random((int((n - len(out)) / 0.55) + 16, 3)) \
+            * [2.0, 2.0, 0.5] - [1.0, 1.0, 0.25]
+        keep = (raw[:, 0] ** 2 + raw[:, 1] ** 2) ** 2 + 16.0 * raw[:, 2] ** 2
+        out = np.concatenate([out, raw[keep <= 1.0]])
+    return dilate(radius, out[:n])
+
+
+@pytest.mark.parametrize("n", [0, 1, 20000])
+@pytest.mark.parametrize("fast, loop, radius", [
+    (uniform_euclidean_ball, euclidean_ball_loop, 2.0),
+    (uniform_ball_points, gauge_ball_loop, 0.8)])
+def test_rejection_samplers_match_their_loops(n, fast, loop, radius):
+    # same points and the same next draw: the plate-energy sample and
+    # every stream drawn after a ball sample depend on both
+    fast_rng, slow_rng = make_rng(n + 3), make_rng(n + 3)
+    got = fast(n, fast_rng, radius)
+    assert got.tobytes() == loop(n, slow_rng, radius).tobytes()
+    assert got.shape == (n, 3)
+    assert fast_rng.random() == slow_rng.random()
 
 
 def dense_pairs(queries, points, r):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislab import experiments, sampling
+from heislab import experiments, plates
 from heislab.cinematic import f_eval
 from heislab.core import dilate, gauge_norm, group_mul, heis_dist
 from heislab.delta_sets import (BallFamily, gen_horizontal_line,
@@ -18,7 +18,9 @@ from heislab.experiments import (_cell_counts,
                                  projection_area, projection_exponent,
                                  rho_dimension)
 from heislab.measures import DiscreteMeasure, rasterize
-from heislab.plates import ball_to_modified_plate, same_direction_separation
+from heislab.duality import dual_ray
+from heislab.plates import (ModifiedPlate, Plate, ball_to_modified_plate,
+                            compose_center, same_direction_separation)
 from heislab.projections import pi_e, projected_ball_profile, ze_zje
 from heislab.reports import ExperimentReport, read_manifest, write_manifest
 from heislab.sampling import make_rng, uniform_ball_points
@@ -410,17 +412,19 @@ def test_manifest_roundtrip(tmp_path):
     assert back == entries
 
 
-def separation_pair_oracle(c1, c2, r, seed=0):
-    """same_direction_separation of one pair, drawing its 256 plate points
-    from make_rng(seed) with ModifiedPlate.sample's formula inline."""
+def separation_pair_oracle(c1, c2, r, uniforms):
+    """same_direction_separation of one pair, mapping its row of 1024
+    uniforms to 256 plate points with ModifiedPlate.sample's formula
+    inline."""
     if abs(c1[1] - c2[1]) > r + 1e-12:
         raise ValueError("directions differ by more than the radius")
     p1 = ball_to_modified_plate(c1, r)
     p2 = ball_to_modified_plate(c2, r)
-    rng, n = make_rng(seed), 256
-    w0 = rng.random((n, 2)) * [2 * p1.r, 2 * p1.r ** 2] - [p1.r, p1.r ** 2]
-    yp = p1.y + (rng.random(n) * 2 - 1) * p1.r
-    s = (rng.random(n) * 2 - 1) * 2.0
+    n = 256
+    w0 = uniforms[:2 * n].reshape(n, 2) * [2 * p1.r, 2 * p1.r ** 2] \
+        - [p1.r, p1.r ** 2]
+    yp = p1.y + (uniforms[2 * n:3 * n] * 2 - 1) * p1.r
+    s = (uniforms[3 * n:] * 2 - 1) * 2.0
     w1 = w0[:, 0]
     w2 = w0[:, 1] - p1.y * w0[:, 0]
     pts = np.stack([s, p1.u + w1 - s * yp,
@@ -431,86 +435,139 @@ def separation_pair_oracle(c1, c2, r, seed=0):
     return None
 
 
-def separation_loop_oracle(rng, seed, n_pairs):
-    """derive_constants' same-direction loop, one pair at a time.
+def separation_loop_oracle(rng, n_pairs):
+    """derive_constants' same-direction pass, one pair at a time over the
+    same draws: the centers, then one row of 1024 uniforms a kept pair.
 
-    Returns the kept pairs' centers, indices and ratios (NaN where the
-    plates do not meet), the hit count and the constant.
+    Returns the kept pairs' centers and ratios (NaN where the plates do
+    not meet).
     """
+    r = experiments.SEPARATION_RADIUS
+    p1 = uniform_ball_points(n_pairs, rng, 0.8)
+    a = rng.random(n_pairs)
+    p2 = uniform_ball_points(n_pairs, rng)
     kept = []
-    lem = 0.0
-    hits = 0
     for i in range(n_pairs):
-        c1 = uniform_ball_points(1, rng, 0.8)[0]
+        c1 = p1[i].copy()
         c1[1] = min(max(c1[1], -0.9), 0.9)
-        r = 2.0 ** -6
-        off = dilate(r * float(rng.random() * 6.0),
-                     uniform_ball_points(1, rng))[0]
-        c2 = group_mul(c1, off)
+        c2 = group_mul(c1, dilate(r * float(a[i] * 6.0), p2[i]))
         # clamp the direction gap to the radius, the regime where the
         # separation bound applies
         c2[1] = c1[1] + (c2[1] - c1[1]) * min(
             1.0, r / (abs(c2[1] - c1[1]) + 1e-300))
-        if gauge_norm(c2) > 1.0 or abs(c2[1]) > 1.0:
-            continue
-        ratio = separation_pair_oracle(c1, c2, r, seed=seed + i)
-        kept.append((c1, c2, i, np.nan if ratio is None else ratio))
-        if ratio is not None:
-            hits += 1
-            lem = max(lem, ratio)
-    c1, c2, idx, ratios = (np.array(a) for a in zip(*kept)) if kept else (
-        np.empty((0, 3)), np.empty((0, 3)), np.empty(0, int), np.empty(0))
-    return c1, c2, idx, ratios, hits, lem
-
-
-def assert_separation_matches_oracle(seed, n_pairs):
-    want_rng = make_rng(seed)
-    want = separation_loop_oracle(want_rng, seed, n_pairs)
-    rng = make_rng(seed)
-    c1, c2, kept = experiments._separation_pairs(rng, n_pairs)
-    ratios = same_direction_separation(
-        c1, c2, experiments.SEPARATION_RADIUS, seed + kept)
-    assert c1.tobytes() == want[0].tobytes()
-    assert c2.tobytes() == want[1].tobytes()
-    assert list(kept) == list(want[2])
-    assert ratios.tobytes() == want[3].tobytes()
-    met = ratios[~np.isnan(ratios)]
-    assert len(met) == want[4]
-    assert met.max(initial=0.0) == want[5]
-    # the generator ends where the per-pair draws leave it
-    assert rng.random() == want_rng.random()
-    return want
+        if gauge_norm(c2) <= 1.0 and abs(c2[1]) <= 1.0:
+            kept.append((c1, c2))
+    rows = rng.random((len(kept), 1024))
+    ratios = [separation_pair_oracle(c1, c2, r, row)
+              for (c1, c2), row in zip(kept, rows)]
+    c1, c2 = (np.array(z).reshape(-1, 3) for z in zip(*kept)) if kept \
+        else (np.empty((0, 3)), np.empty((0, 3)))
+    return c1, c2, np.array([np.nan if x is None else x for x in ratios])
 
 
 @pytest.mark.parametrize("n_pairs", [0, 1, 300])
 @pytest.mark.parametrize("seed", [0, 7, 8])
 def test_separation_batch_matches_per_pair_loop(seed, n_pairs):
-    want = assert_separation_matches_oracle(seed, n_pairs)
+    want_rng, rng = make_rng(seed), make_rng(seed)
+    want = separation_loop_oracle(want_rng, n_pairs)
+    c1, c2 = experiments._separation_pairs(rng, n_pairs)
+    ratios = same_direction_separation(
+        c1, c2, experiments.SEPARATION_RADIUS, rng)
+    assert c1.tobytes() == want[0].tobytes()
+    assert c2.tobytes() == want[1].tobytes()
+    assert ratios.tobytes() == want[2].tobytes()
     if n_pairs == 300:
-        assert 0 < want[4] < len(want[2]) <= 300
+        assert 0 < np.count_nonzero(ratios > 0) < len(ratios) <= 300
+    # the generator ends where the per-pair draws leave it
+    assert rng.random() == want_rng.random()
 
 
-def test_separation_batch_matches_per_pair_loop_with_redraws(monkeypatch):
-    # a predicate keeping about 5.3% of box points makes about 40% of the
-    # 17-point draws of uniform_ball_points(1, rng) miss, so most pairs
-    # are redrawn one call at a time from a restored state
-    inside = sampling._in_unit_ball
-    monkeypatch.setattr(sampling, "_in_unit_ball",
-                        lambda p: inside(p) & (p[:, 0] > 0.66))
-    raw = make_rng(5).random((4000, sampling.ONE_POINT_DRAW))
-    miss = 1.0 - sampling.first_ball_points(raw)[1].mean()
-    assert 0.35 < miss < 0.45
-    redraws = []
+def ball_plate_loop_oracle(rng, n_balls):
+    """derive_constants' ball-plate pass, one ball at a time over the same
+    pre-drawn arrays: centers, radii, ball points, plate-ray uniforms and
+    recovery candidates."""
+    c = uniform_ball_points(n_balls, rng, 0.9)
+    r = rng.random(n_balls) * 0.2 + 0.02
+    pts = uniform_ball_points(n_balls * 10, rng).reshape(n_balls, 10, 3)
+    ray_uni = rng.random((n_balls, 10, 3))
+    cand = uniform_ball_points(n_balls * 24, rng).reshape(n_balls, 24, 3)
+    inc, outer, recov = 0, 0.0, 0.0
+    svals = np.linspace(-1.0, 1.0, 21)[:, None]
+    for i in range(n_balls):
+        ci = c[i].copy()
+        ci[1] = min(max(ci[1], -0.95), 0.95)
+        plate = ball_to_modified_plate(ci, r[i])
+        qs = group_mul(ci, dilate(r[i] * 0.999, pts[i]))
+        inc += int(np.count_nonzero(plate.contains_ray(dual_ray(qs.T))))
+        rays = plate.sample_rays(ray_uni[i])
+        p = compose_center(rays.u, rays.v, rays.y)
+        outer = max(outer, float((heis_dist(p, ci) / r[i]).max()))
+        # ray point s of candidate k is ray_pts[s, k], tested if in B(1)
+        q = group_mul(ci, dilate(4 * r[i], cand[i]))
+        ray_pts = np.stack(np.broadcast_arrays(
+            *dual_ray(q.T).point_at(svals)), axis=-1)
+        tested = np.linalg.norm(ray_pts, axis=-1) <= 1.0
+        kept = np.any(tested, axis=0) & np.all(
+            plate.contains(ray_pts) | ~tested, axis=0)
+        if np.any(kept):
+            recov = max(recov, float((heis_dist(q[kept], ci) / r[i]).max()))
+    return inc, outer, recov
 
-    def counted(*args):
-        redraws.append(args)
-        return sampling.uniform_ball_points(*args)
 
-    monkeypatch.setattr(experiments, "uniform_ball_points", counted)
-    for seed in (0, 7):
-        want = assert_separation_matches_oracle(seed, 60)
-        assert want[4] > 0
-    assert len(redraws) > 40
+@pytest.mark.parametrize("n_balls", [1, 13, 150])
+@pytest.mark.parametrize("seed", [0, 7, 8])
+def test_ball_plate_pass_matches_per_ball_loop(seed, n_balls):
+    want_rng, rng = make_rng(seed), make_rng(seed)
+    want = ball_plate_loop_oracle(want_rng, n_balls)
+    got = experiments._ball_plate_pass(rng, n_balls)
+    assert got == want
+    assert got[0] == 10 * n_balls and got[1] > 1.0 and got[2] > 1.0
+    assert rng.random() == want_rng.random()
+
+
+def sandwich_loop_oracle(rng):
+    """derive_constants' sandwich constant by the double loop over c and
+    its 40 trials, over the same pre-drawn trials (c-major)."""
+    cvals = np.linspace(1.0 / 16, 1.0, 16)
+    c0 = uniform_ball_points(640, rng, 0.8)
+    r = rng.random(640) * 0.1 + 0.01
+    uni = rng.random((640, 800))
+    best_c = 0.0
+    for ic, cval in enumerate(cvals):
+        good = True
+        for k in range(40):
+            trial = 40 * ic + k
+            c = c0[trial].copy()
+            c[1] = min(max(c[1], -0.9), 0.9)
+            ray = dual_ray(c)
+            inner = ModifiedPlate(ray.u, ray.v, ray.y, cval * r[trial])
+            rigid = Plate(ray.u, ray.v, ray.y, r[trial])
+            pts = inner.sample(uni[trial])
+            if not bool(np.all(rigid.contains(pts, tol=1e-9))):
+                good = False
+                break
+        if good:
+            best_c = float(cval)
+    return best_c
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 8])
+def test_sandwich_matches_double_loop(seed):
+    want_rng, rng = make_rng(seed), make_rng(seed)
+    want = sandwich_loop_oracle(want_rng)
+    assert experiments._sandwich_c(rng) == want
+    assert 0.0 < want < 1.0
+    assert rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("block", [1, 7, 10 ** 6])
+def test_constants_do_not_depend_on_blocking(tmp_path, monkeypatch, block):
+    # the seed-0 manifest at the default sizes is the checked-in fixture
+    monkeypatch.setattr(plates, "PLATE_BLOCK", block)
+    path = tmp_path / "m.txt"
+    write_manifest(path, experiments.derive_constants(seed=0))
+    with open("tests/fixtures/constants_manifest.txt", "rb") as fh:
+        assert path.read_bytes() == fh.read()
 
 
 def test_fixture_manifest_readable():

@@ -9,10 +9,11 @@ from heislab.core import dilate, gauge_norm, group_mul, heis_dist
 from heislab.delta_sets import generate
 from heislab.duality import LightRay, dual_ray
 from heislab.plates import (ModifiedPlate, Plate, _plate_candidates,
-                            _uniform_euclidean_ball, ball_to_modified_plate,
-                            compose_center, count_memberships,
-                            rect_contains, same_direction_separation)
-from heislab.sampling import make_rng, uniform_ball_points
+                            ball_to_modified_plate, compose_center,
+                            count_memberships, rect_contains,
+                            same_direction_separation)
+from heislab.sampling import (make_rng, uniform_ball_points,
+                              uniform_euclidean_ball)
 
 coord = st.floats(-1, 1, allow_nan=False)
 
@@ -128,6 +129,19 @@ def test_plate_samples_are_members():
     assert float(np.abs(pts[:, 0]).max()) <= 2.0
 
 
+def test_plate_on_array_fields_matches_each_plate():
+    rng = make_rng(14)
+    u, v, y = rng.random((3, 5, 1)) - 0.5
+    r = rng.random((5, 1)) * 0.2 + 0.05
+    q = rng.random((5, 300, 3)) * [4, 1, 1] - [2, 0.5, 0.5]
+    got = Plate(u, v, y, r).contains(q)
+    for i in range(5):
+        one = Plate(float(u[i, 0]), float(v[i, 0]), float(y[i, 0]),
+                    float(r[i, 0]))
+        assert np.array_equal(got[i], one.contains(q[i]))
+    assert 0 < got.sum() < got.size
+
+
 def test_plate_rejects_far_points():
     plate = Plate(0.0, 0.0, 0.0, 0.1)
     assert not plate.contains(np.array([0.0, 0.5, 0.0]))
@@ -167,7 +181,7 @@ def test_modified_plate_contains_fixed_direction_plate():
 def test_contains_ray_vs_pointwise():
     mp = ModifiedPlate(0.0, 0.0, 0.4, 0.25)
     rng = make_rng(5)
-    rays = mp.sample_rays(200, rng)
+    rays = mp.sample_rays(rng.random((200, 3)))
     assert np.all(mp.contains_ray(rays))
     for ray in map(LightRay, rays.u, rays.v, rays.y):
         s = rng.random(32) * 4 - 2
@@ -213,11 +227,27 @@ def test_array_plate_fields_match_scalar_plates(uvyr, pts):
 def test_sample_rays_equal_one_ray_draws(n):
     mp = ModifiedPlate(0.3, -0.1, 0.8, 0.2)
     fast_rng, slow_rng = make_rng(9), make_rng(9)
-    rays = mp.sample_rays(n, fast_rng)
+    rays = mp.sample_rays(fast_rng.random((n, 3)))
     want = np.array([sample_ray_scalar(mp, slow_rng) for _ in range(n)])
     assert np.array_equal(np.stack([rays.u, rays.v, rays.y], axis=1), want)
     # both generators stand at the same place in the stream
     assert fast_rng.random() == slow_rng.random()
+
+
+def test_sample_rays_on_array_fields_match_each_plate():
+    # plate i of an array broadcasts against row i of the uniforms
+    rng = make_rng(13)
+    u, v, y = rng.random((3, 4, 1)) - 0.5
+    r = rng.random((4, 1)) * 0.2 + 0.05
+    uni = rng.random((4, 6, 3))
+    rays = ModifiedPlate(u, v, y, r).sample_rays(uni)
+    assert rays.u.shape == (4, 6)
+    for i in range(4):
+        one = ModifiedPlate(u[i, 0], v[i, 0], y[i, 0], r[i, 0]).sample_rays(
+            uni[i])
+        for got, want in zip((rays.u, rays.v, rays.y),
+                             (one.u, one.v, one.y)):
+            assert got[i].tobytes() == want.tobytes()
 
 
 def test_ball_dual_rays_fill_modified_plate():
@@ -293,20 +323,23 @@ def test_same_direction_separation_bounded():
     for _ in range(100):
         c1.append(rng.random(3) * [0.8, 0.8, 0.2] - [0.4, 0.4, 0.1])
         c2.append(c1[-1] + rng.random(3) * [0.4, r, 0.1] - [0.2, r / 2, 0.05])
-    ratios = same_direction_separation(c1, c2, r, np.full(100, 11))
+    ratios = same_direction_separation(c1, c2, r, make_rng(11))
     ratios = ratios[~np.isnan(ratios)]
     assert len(ratios), "expected some overlapping plate pairs"
     assert max(ratios) < 8.0
 
 
 def test_same_direction_separation_validation():
+    rng = make_rng(0)
     with pytest.raises(ValueError, match="directions"):
-        same_direction_separation([(0, 0.0, 0)], [(0, 0.5, 0)], 0.1, [0])
+        same_direction_separation([(0, 0.0, 0)], [(0, 0.5, 0)], 0.1, rng)
     with pytest.raises(ValueError, match="same length"):
-        same_direction_separation([(0, 0.0, 0)], [(0, 0.0, 0)], 0.1, [0, 1])
+        same_direction_separation([(0, 0.0, 0)], [(0, 0.0, 0)] * 2, 0.1, rng)
     empty = same_direction_separation(np.empty((0, 3)), np.empty((0, 3)),
-                                      0.1, [])
+                                      0.1, rng)
     assert empty.shape == (0,)
+    # no pair draws nothing
+    assert rng.random() == make_rng(0).random()
 
 
 def test_modified_plate_sample_on_array_fields_matches_each_plate():
@@ -416,7 +449,7 @@ def test_plate_candidates_per_hit_stay_flat(k):
     fam = generate("random3", 2.0 ** -k, seed=1)
     plate = ball_to_modified_plate(fam.centers, fam.delta)
     u, v, y, r = plate.u, plate.v, plate.y, plate.r
-    pts = _uniform_euclidean_ball(5000, make_rng(k), 2.0)
+    pts = uniform_euclidean_ball(5000, make_rng(k), 2.0)
     proposed = sum(len(i) for i, _, _ in
                    _plate_candidates(u, v, y, r, pts, 1e-9))
     hits = int(count_memberships(u, v, y, r, pts).sum())
