@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PAIR_BLOCK, _as_points
+from .core import _as_points, blocks
 from .projections import ze_zje
 
 
@@ -90,9 +90,8 @@ def graph_overlap_integral(points, delta):
     # column c, row k of the difference array is entry c * (nrow + 1) + k
     col0 = np.arange(ncol) * (nrow + 1)
     counts = np.zeros(ncol * (nrow + 1), dtype=np.int64)
-    step = max(1, PAIR_BLOCK // ncol)
-    for i in range(0, len(points), step):
-        f = f_eval(points[i:i + step, None, :], thetas)
+    for sl in blocks(len(points), ncol):
+        f = f_eval(points[sl, None, :], thetas)
         # center y0 + (k + 0.5) h lies in [f - delta, f + delta]
         lo = np.ceil((f - delta - y0) / h - 0.5).astype(np.int64)
         hi = np.floor((f + delta - y0) / h - 0.5).astype(np.int64)

@@ -26,7 +26,9 @@ import numpy as np
 # test suite re-derives both oracles.
 UNIT_BALL_VOLUME = math.pi ** 2 / 8
 
-# Candidate pairs per block of gauge_pairs; bounds its memory.
+# Entries per block of an array pass (blocks, window_blocks); bounds its
+# memory.  Read at call time, so that patching this one name re-blocks
+# every pass.
 PAIR_BLOCK = 1 << 20
 
 
@@ -139,20 +141,32 @@ def gauge_pairs(queries, points, r):
     qk, qoff = keys(cell[:len(q)], q)
     first = np.searchsorted(key, (qk - bound) + qoff, side="left")
     lens = np.searchsorted(key, (qk + bound) + qoff, side="right") - first
-    for i, k in window_blocks(first, lens, PAIR_BLOCK):
+    for i, k in window_blocks(first, lens):
         j = lj[k]
         d = heis_dist(q[i], p[j])
         hit = d <= r
         yield i[hit], j[hit], d[hit]
 
 
-def window_blocks(first, lens, block):
+def blocks(n, per_item, budget=None):
+    """Slices of range(n) holding about budget / per_item items each.
+
+    An item of per_item entries; budget defaults to PAIR_BLOCK.  Every
+    slice holds at least one item and ends at most at n.
+    """
+    step = max(1, (PAIR_BLOCK if budget is None else budget)
+               // max(1, per_item))
+    return [slice(b, min(b + step, n)) for b in range(0, n, step)]
+
+
+def window_blocks(first, lens, budget=None):
     """Expand windows [first[w], first[w] + lens[w]) of a sorted array.
 
     Yields (w, k): each window's id repeated once per position, and the
-    positions, in window order, from about `block` positions per block;
-    a window is never split between blocks.
+    positions, in window order, from about budget (default PAIR_BLOCK)
+    positions per block; a window is never split between blocks.
     """
+    block = PAIR_BLOCK if budget is None else budget
     cum = np.cumsum(lens)
     cuts = np.searchsorted(cum, np.arange(block, cum[-1], block))
     for ids in np.split(np.arange(len(lens)), cuts):

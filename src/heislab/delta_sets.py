@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PAIR_BLOCK, gauge_norm, gauge_pairs, heis_dist,
-                   window_blocks)
+from .core import blocks, gauge_norm, gauge_pairs, heis_dist, window_blocks
 from .sampling import make_rng
 
 
@@ -89,10 +88,11 @@ def dyadic_ball_counts(family, r0, max_centers, seed, shrink=0.0):
     """Count centers in balls of dyadic radii around test centers.
 
     Test centers are all centers or a seeded subsample of max_centers;
-    radii are r0 * 2^k up to 2.  Returns (test, radii, blocks), each block
-    (start, counts) with counts[k, i] the number of centers within
-    radii[k] - shrink of test[start + i].  Dense: at radius 2, the unit
-    ball's diameter, every center is a neighbour; an index only adds cost.
+    radii are r0 * 2^k up to 2.  Returns (test, radii, counts), counts[k, i]
+    the number of centers within radii[k] - shrink of test[i].  Dense, in
+    blocks of test centers of about PAIR_BLOCK distances: at radius 2, the
+    unit ball's diameter, every center is a neighbour; an index only adds
+    cost.
     """
     c = family.centers
     n = len(c)
@@ -104,13 +104,12 @@ def dyadic_ball_counts(family, r0, max_centers, seed, shrink=0.0):
     while r <= 2.0:
         radii.append(r)
         r *= 2.0
-    step = max(1, int(4e6 // max(n, 1)))
-    blocks = []
-    for i in range(0, len(test), step):
-        d = heis_dist(test[i:i + step, None, :], c[None, :, :])
-        blocks.append((i, np.stack([np.count_nonzero(d <= r - shrink, axis=1)
-                                    for r in radii])))
-    return test, radii, blocks
+    counts = np.empty((len(radii), len(test)), dtype=np.int64)
+    for sl in blocks(len(test), n):
+        d = heis_dist(test[sl, None, :], c[None, :, :])
+        for k, r in enumerate(radii):
+            counts[k, sl] = np.count_nonzero(d <= r - shrink, axis=1)
+    return test, radii, counts
 
 
 def verify_delta_t_set(family, max_centers=512, seed=0):
@@ -118,7 +117,9 @@ def verify_delta_t_set(family, max_centers=512, seed=0):
 
     Counts |P intersect B(x, r)| over test centers x drawn from the
     family (all of them up to max_centers, a seeded subsample beyond).
-    Passes iff max over (x, r) of count / (C r^t n) is at most 1.
+    Passes iff max over (x, r) of count / (C r^t n) is at most 1.  The
+    witness is the first (radius, test center) pair, radii ascending and
+    test centers in order, at which the worst ratio is reached.
     Raises ValueError for an empty family, a claimed C that is not
     finite and positive, a claimed t that is not finite and nonnegative,
     or max_centers < 1, on which a verdict would mean nothing.
@@ -132,23 +133,18 @@ def verify_delta_t_set(family, max_centers=512, seed=0):
         raise ValueError("claimed t must be finite and nonnegative")
     if max_centers < 1:
         raise ValueError("max_centers must be at least 1")
-    test, radii, blocks = dyadic_ball_counts(family, family.delta,
+    test, radii, counts = dyadic_ball_counts(family, family.delta,
                                              max_centers, seed)
     denom = np.array([family.claimed_C * r ** family.claimed_t * n
                       for r in radii])[:, None]
-    worst = 0.0
-    witness = (None, None)
-    for i, counts in blocks:
-        ratios = counts / denom
-        k, j = np.unravel_index(np.argmax(ratios), ratios.shape)
-        if ratios[k, j] > worst:
-            worst = float(ratios[k, j])
-            witness = (tuple(test[i + j]), float(radii[k]))
+    ratios = counts / denom
+    k, j = np.unravel_index(np.argmax(ratios), ratios.shape)
+    worst = float(ratios[k, j])
     return {
         "passes": worst <= 1.0,
         "max_ratio": worst,
-        "witness_center": witness[0],
-        "witness_radius": witness[1],
+        "witness_center": tuple(test[j]),
+        "witness_radius": float(radii[k]),
         "centers_tested": len(test),
         "count": n,
         "delta": family.delta,
@@ -196,7 +192,7 @@ def ball_grid(cols, step, margin, shift=0.0):
     out = np.empty((int(lens.sum()), 3))
     kept = 0
     if len(out):
-        for col, j in window_blocks(lo, lens, PAIR_BLOCK):
+        for col, j in window_blocks(lo, lens):
             pts = np.empty((len(col), 3))
             pts[:, :2] = cols[col]
             pts[:, 2] = j * step + shift[col]
@@ -278,12 +274,12 @@ def gen_product(delta, dim0=0.5):
     while True:
         nxt = (rho * pts2[:, None, :]
                + (1 - rho) * corners[None, :, :]).reshape(-1, 2)
-        if len(nxt) > 4096:  # first: the pairwise array is len(nxt)^2
+        if len(nxt) > 4096:  # first: the scan below is len(nxt)^2 pairs
             break
-        d = nxt[:, None, :] - nxt[None, :, :]
-        sep = np.sqrt((d ** 2).sum(-1))
-        sep[sep == 0] = np.inf
-        if float(sep.min()) < delta:
+        seps = (np.sqrt(((nxt[sl, None, :] - nxt[None, :, :]) ** 2).sum(-1))
+                for sl in blocks(len(nxt), len(nxt)))
+        if any(float(sep[sep > 0].min(initial=np.inf)) < delta
+               for sep in seps):
             break
         pts2 = nxt
     pts = ball_grid(pts2, delta ** 2, delta)

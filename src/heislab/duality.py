@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PAIR_BLOCK
+from .core import blocks
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class LightRay:
     y: object
 
     def point_at(self, s):
-        return (s, self.u - s * self.y, self.v + s * self.y ** 2 / 2)
+        return (s, self.u - s * self.y, self.v + s * (self.y * self.y) / 2)
 
 
 def dual_ray(p):
@@ -79,7 +79,7 @@ def line_residuals(p, line):
 def ray_residuals(pstar, ray):
     """Residuals of pstar = (0, u, v) + L_y(a); exact on Fractions."""
     a, b, c = pstar
-    return (b - (ray.u - a * ray.y), c - (ray.v + a * ray.y ** 2 / 2))
+    return (b - (ray.u - a * ray.y), c - (ray.v + a * (ray.y * ray.y) / 2))
 
 
 def incident_point_line(p, line, tol=1e-10):
@@ -110,15 +110,14 @@ def xray_transform(density, line):
     y1 = origin[1] + spacing[1] * values.shape[1]
     s = np.arange(origin[1] + step / 2.0, y1, step)
     total = np.zeros(len(a))
-    block = max(1, PAIR_BLOCK // max(1, len(s)))
-    for k in range(0, len(a), block):
-        part = HorizontalLine(a[k:k + block], b[k:k + block], c[k:k + block])
+    for sl in blocks(len(a), len(s)):
+        part = HorizontalLine(a[sl], b[sl], c[sl])
         idx = np.broadcast_arrays(*(np.floor((p - o) / h) for p, o, h
                                     in zip(part.point_at(s), origin, spacing)))
         ok = np.logical_and.reduce([(i >= 0) & (i < n)
                                     for i, n in zip(idx, values.shape)])
         hits = values[tuple(i[ok].astype(np.int64) for i in idx)]
-        total[k:k + block] = np.bincount(np.nonzero(ok)[0], weights=hits,
-                                         minlength=len(ok))
+        total[sl] = np.bincount(np.nonzero(ok)[0], weights=hits,
+                                minlength=len(ok))
     speed = HorizontalLine(a, b, c).speed()[:, 0]
     return (total * speed * step).reshape(fields[0].shape)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import plates
 from .cinematic import f_eval
-from .core import dilate, gauge_norm, group_mul, heis_dist
+from .core import blocks, dilate, gauge_norm, group_mul, heis_dist
 from .delta_sets import dyadic_ball_counts, verify_delta_t_set
 from .duality import HorizontalLine, dual_ray, xray_transform
 from .projections import (distinct, pack_pixels, parabolic_dist, pi_e,
@@ -115,13 +115,12 @@ def projection_exponent(areas_by_delta):
 
 def family_regularity_constant(family, seed=0):
     """Empirical C with |{B in F : B subset B(p, r)}| <= C (r / delta)^3."""
-    _, radii, blocks = dyadic_ball_counts(
+    _, radii, counts = dyadic_ball_counts(
         family, 2.0 * family.delta, 256, seed, shrink=family.delta)
-    worst = 0.0
-    for _, counts in blocks:
-        for r, cnt in zip(radii, counts):
-            worst = max(worst, float(cnt.max()) * (family.delta / r) ** 3.0)
-    return worst
+    # (delta / r) ** 3.0 on Python floats: numpy's ** rounds arrays apart
+    return max((float(m) * (family.delta / r) ** 3.0
+                for r, m in zip(radii, counts.max(axis=1, initial=0))),
+               default=0.0)
 
 
 def plate_l2_energy(family, n_samples=200000, seed=0, verify=True):
@@ -256,13 +255,6 @@ def directional_l2_vs_xray(grid):
 SEPARATION_RADIUS = 2.0 ** -6
 
 
-def _blocks(n, points_each):
-    """Slices of range(n), items of points_each points, that hold about
-    PLATE_BLOCK / 2 points each: the size of a membership call."""
-    step = max(1, plates.PLATE_BLOCK // (2 * points_each))
-    return [slice(b, b + step) for b in range(0, n, step)]
-
-
 def _ball_plate_pass(rng, n_balls):
     """Dual-ray inclusions, and the plate outer and recovery constants.
 
@@ -281,7 +273,8 @@ def _ball_plate_pass(rng, n_balls):
     cand = uniform_ball_points(n_balls * 24, rng).reshape(n_balls, 24, 3)
     svals = np.linspace(-1.0, 1.0, 21)[:, None, None]
     inc, outer, recov = 0, 0.0, 0.0
-    for sl in _blocks(n_balls, 24 * 21):
+    # about PLATE_BLOCK / 2 ray points a membership call
+    for sl in blocks(n_balls, 2 * 24 * 21, plates.PLATE_BLOCK):
         cb, rb = c[sl, None], r[sl, None]
         plate = plates.ball_to_modified_plate(cb, rb)
         qs = group_mul(cb, dilate(rb * 0.999, pts[sl]))
@@ -336,7 +329,8 @@ def _sandwich_c(rng):
     cr = np.repeat(cvals, 40) * r
     ray = dual_ray(c0.T)
     held = np.empty(n, dtype=bool)
-    for sl in _blocks(n, 200):
+    # about PLATE_BLOCK / 2 plate points a membership call
+    for sl in blocks(n, 2 * 200, plates.PLATE_BLOCK):
         u, v, y = ray.u[sl], ray.v[sl], ray.y[sl]
         pts = plates.ModifiedPlate(u, v, y, cr[sl]).sample(
             rng.random((len(u), 800)))

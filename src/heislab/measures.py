@@ -24,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ball_volume, gauge_pairs, group_mul, heis_dist_trunc
+from .core import (ball_volume, blocks, gauge_pairs, group_mul,
+                   heis_dist_trunc)
 from .delta_sets import ball_grid, grid_columns
 from .projections import distinct
 from .sampling import make_rng
 
-# Rows of atoms per block of riesz_energy; bounds its memory.
-RIESZ_BLOCK = 4096
 # Largest convolution heis_convolve builds.
 MAX_ATOMS = 5_000_000
 # Redraws of H in augment_to_dim3 before it gives up.
@@ -67,27 +66,24 @@ class DiscreteMeasure:
 
 
 def riesz_energy(mu, s, delta):
-    """Truncated s-energy, in blocks of RIESZ_BLOCK rows; exact double sum."""
+    """Truncated s-energy; exact double sum.
+
+    Rows of atoms, in blocks of about PAIR_BLOCK distances, meet the
+    columns from their own on: the square on the diagonal counts once,
+    the rest twice.
+    """
     if s < 0:
         raise ValueError("s must be nonnegative")
     if delta <= 0:
         raise ValueError("delta must be positive")
     pts = mu.points
     w = mu.weights
-    n = len(pts)
-    block = RIESZ_BLOCK
     total = 0.0
-    for i in range(0, n, block):
-        pi = pts[i:i + block]
-        wi = w[i:i + block]
-        # diagonal block
-        d = heis_dist_trunc(pi[:, None, :], pi[None, :, :], delta)
-        total += float((wi[:, None] * wi[None, :] / d ** s).sum())
-        for j in range(i + block, n, block):
-            d = heis_dist_trunc(pi[:, None, :], pts[None, j:j + block, :],
-                                delta)
-            total += 2.0 * float(
-                (wi[:, None] * w[None, j:j + block] / d ** s).sum())
+    for sl in blocks(len(pts), len(pts)):
+        d = heis_dist_trunc(pts[sl, None, :], pts[None, sl.start:, :], delta)
+        e = w[sl, None] * w[None, sl.start:] / d ** s
+        m = sl.stop - sl.start
+        total += float(e[:, :m].sum()) + 2.0 * float(e[:, m:].sum())
     return total
 
 

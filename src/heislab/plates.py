@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import gauge_norm, heis_dist, window_blocks
+from .core import blocks, gauge_norm, heis_dist, window_blocks
 from .duality import LightRay, dual_ray
 
 # Candidate pairs, and (point, direction bin) windows, per block of
@@ -220,13 +220,11 @@ def same_direction_separation(c1, c2, r, rng):
     p1 = ball_to_modified_plate(c1, r)
     p2 = ball_to_modified_plate(c2, r)
     met = np.zeros(len(c1), dtype=bool)
-    step = max(1, PLATE_BLOCK // 256)
-    for b in range(0, len(c1), step):
-        sl = slice(b, b + step)
-        uni = rng.random((len(c1[sl]), 1024))
+    for sl in blocks(len(c1), 256, PLATE_BLOCK):
+        uni = rng.random((sl.stop - sl.start, 1024))
         pts = ModifiedPlate(p1.u[sl], p1.v[sl], p1.y[sl], p1.r).sample(uni)
         pair, k = np.nonzero(np.linalg.norm(pts, axis=-1) <= 1.0)
-        j = b + pair
+        j = sl.start + pair
         inside = ModifiedPlate(p2.u[j], p2.v[j], p2.y[j], p2.r).contains(
             pts[pair, k])
         met[j[inside]] = True
@@ -299,9 +297,7 @@ def _plate_candidates(u, v, y, r, pts, tol):
     order = np.argsort(key)
     key = key[order]
     base = np.arange(len(theta)) * stride + 1
-    step = max(1, PLATE_BLOCK // len(theta))
-    for p0 in range(0, len(pts), step):
-        sl = slice(p0, p0 + step)
+    for sl in blocks(len(pts), len(theta), PLATE_BLOCK):
         cu = q2[sl, None] + s[sl, None] * theta - ulo
         lo = np.clip(np.floor((cu - hu[sl, None]) / side), -1, ncell)
         hi = np.clip(np.floor((cu + hu[sl, None]) / side), -1, ncell)
@@ -313,7 +309,7 @@ def _plate_candidates(u, v, y, r, pts, tol):
         lens = np.searchsorted(key, (c + h) + off, side="right") - first
         lens[..., 1] *= hi > lo
         for w, k in window_blocks(first.ravel(), lens.ravel(), PLATE_BLOCK):
-            i, j = p0 + w // (2 * len(theta)), order[k]
+            i, j = sl.start + w // (2 * len(theta)), order[k]
             yj, si = y[j], s[i]
             near = ((np.abs(q2[i] - u[j] + si * yj) <= w1[i] + margin)
                     & (np.abs(q3[i] - v[j] - yj * u[j] + yj * q2[i]

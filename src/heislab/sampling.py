@@ -6,7 +6,7 @@ import numpy as np
 # at module level, so that the first make_rng call does not pay for it
 from numpy.random import Generator, Philox
 
-from .core import dilate
+from .core import blocks, dilate
 
 _BOX_LO = np.array([-1.0, -1.0, -0.25])
 _BOX_SCALE = np.array([2.0, 2.0, 0.5])
@@ -50,12 +50,11 @@ def monte_carlo_ball_volume(n, seed=0):
     rng = make_rng(seed)
     box_vol = float(np.prod(_BOX_SCALE))
     hits = 0
-    done = 0
-    while done < n:
-        m = min(n - done, 1 << 18)
-        raw = rng.random((m, 3)) * _BOX_SCALE + _BOX_LO
+    # PAIR_BLOCK / 4 = 2^18 rows a draw; the stream is contiguous, so the
+    # block size changes no bit
+    for sl in blocks(n, 4):
+        raw = rng.random((sl.stop - sl.start, 3)) * _BOX_SCALE + _BOX_LO
         hits += int(np.count_nonzero(_in_unit_ball(raw)))
-        done += m
     return box_vol * hits / n
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import heislab.cinematic
+import heislab.core
 from heislab.cinematic import (f_d1, f_d2, f_eval, graph_overlap_integral,
                                jet_jacobian_absdet, rotate_point,
                                rotation_residual)
@@ -177,7 +177,7 @@ def test_graph_overlap_matches_loop_on_small_sets(points, delta):
 
 def test_graph_overlap_matches_loop_across_blocks(monkeypatch):
     # 403 columns at delta 2^-5: a block of 2,000 entries holds 4 points
-    monkeypatch.setattr(heislab.cinematic, "PAIR_BLOCK", 2000)
+    monkeypatch.setattr(heislab.core, "PAIR_BLOCK", 2000)
     pts = (make_rng(9).random((40, 3)) * 2 - 1) * [1.0, 1.0, 3.0]
     assert graph_overlap_integral(pts, 2.0 ** -5) \
         == _graph_overlap_loop(pts, 2.0 ** -5)

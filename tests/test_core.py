@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heislab.core
-from heislab.core import (UNIT_BALL_VOLUME, ball_volume, dilate, gauge_norm,
-                          gauge_pairs, group_mul, heis_dist, heis_dist_trunc)
+from heislab.core import (UNIT_BALL_VOLUME, ball_volume, blocks, dilate,
+                          gauge_norm, gauge_pairs, group_mul, heis_dist,
+                          heis_dist_trunc, window_blocks)
 from heislab.delta_sets import gen_heis_lattice
 from heislab.sampling import (make_rng, monte_carlo_ball_volume,
                               quadrature_ball_volume, uniform_ball_points,
@@ -266,6 +267,28 @@ def test_gauge_pairs_lattice_and_small_blocks(monkeypatch):
     assert fast_pairs(pts, pts, 2.0 ** -2) == want
     # a radius beyond the diameter pairs everything
     assert len(fast_pairs(pts[:50], pts, 3.0)) == 50 * len(pts)
+
+
+@pytest.mark.parametrize("n, per_item, budget, sizes", [
+    (0, 5, 100, []), (1, 10 ** 9, 100, [1]), (7, 0, 3, [3, 3, 1]),
+    (10, 4, 10, [2] * 5), (10, 4, 100, [10])])
+def test_blocks_cover_range_in_order(n, per_item, budget, sizes):
+    got = blocks(n, per_item, budget)
+    assert [sl.stop - sl.start for sl in got] == sizes
+    assert [i for sl in got for i in range(n)[sl]] == list(range(n))
+    assert all(sl.stop <= n for sl in got)
+
+
+def test_blocks_read_the_budget_at_call_time(monkeypatch):
+    assert len(blocks(1 << 12, 1 << 10)) == 4
+    monkeypatch.setattr(heislab.core, "PAIR_BLOCK", 1 << 11)
+    assert len(blocks(1 << 12, 1 << 10)) == 1 << 11
+    first, lens = np.array([0, 5, 9]), np.array([5, 4, 2])
+    got = [w.tolist() for w, _ in window_blocks(first, lens)]
+    monkeypatch.setattr(heislab.core, "PAIR_BLOCK", 4)
+    small = [w.tolist() for w, _ in window_blocks(first, lens)]
+    assert got == [[0] * 5 + [1] * 4 + [2] * 2]
+    assert len([w for w in small if w]) == 2 and sum(small, []) == got[0]
 
 
 def test_gauge_pairs_empty_and_bad_input():

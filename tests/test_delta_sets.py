@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heislab import core, delta_sets
 from heislab.core import gauge_norm, group_mul, heis_dist
-from heislab import delta_sets
 from heislab.delta_sets import (_GENERATORS, BallFamily, ball_grid,
                                 covering_number, gen_heis_lattice,
                                 gen_horizontal_line, gen_lattice_slab,
@@ -173,6 +173,36 @@ def test_horizontal_line_quarter_delta_example():
     assert fam.claimed_t == 1.0
 
 
+def product_whole_array(delta, dim0):
+    """gen_product's IFS levels with one len(nxt)^2 separation array."""
+    rho = 4.0 ** (-1.0 / dim0)
+    corners = np.array([[0.3, 0.3], [0.3, -0.3], [-0.3, 0.3], [-0.3, -0.3]])
+    pts2 = np.zeros((1, 2))
+    while True:
+        nxt = (rho * pts2[:, None, :]
+               + (1 - rho) * corners[None, :, :]).reshape(-1, 2)
+        if len(nxt) > 4096:
+            break
+        d = nxt[:, None, :] - nxt[None, :, :]
+        sep = np.sqrt((d ** 2).sum(-1))
+        sep[sep == 0] = np.inf
+        if float(sep.min()) < delta:
+            break
+        pts2 = nxt
+    return ball_grid(pts2, delta ** 2, delta)
+
+
+@pytest.mark.parametrize("delta, dim0", [
+    (0.25, 0.5), (2.0 ** -4, 0.5), (2.0 ** -4, 1.0), (2.0 ** -5, 1.5),
+    (2.0 ** -5, 1.99)])
+@pytest.mark.parametrize("block", [None, 1000])
+def test_product_matches_whole_array_levels(monkeypatch, delta, dim0, block):
+    if block:
+        monkeypatch.setattr(core, "PAIR_BLOCK", block)
+    assert gen_product(delta, dim0).centers.tobytes() \
+        == product_whole_array(delta, dim0).tobytes()
+
+
 def test_product_dim_validation():
     with pytest.raises(ValueError):
         gen_product(0.1, dim0=2.5)
@@ -226,6 +256,48 @@ def test_verifier_counts_by_metric_balls():
     # giving 3 / (1 * delta * 3) = 1 / delta
     assert report["max_ratio"] == pytest.approx(1 / delta)
     assert not report["passes"]
+
+
+def verify_loop(family):
+    """Every center tested; the first worst (radius, center), radii outer."""
+    c, n = family.centers, len(family)
+    best = (0.0, None, None)
+    r = family.delta
+    while r <= 2.0:
+        denom = family.claimed_C * r ** family.claimed_t * n
+        for x in c:
+            ratio = np.count_nonzero(heis_dist(x, c) <= r) / denom
+            if ratio > best[0]:
+                best = (ratio, tuple(x), r)
+        r *= 2.0
+    return best
+
+
+@pytest.mark.parametrize("block", [1, 7, 10 ** 6])
+def test_verifier_witness_is_first_in_radius_then_center_order(monkeypatch,
+                                                                block):
+    # with t = 0 a ball holding every center has ratio 1, and so do the
+    # larger balls around it: the centers at 0 and 1/8 reach it at radius
+    # 1/2, the first two only at 1; the witness is the center at 0
+    pts = np.array([[x, 0, 0] for x in (-0.375, -0.25, 0, 0.125, 0.375)])
+    fam = BallFamily(pts, 0.125, 0.0, 1.0)
+    monkeypatch.setattr(core, "PAIR_BLOCK", block)
+    report = verify_delta_t_set(fam)
+    assert (report["max_ratio"], report["witness_center"],
+            report["witness_radius"]) == verify_loop(fam)
+    assert report["witness_center"] == (0.0, 0.0, 0.0)
+    assert report["witness_radius"] == 0.5
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_verifier_report_does_not_depend_on_blocking(monkeypatch, seed):
+    fam = gen_random3(0.075, seed=seed)
+    want = verify_delta_t_set(fam, max_centers=len(fam))
+    assert want["centers_tested"] == len(fam)
+    assert (want["max_ratio"], want["witness_center"],
+            want["witness_radius"]) == verify_loop(fam)
+    monkeypatch.setattr(core, "PAIR_BLOCK", 7)
+    assert verify_delta_t_set(fam, max_centers=len(fam)) == want
 
 
 def test_verifier_empty_family():
@@ -374,7 +446,7 @@ def test_ball_grid_matches_whole_column_oracle(monkeypatch, delta):
         cases.append((slab, delta ** 2, delta, 0.5 * x0 * ys))
     for block in (None, 1000):
         if block:
-            monkeypatch.setattr(delta_sets, "PAIR_BLOCK", block)
+            monkeypatch.setattr(core, "PAIR_BLOCK", block)
         for case in cases:
             assert ball_grid(*case).tobytes() == ball_grid_box(*case).tobytes()
     assert grid_z(delta).tobytes() \

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import heislab.duality
+import heislab.core
 from heislab.core import group_mul
 from heislab.duality import (HorizontalLine, LightRay, dual_ray,
                              incident_point_line, incident_point_ray,
@@ -151,6 +151,21 @@ def test_ray_point_form():
     assert np.allclose(base, [0.0, 0.3, -0.7])
 
 
+def test_ray_points_and_residuals_one_at_a_time_match_arrays():
+    # y ** 2 on one point is libm pow, which rounds apart from the array
+    # square; y * y is the same product on both
+    p = make_rng(25).random((20000, 3)) * 2 - 1
+    ray = dual_ray(p.T)
+    points = np.stack(np.broadcast_arrays(*ray.point_at(0.7)), axis=-1)
+    pstar = (points + [0.0, 1e-3, -1e-3]).T
+    residuals = np.stack(ray_residuals(pstar, ray), axis=-1)
+    for i in range(len(p)):
+        one = dual_ray(tuple(p[i].tolist()))
+        assert one.point_at(0.7) == tuple(points[i].tolist())
+        assert ray_residuals(tuple(pstar[:, i].tolist()), one) \
+            == tuple(residuals[i].tolist())
+
+
 def test_speed_on_arrays_matches_scalar_formula():
     a, b = make_rng(4).random((2, 50)) * 6 - 3
     got = HorizontalLine(a, b, 0.0).speed()
@@ -209,7 +224,7 @@ def test_xray_transform_blocks_do_not_change_the_result(monkeypatch, block):
     g = _random_grid(rng, False)
     lines = _line_grid(rng, (7, 30))
     want = xray_transform(g, lines)
-    monkeypatch.setattr(heislab.duality, "PAIR_BLOCK", block)
+    monkeypatch.setattr(heislab.core, "PAIR_BLOCK", block)
     assert xray_transform(g, lines).tobytes() == want.tobytes()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislab import experiments, plates
+from heislab import core, experiments, plates
 from heislab.cinematic import f_eval
 from heislab.core import dilate, gauge_norm, group_mul, heis_dist
 from heislab.delta_sets import (BallFamily, gen_horizontal_line,
@@ -290,6 +290,15 @@ def test_family_regularity_constant_lattice():
     fam = gen_random3(2.0 ** -4, seed=1)
     c38 = family_regularity_constant(fam)
     assert 0 < c38 < 8.0
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_family_regularity_constant_does_not_depend_on_blocking(monkeypatch,
+                                                                seed):
+    fam = gen_random3(0.075, seed=seed)
+    want = family_regularity_constant(fam, seed=seed)
+    monkeypatch.setattr(core, "PAIR_BLOCK", 7)
+    assert family_regularity_constant(fam, seed=seed) == want
 
 
 def test_plate_l2_energy_requires_dim3():

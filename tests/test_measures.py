@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import heislab.measures
+import heislab.core
 from heislab.core import group_mul, heis_dist, heis_dist_trunc
 from heislab.delta_sets import gen_t_axis
 from heislab.measures import (DiscreteMeasure, GridDensity, augment_to_dim3,
@@ -54,11 +54,14 @@ def test_riesz_energy_matches_loop():
 def test_riesz_energy_blocking_invariance(monkeypatch):
     rng = make_rng(1)
     mu = DiscreteMeasure(rng.random((300, 3)) - 0.5, rng.random(300))
-    monkeypatch.setattr(heislab.measures, "RIESZ_BLOCK", 4096)
-    e_big = riesz_energy(mu, 2.0, 0.05)
-    monkeypatch.setattr(heislab.measures, "RIESZ_BLOCK", 7)
-    e_small = riesz_energy(mu, 2.0, 0.05)
-    assert e_small == pytest.approx(e_big, rel=1e-12)
+    e_default = riesz_energy(mu, 2.0, 0.05)
+    assert e_default == pytest.approx(riesz_energy_loop(mu, 2.0, 0.05),
+                                      rel=1e-12)
+    # one row a block, two blocks of 150 rows, one block
+    for block in (7, 300 * 150, 10 ** 6):
+        monkeypatch.setattr(heislab.core, "PAIR_BLOCK", block)
+        assert riesz_energy(mu, 2.0, 0.05) == pytest.approx(e_default,
+                                                             rel=1e-12)
 
 
 def test_riesz_energy_validation():

@@ -105,3 +105,45 @@ def test_every_parameter_is_read():
                     unread.append((module, getattr(node, "name", "<lambda>"),
                                    arg.arg))
     assert sorted(unread) == sorted(UNREAD_PARAMETERS)
+
+
+def _functions(tree):
+    """(name, node) of every function in tree, nested ones included."""
+    return [(n.name, n) for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_one_block_budget():
+    # every array pass blocks by core.PAIR_BLOCK or plates.PLATE_BLOCK;
+    # only core.blocks and core.window_blocks turn a budget into a step,
+    # and nothing else steps a range, so patching one name re-blocks all
+    steppers = {("core", "blocks"), ("core", "window_blocks")}
+    bound, misused = set(), []
+    for path in MODULES:
+        module = os.path.basename(path)[:-3]
+        tree = _tree(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) \
+                    or isinstance(node, ast.alias):
+                name = getattr(node, "id", None) or node.asname or node.name
+                if name.endswith("_BLOCK"):
+                    bound.add((module, name))
+        for name, fn in _functions(tree):
+            if (module, name) in steppers:
+                continue
+            parents = {child: n for n in ast.walk(fn)
+                       for child in ast.iter_child_nodes(n)}
+            for node in ast.walk(fn):
+                ref = getattr(node, "id", None) or getattr(node, "attr", "")
+                call = parents.get(node)
+                if ref.endswith("_BLOCK") and not (
+                        isinstance(call, ast.Call) and node in call.args
+                        and getattr(call.func, "id", None)
+                        in ("blocks", "window_blocks")):
+                    misused.append("%s.%s: %s" % (module, name, ref))
+                if isinstance(node, ast.Call) \
+                        and getattr(node.func, "id", None) == "range" \
+                        and len(node.args) == 3:
+                    misused.append("%s.%s: range step" % (module, name))
+    assert bound == {("core", "PAIR_BLOCK"), ("plates", "PLATE_BLOCK")}
+    assert misused == []
