@@ -17,7 +17,7 @@ from .reports import ExperimentReport, write_manifest
 
 
 def _family(args):
-    """The validated family read from --input, or made by the family flags."""
+    """The validated, nonempty family from --input or the family flags."""
     given = [f for f in ("kind", "delta", "s", "dim0")
              if getattr(args, f, None) is not None]
     if getattr(args, "input", None):
@@ -33,6 +33,8 @@ def _family(args):
         fam = delta_sets.generate(args.kind or "heis-lattice", args.delta,
                                   seed=args.seed, **params)
     fam.validate()
+    if len(fam) == 0:
+        raise ValueError("empty family")
     return fam
 
 

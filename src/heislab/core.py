@@ -26,10 +26,10 @@ import numpy as np
 # test suite re-derives both oracles.
 UNIT_BALL_VOLUME = math.pi ** 2 / 8
 
-# Entries per block of an array pass (blocks, window_blocks); bounds its
-# memory.  Read at call time, so that patching this one name re-blocks
-# every pass.
-PAIR_BLOCK = 1 << 20
+# Entries per block of every array pass (blocks, window_blocks), the best
+# of 2^13 to 2^16 on the benchmark.  Read at call time, so that patching
+# this one name re-blocks every pass.
+PAIR_BLOCK = 1 << 14
 
 
 def _as_points(p):
@@ -148,31 +148,33 @@ def gauge_pairs(queries, points, r):
         yield i[hit], j[hit], d[hit]
 
 
-def blocks(n, per_item, budget=None):
-    """Slices of range(n) holding about budget / per_item items each.
-
-    An item of per_item entries; budget defaults to PAIR_BLOCK.  Every
-    slice holds at least one item and ends at most at n.
-    """
-    step = max(1, (PAIR_BLOCK if budget is None else budget)
-               // max(1, per_item))
+def blocks(n, per_item):
+    """Slices of range(n), each of about PAIR_BLOCK / per_item items of
+    per_item entries, at least one item, and ending at most at n."""
+    step = max(1, PAIR_BLOCK // max(1, per_item))
     return [slice(b, min(b + step, n)) for b in range(0, n, step)]
 
 
-def window_blocks(first, lens, budget=None):
+def window_blocks(first, lens):
     """Expand windows [first[w], first[w] + lens[w]) of a sorted array.
 
     Yields (w, k): each window's id repeated once per position, and the
-    positions, in window order, from about budget (default PAIR_BLOCK)
-    positions per block; a window is never split between blocks.
+    positions, in window order.  A block holds whole windows, at most
+    PAIR_BLOCK positions unless one window is longer, and at least one
+    position; empty windows ride along with their neighbours.
     """
-    block = PAIR_BLOCK if budget is None else budget
-    cum = np.cumsum(lens)
-    cuts = np.searchsorted(cum, np.arange(block, cum[-1], block))
-    for ids in np.split(np.arange(len(lens)), cuts):
-        n = lens[ids]
-        w = np.repeat(ids, n)
-        yield w, np.arange(len(w)) + np.repeat(first[ids] - np.cumsum(n) + n, n)
+    ends = np.cumsum(lens)
+    start, done = 0, 0
+    while start < len(ends) and done < ends[-1]:
+        # the next window with positions, then every one ending in budget
+        limit = max(done + PAIR_BLOCK,
+                    ends[np.searchsorted(ends, done, side="right")])
+        stop = int(np.searchsorted(ends, limit, side="right"))
+        n = lens[start:stop]
+        w = np.repeat(np.arange(start, stop), n)
+        off = first[start:stop] - (ends[start:stop] - n - done)
+        yield w, np.arange(len(w)) + np.repeat(off, n)
+        start, done = stop, int(ends[stop - 1])
 
 
 def ball_volume(r):

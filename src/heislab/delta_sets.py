@@ -191,14 +191,13 @@ def ball_grid(cols, step, margin, shift=0.0):
     lens = np.maximum(hi - lo + 1, 0)
     out = np.empty((int(lens.sum()), 3))
     kept = 0
-    if len(out):
-        for col, j in window_blocks(lo, lens):
-            pts = np.empty((len(col), 3))
-            pts[:, :2] = cols[col]
-            pts[:, 2] = j * step + shift[col]
-            pts = pts[gauge_norm(pts) <= 1.0 - margin]
-            out[kept:kept + len(pts)] = pts
-            kept += len(pts)
+    for col, j in window_blocks(lo, lens):
+        pts = np.empty((len(col), 3))
+        pts[:, :2] = cols[col]
+        pts[:, 2] = j * step + shift[col]
+        pts = pts[gauge_norm(pts) <= 1.0 - margin]
+        out[kept:kept + len(pts)] = pts
+        kept += len(pts)
     return out[:kept]
 
 

@@ -273,8 +273,8 @@ def _ball_plate_pass(rng, n_balls):
     cand = uniform_ball_points(n_balls * 24, rng).reshape(n_balls, 24, 3)
     svals = np.linspace(-1.0, 1.0, 21)[:, None, None]
     inc, outer, recov = 0, 0.0, 0.0
-    # about PLATE_BLOCK / 2 ray points a membership call
-    for sl in blocks(n_balls, 2 * 24 * 21, plates.PLATE_BLOCK):
+    # about core.PAIR_BLOCK coordinates of ray points a block
+    for sl in blocks(n_balls, 3 * 24 * 21):
         cb, rb = c[sl, None], r[sl, None]
         plate = plates.ball_to_modified_plate(cb, rb)
         qs = group_mul(cb, dilate(rb * 0.999, pts[sl]))
@@ -329,8 +329,8 @@ def _sandwich_c(rng):
     cr = np.repeat(cvals, 40) * r
     ray = dual_ray(c0.T)
     held = np.empty(n, dtype=bool)
-    # about PLATE_BLOCK / 2 plate points a membership call
-    for sl in blocks(n, 2 * 200, plates.PLATE_BLOCK):
+    # about core.PAIR_BLOCK uniforms a block
+    for sl in blocks(n, 800):
         u, v, y = ray.u[sl], ray.v[sl], ray.y[sl]
         pts = plates.ModifiedPlate(u, v, y, cr[sl]).sample(
             rng.random((len(u), 800)))

@@ -57,10 +57,6 @@ import numpy as np
 from .core import blocks, gauge_norm, heis_dist, window_blocks
 from .duality import LightRay, dual_ray
 
-# Candidate pairs, and (point, direction bin) windows, per block of
-# count_memberships; the membership test tries eight directions a pair.
-PLATE_BLOCK = 1 << 16
-
 
 def rect_contains(y, r, w, tol=0.0):
     """Membership in R_r(y); w has shape (..., 2)."""
@@ -208,8 +204,8 @@ def same_direction_separation(c1, c2, r, rng):
     of the dual plate of B(c1, r) and keeps those inside the unit
     Euclidean ball; if one lies in the dual plate of B(c2, r) its ratio
     is d(c1, c2) / r, else NaN.  The rows are drawn, and membership is
-    called, PLATE_BLOCK / 256 pairs at a time; the generator's stream is
-    contiguous, so the block size changes no bit.
+    called, in blocks of about core.PAIR_BLOCK uniforms; the generator's
+    stream is contiguous, so the block size changes no bit.
     """
     c1 = np.asarray(c1, dtype=float).reshape(-1, 3)
     c2 = np.asarray(c2, dtype=float).reshape(-1, 3)
@@ -220,7 +216,7 @@ def same_direction_separation(c1, c2, r, rng):
     p1 = ball_to_modified_plate(c1, r)
     p2 = ball_to_modified_plate(c2, r)
     met = np.zeros(len(c1), dtype=bool)
-    for sl in blocks(len(c1), 256, PLATE_BLOCK):
+    for sl in blocks(len(c1), 1024):
         uni = rng.random((sl.stop - sl.start, 1024))
         pts = ModifiedPlate(p1.u[sl], p1.v[sl], p1.y[sl], p1.r).sample(uni)
         pair, k = np.nonzero(np.linalg.norm(pts, axis=-1) <= 1.0)
@@ -297,7 +293,7 @@ def _plate_candidates(u, v, y, r, pts, tol):
     order = np.argsort(key)
     key = key[order]
     base = np.arange(len(theta)) * stride + 1
-    for sl in blocks(len(pts), len(theta), PLATE_BLOCK):
+    for sl in blocks(len(pts), len(theta)):
         cu = q2[sl, None] + s[sl, None] * theta - ulo
         lo = np.clip(np.floor((cu - hu[sl, None]) / side), -1, ncell)
         hi = np.clip(np.floor((cu + hu[sl, None]) / side), -1, ncell)
@@ -308,7 +304,7 @@ def _plate_candidates(u, v, y, r, pts, tol):
         first = np.searchsorted(key, (c - h) + off, side="left")
         lens = np.searchsorted(key, (c + h) + off, side="right") - first
         lens[..., 1] *= hi > lo
-        for w, k in window_blocks(first.ravel(), lens.ravel(), PLATE_BLOCK):
+        for w, k in window_blocks(first.ravel(), lens.ravel()):
             i, j = sl.start + w // (2 * len(theta)), order[k]
             yj, si = y[j], s[i]
             near = ((np.abs(q2[i] - u[j] + si * yj) <= w1[i] + margin)

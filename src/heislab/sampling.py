@@ -50,9 +50,9 @@ def monte_carlo_ball_volume(n, seed=0):
     rng = make_rng(seed)
     box_vol = float(np.prod(_BOX_SCALE))
     hits = 0
-    # PAIR_BLOCK / 4 = 2^18 rows a draw; the stream is contiguous, so the
-    # block size changes no bit
-    for sl in blocks(n, 4):
+    # about PAIR_BLOCK coordinates a draw; the stream is contiguous, so
+    # the block size changes no bit
+    for sl in blocks(n, 3):
         raw = rng.random((sl.stop - sl.start, 3)) * _BOX_SCALE + _BOX_LO
         hits += int(np.count_nonzero(_in_unit_ball(raw)))
     return box_vol * hits / n

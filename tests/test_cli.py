@@ -353,6 +353,26 @@ def test_experiment_rejects_zero_counts(tmp_path, capsys, experiment, kind,
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["verify"], ["experiment", "best-direction"],
+    ["experiment", "plate-energy"], ["experiment", "rho-dim"]])
+def test_empty_family_file_is_usage_error(tmp_path, capsys, command):
+    # a valid file with no centers: every command that reads a family
+    # stops at the boundary, before any numeric warning or report
+    path = tmp_path / "fam.txt"
+    path.write_text("0.25 3 8 0 random3\n")
+    argv = command + ["--input", str(path)]
+    if command[0] == "experiment":
+        argv += ["--out-dir", str(tmp_path / "r")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run_cli(argv, capsys)
+    assert stdout == ""
+    assert_one_error_line(code, stderr)
+    assert "empty family" in stderr
+    assert not (tmp_path / "r").exists()
+
+
 def test_points_per_ball_is_accepted_and_has_no_effect(tmp_path, capsys):
     # the flag stays for the benchmark's command lines: any value from 1
     # up writes the same reports, and 0 is still rejected

@@ -272,23 +272,51 @@ def test_gauge_pairs_lattice_and_small_blocks(monkeypatch):
 @pytest.mark.parametrize("n, per_item, budget, sizes", [
     (0, 5, 100, []), (1, 10 ** 9, 100, [1]), (7, 0, 3, [3, 3, 1]),
     (10, 4, 10, [2] * 5), (10, 4, 100, [10])])
-def test_blocks_cover_range_in_order(n, per_item, budget, sizes):
-    got = blocks(n, per_item, budget)
+def test_blocks_cover_range_in_order(monkeypatch, n, per_item, budget, sizes):
+    monkeypatch.setattr(heislab.core, "PAIR_BLOCK", budget)
+    got = blocks(n, per_item)
     assert [sl.stop - sl.start for sl in got] == sizes
     assert [i for sl in got for i in range(n)[sl]] == list(range(n))
     assert all(sl.stop <= n for sl in got)
 
 
 def test_blocks_read_the_budget_at_call_time(monkeypatch):
-    assert len(blocks(1 << 12, 1 << 10)) == 4
+    n, per_item = 1 << 12, 1 << 10
+    want = -(-n // max(1, heislab.core.PAIR_BLOCK // per_item))
+    assert len(blocks(n, per_item)) == want
     monkeypatch.setattr(heislab.core, "PAIR_BLOCK", 1 << 11)
-    assert len(blocks(1 << 12, 1 << 10)) == 1 << 11
+    assert len(blocks(n, per_item)) == 1 << 11
     first, lens = np.array([0, 5, 9]), np.array([5, 4, 2])
     got = [w.tolist() for w, _ in window_blocks(first, lens)]
     monkeypatch.setattr(heislab.core, "PAIR_BLOCK", 4)
     small = [w.tolist() for w, _ in window_blocks(first, lens)]
     assert got == [[0] * 5 + [1] * 4 + [2] * 2]
-    assert len([w for w in small if w]) == 2 and sum(small, []) == got[0]
+    # the first window is longer than the budget: a block of its own
+    assert all(small) and sum(small, []) == got[0]
+
+
+@given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 12)),
+                max_size=20),
+       st.integers(1, 16))
+@settings(max_examples=300, deadline=None)
+@example([(3, 0), (0, 5), (0, 0), (2, 4), (7, 2), (1, 0)], 4)
+@example([(0, 0), (4, 0)], 1)
+def test_window_blocks_partition_the_windows(windows, budget):
+    # whole windows in order, no block empty, and at most budget positions
+    # a block unless it holds one window
+    first = np.array([f for f, _ in windows], dtype=np.int64)
+    lens = np.array([n for _, n in windows], dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heislab.core, "PAIR_BLOCK", budget)
+        got = list(window_blocks(first, lens))
+    ids = [w.tolist() for w, _ in got]
+    assert all(ids)
+    assert sum(ids, []) == np.repeat(np.arange(len(lens)), lens).tolist()
+    assert sum((k.tolist() for _, k in got), []) \
+        == [f + i for f, n in windows for i in range(n)]
+    seen = [set(w) for w in ids]
+    assert sum(map(len, seen)) == len(set().union(*seen))
+    assert all(len(w) <= budget or len(s) == 1 for w, s in zip(ids, seen))
 
 
 def test_gauge_pairs_empty_and_bad_input():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislab import core, experiments, plates
+from heislab import core, experiments
 from heislab.cinematic import f_eval
 from heislab.core import dilate, gauge_norm, group_mul, heis_dist
 from heislab.delta_sets import (BallFamily, gen_horizontal_line,
@@ -572,7 +572,7 @@ def test_sandwich_matches_double_loop(seed):
 @pytest.mark.parametrize("block", [1, 7, 10 ** 6])
 def test_constants_do_not_depend_on_blocking(tmp_path, monkeypatch, block):
     # the seed-0 manifest at the default sizes is the checked-in fixture
-    monkeypatch.setattr(plates, "PLATE_BLOCK", block)
+    monkeypatch.setattr(core, "PAIR_BLOCK", block)
     path = tmp_path / "m.txt"
     write_manifest(path, experiments.derive_constants(seed=0))
     with open("tests/fixtures/constants_manifest.txt", "rb") as fh:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heislab.core
 from heislab.core import dilate, gauge_norm, group_mul, heis_dist
 from heislab.delta_sets import generate
 from heislab.duality import LightRay, dual_ray
@@ -374,6 +375,21 @@ def test_count_memberships_matches_bruteforce():
     slow = count_memberships_bruteforce(u, v, y, r, pts)
     assert np.array_equal(fast, slow)
     assert fast.sum() > 0
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_count_memberships_does_not_depend_on_blocking(monkeypatch, block):
+    # budget 1 puts every window in a block of its own, most of them
+    # longer than the budget
+    rng = make_rng(8)
+    r = 2.0 ** -3
+    u, v, y = (rng.random(300) * 2 - 1 for _ in range(3))
+    pts = rng.random((500, 3)) * [4, 3, 3] - [2, 1.5, 1.5]
+    want = count_memberships_bruteforce(u, v, y, r, pts)
+    if block is not None:
+        monkeypatch.setattr(heislab.core, "PAIR_BLOCK", block)
+    assert np.array_equal(count_memberships(u, v, y, r, pts), want)
+    assert want.sum() > 0
 
 
 def test_count_memberships_empty_inputs():

@@ -114,9 +114,10 @@ def _functions(tree):
 
 
 def test_one_block_budget():
-    # every array pass blocks by core.PAIR_BLOCK or plates.PLATE_BLOCK;
-    # only core.blocks and core.window_blocks turn a budget into a step,
-    # and nothing else steps a range, so patching one name re-blocks all
+    # core.PAIR_BLOCK is the one budget: only core.blocks and
+    # core.window_blocks read it, every call passes them the item size or
+    # the windows and nothing else, and nothing else steps a range, so
+    # patching that one name re-blocks every array pass
     steppers = {("core", "blocks"), ("core", "window_blocks")}
     bound, misused = set(), []
     for path in MODULES:
@@ -131,19 +132,19 @@ def test_one_block_budget():
         for name, fn in _functions(tree):
             if (module, name) in steppers:
                 continue
-            parents = {child: n for n in ast.walk(fn)
-                       for child in ast.iter_child_nodes(n)}
             for node in ast.walk(fn):
                 ref = getattr(node, "id", None) or getattr(node, "attr", "")
-                call = parents.get(node)
-                if ref.endswith("_BLOCK") and not (
-                        isinstance(call, ast.Call) and node in call.args
-                        and getattr(call.func, "id", None)
-                        in ("blocks", "window_blocks")):
+                if isinstance(getattr(node, "ctx", None), ast.Load) \
+                        and ref.endswith("_BLOCK"):
                     misused.append("%s.%s: %s" % (module, name, ref))
-                if isinstance(node, ast.Call) \
-                        and getattr(node.func, "id", None) == "range" \
-                        and len(node.args) == 3:
+                if not isinstance(node, ast.Call):
+                    continue
+                called = getattr(node.func, "id", None) \
+                    or getattr(node.func, "attr", "")
+                if called in ("blocks", "window_blocks") \
+                        and len(node.args) + len(node.keywords) > 2:
+                    misused.append("%s.%s: %s budget" % (module, name, called))
+                if called == "range" and len(node.args) == 3:
                     misused.append("%s.%s: range step" % (module, name))
-    assert bound == {("core", "PAIR_BLOCK"), ("plates", "PLATE_BLOCK")}
+    assert bound == {("core", "PAIR_BLOCK")}
     assert misused == []
