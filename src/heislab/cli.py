@@ -1,6 +1,7 @@
 """Command line front end: gen | verify | experiment | constants.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error
+(an array too large to allocate included).
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def main(argv=None):
     try:
         _at_least(args, seed=0)  # every command takes --seed
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -18,8 +18,20 @@ modified plate of scale 2r:
 
     ell*(B(p, r))  is contained in  Pi_{2r}(u0, v0, y0),
 
-with a reverse inclusion into the dual of a boundedly inflated ball.
-compose_center is the inverse map, from a ray (u0, v0, y0) to p.
+with a reverse inclusion into the dual of a boundedly inflated ball.  The
+ray (u, v, y) = (u0 + w1, v0 + w2 - y0 w1, y0 + e) of Pi_{2r}, with
+|w1|, |e| <= 2r and |w2| <= 4r^2, is the dual ray of its base point
+(u, 0, v) * (0, y, 0) (this inverse of dual_ray is an oracle in
+tests/test_plates.py), which lies at gauge distance
+((w1^2 + e^2)^2 + 16 (w2 + w1 e / 2)^2)^(1/4) from p: at most
+PLATE_OUTER_C r = 2 40^(1/4) r, reached at the corner |w1| = |e| = 2r,
+w2 = 4r^2, w1 e > 0.
+
+Sandwich.  The point of Pi_{c r}(u, v, y) on the ray with offset e,
+|e| <= c r, at parameter s has, in P_r(y) at (u, v), W1 = w1 - s e and
+W2 + y W1 = (w2 + y w1) + s e^2 / 2.  So |W1| <= 3 c r and
+|W2 + y W1| <= 2 c^2 r^2, both reached, and Pi_{c r} lies inside P_r iff
+c <= SANDWICH_INNER_C = 1/3.
 
 Membership of a point in a modified plate is a feasibility question over
 the free direction y': one linear band, one quadratic band and the box
@@ -55,7 +67,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import blocks, gauge_norm, heis_dist, window_blocks
-from .duality import LightRay, dual_ray
+from .duality import dual_ray
+
+PLATE_OUTER_C = 2.0 * 40.0 ** 0.25
+SANDWICH_INNER_C = 1.0 / 3.0
 
 
 def rect_contains(y, r, w, tol=0.0):
@@ -64,35 +79,6 @@ def rect_contains(y, r, w, tol=0.0):
     w1 = w[..., 0]
     w2 = w[..., 1]
     return (np.abs(w1) <= r + tol) & (np.abs(w2 + y * w1) <= r * r + tol)
-
-
-def compose_center(u, v, y):
-    """Inverse of duality.dual_ray: the point (u, 0, v) * (0, y, 0)."""
-    u = np.asarray(u, dtype=float)
-    return np.stack(np.broadcast_arrays(u, np.asarray(y, dtype=float),
-                                        np.asarray(v, dtype=float) + 0.5 * u * y),
-                    axis=-1)
-
-
-@dataclass(frozen=True)
-class Plate:
-    """Fixed-direction ray bundle P_r(y) based at (u, v).
-
-    Fields may be arrays, one plate per entry, broadcast against q.
-    """
-
-    u: object
-    v: object
-    y: object
-    r: object
-
-    def contains(self, q, tol=1e-12):
-        q = np.asarray(q, dtype=float)
-        s, q2, q3 = q[..., 0], q[..., 1], q[..., 2]
-        w1 = q2 - self.u + s * self.y
-        w2 = q3 - self.v - 0.5 * s * (self.y * self.y)
-        inside = rect_contains(self.y, self.r, np.stack([w1, w2], axis=-1), tol)
-        return inside & (np.abs(s) <= 2.0 + tol)
 
 
 @dataclass(frozen=True)
@@ -161,19 +147,6 @@ class ModifiedPlate:
         return np.moveaxis(np.stack([s, u + w1 - s * yp,
                                      v + w2 + 0.5 * s * yp ** 2], axis=-1),
                            0, -2)
-
-    def sample_rays(self, uniforms):
-        """Rays of the bundle, as a LightRay of arrays, from uniforms.
-
-        uniforms has shape (..., 3), leading axes broadcast against the
-        fields as in sample; rng.random((n, 3)) gives n uniform rays: a
-        point (w1, w2) of the base rectangle and a direction offset each.
-        """
-        w = np.moveaxis(np.asarray(uniforms, dtype=float), -1, 0)
-        u, v, y, r = self.u, self.v, self.y, self.r
-        w1 = w[0] * (2 * r) - r
-        w2 = w[1] * (2 * r * r) - r * r
-        return LightRay(u + w1, v + w2 - y * w1, y + (w[2] * 2 - 1) * r)
 
 
 def ball_to_modified_plate(center, radius):

@@ -13,14 +13,24 @@ left translation of the source set.
 
 The natural metric on the chart is the parabolic one,
 d_par((a, b), (a', b')) = |a - a'| + sqrt(|b - b'|), which is bilipschitz
-to the gauge metric restricted to W_e.
+to the gauge metric restricted to W_e: two points of W_e are at gauge
+distance (da^4 + 16 db^2)^(1/4), so with k = sqrt|db| / |da| the ratio
+d / d_par is (1 + 16 k^4)^(1/4) / (1 + k).  It lies in [0.77828..., 2):
+least at 16 k^3 = 1, where it is PARABOLIC_BILIP_LO = (1 + 2^(-4/3))^(-3/4),
+and tending to its supremum 2 as k -> infinity.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import _as_points
+
+PARABOLIC_BILIP_LO = (1.0 + 2.0 ** (-4.0 / 3.0)) ** -0.75
+PROJECTED_BALL_AREA = 2.0 * math.sqrt(math.pi) * math.gamma(0.75) \
+    / math.gamma(0.25)
 
 
 def ze_zje(theta, p):
@@ -35,13 +45,6 @@ def pi_e(theta, p):
     p = _as_points(p)
     ze, zje = ze_zje(theta, p)
     return np.stack([zje, p[..., 2] + 0.5 * ze * zje], axis=-1)
-
-
-def parabolic_dist(w, v):
-    """Parabolic metric |a - a'| + sqrt(|b - b'|) on chart coordinates."""
-    w = np.asarray(w, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return np.abs(w[..., 0] - v[..., 0]) + np.sqrt(np.abs(w[..., 1] - v[..., 1]))
 
 
 def pack_pixels(ia, ib):
@@ -81,8 +84,9 @@ def projected_ball_profile(alpha):
 
         g(alpha) = (1 + 2 u) sqrt(1 - u) / 4,
 
-    and the region has area 2 sqrt(pi) Gamma(3/4) / Gamma(1/4).  The
-    cube root is np.cbrt, which rounds alike for any blocking of alpha.
+    and the region has area PROJECTED_BALL_AREA = 2 sqrt(pi) Gamma(3/4) /
+    Gamma(1/4).  The cube root is np.cbrt, which rounds alike for any
+    blocking of alpha.
     """
     s = np.cbrt(np.square(alpha))
     u = s * s

@@ -1,4 +1,4 @@
-"""Deterministic sampling helpers: Philox RNG, uniform ball points, ball volumes."""
+"""Deterministic sampling: Philox RNG, uniform ball points, MC ball volume."""
 
 from __future__ import annotations
 
@@ -56,15 +56,3 @@ def monte_carlo_ball_volume(n, seed=0):
         raw = rng.random((sl.stop - sl.start, 3)) * _BOX_SCALE + _BOX_LO
         hits += int(np.count_nonzero(_in_unit_ball(raw)))
     return box_vol * hits / n
-
-
-def quadrature_ball_volume():
-    """Cylindrical-coordinate quadrature of the unit ball volume.
-
-    The t-extent at cylinder radius rho is sqrt(1 - rho^4) / 4, so the
-    volume is int_0^1 pi rho sqrt(1 - rho^4) drho, evaluated with the
-    midpoint rule on 20000 cells (the closed form is pi^2 / 8).
-    """
-    n = 20000
-    rho = (np.arange(n) + 0.5) / n
-    return float(np.pi * np.sum(rho * np.sqrt(1.0 - rho ** 4)) / n)

@@ -205,6 +205,16 @@ def test_gen_bad_delta_is_usage_error(tmp_path, capsys, kind, delta):
     assert not out.exists()
 
 
+def test_gen_too_large_to_allocate_is_usage_error(tmp_path, capsys):
+    # 10^18 t-axis points: numpy refuses the 6.9 EiB array at once
+    out = tmp_path / "fam.txt"
+    code, _, stderr = run_cli(["gen", "--kind", "t-axis", "--delta", "1e-9",
+                               "--s", "2", "--out", str(out)], capsys)
+    assert_one_error_line(code, stderr)
+    assert "allocate" in stderr
+    assert not out.exists()
+
+
 MALFORMED_FAMILIES = {
     "bad float": "0.25 1 4 2\n0 0 0\n0.25 0 zero\n",
     "nan center": "0.25 1 4 2\n0 0 0\n0.25 nan 0\n",

@@ -11,8 +11,7 @@ from heislab.core import (UNIT_BALL_VOLUME, ball_volume, blocks, dilate,
                           heis_dist_trunc, window_blocks)
 from heislab.delta_sets import gen_heis_lattice
 from heislab.sampling import (make_rng, monte_carlo_ball_volume,
-                              quadrature_ball_volume, uniform_ball_points,
-                              uniform_euclidean_ball)
+                              uniform_ball_points, uniform_euclidean_ball)
 
 EPS = np.finfo(float).eps
 
@@ -134,9 +133,12 @@ def test_truncated_metric():
 
 
 def test_ball_volume_closed_form_vs_quadrature():
+    # the t-extent at cylinder radius rho is sqrt(1 - rho^4) / 4: the
+    # midpoint rule on 20000 cells of int_0^1 pi rho sqrt(1 - rho^4)
     assert UNIT_BALL_VOLUME == pytest.approx(math.pi ** 2 / 8)
-    assert quadrature_ball_volume() == pytest.approx(UNIT_BALL_VOLUME,
-                                                     rel=1e-6)
+    rho = (np.arange(20000) + 0.5) / 20000
+    quadrature = float(np.pi * np.sum(rho * np.sqrt(1.0 - rho ** 4)) / 20000)
+    assert quadrature == pytest.approx(UNIT_BALL_VOLUME, rel=1e-6)
 
 
 def test_ball_volume_monte_carlo():

@@ -19,11 +19,14 @@ from heislab.experiments import (_cell_counts,
                                  rho_dimension)
 from heislab.measures import DiscreteMeasure, rasterize
 from heislab.duality import dual_ray
-from heislab.plates import (ModifiedPlate, Plate, ball_to_modified_plate,
-                            compose_center, same_direction_separation)
-from heislab.projections import pi_e, projected_ball_profile, ze_zje
+from heislab.plates import (SANDWICH_INNER_C, ModifiedPlate,
+                            ball_to_modified_plate, same_direction_separation)
+from heislab.projections import (PROJECTED_BALL_AREA, pi_e,
+                                 projected_ball_profile, ze_zje)
 from heislab.reports import ExperimentReport, read_manifest, write_manifest
-from heislab.sampling import make_rng, uniform_ball_points
+from heislab.sampling import (make_rng, monte_carlo_ball_volume,
+                              uniform_ball_points)
+from test_plates import Plate
 
 
 def projection_area_set(theta, centers, radius, pixel):
@@ -81,10 +84,6 @@ def test_projection_exponent_sign_convention():
     assert resid == pytest.approx(0.0, abs=1e-10)
 
 
-PROJECTED_BALL_AREA = 2 * math.sqrt(math.pi) * math.gamma(0.75) \
-    / math.gamma(0.25)
-
-
 @pytest.mark.parametrize("k", [6, 8, 10])
 def test_projection_area_single_ball_matches_closed_form(k):
     # each column's two floor roundings add about one pixel: the raster
@@ -94,6 +93,16 @@ def test_projection_area_single_ball_matches_closed_form(k):
         excess = projection_area(th, np.zeros((1, 3)), 1.0, pix) \
             - PROJECTED_BALL_AREA
         assert 0.0 <= excess <= 4 * pix, (th, excess)
+
+
+def test_projection_area_converges_to_closed_form():
+    # the raster behind the closed form PROJECTED_BALL_AREA: its excess
+    # about halves with each halving of the pixel
+    errs = [projection_area(0.0, np.zeros(3), 1.0, 2.0 ** -k)
+            - PROJECTED_BALL_AREA for k in (8, 9, 10)]
+    assert 0.0 < errs[2] < errs[1] < errs[0]
+    for fine, coarse in zip(errs[1:], errs):
+        assert 0.45 <= fine / coarse <= 0.55, errs
 
 
 def test_projection_area_union_subadditive():
@@ -493,14 +502,13 @@ def test_separation_batch_matches_per_pair_loop(seed, n_pairs):
 
 def ball_plate_loop_oracle(rng, n_balls):
     """derive_constants' ball-plate pass, one ball at a time over the same
-    pre-drawn arrays: centers, radii, ball points, plate-ray uniforms and
-    recovery candidates."""
+    pre-drawn arrays: centers, radii, ball points and recovery
+    candidates."""
     c = uniform_ball_points(n_balls, rng, 0.9)
     r = rng.random(n_balls) * 0.2 + 0.02
     pts = uniform_ball_points(n_balls * 10, rng).reshape(n_balls, 10, 3)
-    ray_uni = rng.random((n_balls, 10, 3))
     cand = uniform_ball_points(n_balls * 24, rng).reshape(n_balls, 24, 3)
-    inc, outer, recov = 0, 0.0, 0.0
+    inc, recov = 0, 0.0
     svals = np.linspace(-1.0, 1.0, 21)[:, None]
     for i in range(n_balls):
         ci = c[i].copy()
@@ -508,9 +516,6 @@ def ball_plate_loop_oracle(rng, n_balls):
         plate = ball_to_modified_plate(ci, r[i])
         qs = group_mul(ci, dilate(r[i] * 0.999, pts[i]))
         inc += int(np.count_nonzero(plate.contains_ray(dual_ray(qs.T))))
-        rays = plate.sample_rays(ray_uni[i])
-        p = compose_center(rays.u, rays.v, rays.y)
-        outer = max(outer, float((heis_dist(p, ci) / r[i]).max()))
         # ray point s of candidate k is ray_pts[s, k], tested if in B(1)
         q = group_mul(ci, dilate(4 * r[i], cand[i]))
         ray_pts = np.stack(np.broadcast_arrays(
@@ -520,7 +525,7 @@ def ball_plate_loop_oracle(rng, n_balls):
             plate.contains(ray_pts) | ~tested, axis=0)
         if np.any(kept):
             recov = max(recov, float((heis_dist(q[kept], ci) / r[i]).max()))
-    return inc, outer, recov
+    return inc, recov
 
 
 @pytest.mark.parametrize("n_balls", [1, 13, 150])
@@ -530,8 +535,34 @@ def test_ball_plate_pass_matches_per_ball_loop(seed, n_balls):
     want = ball_plate_loop_oracle(want_rng, n_balls)
     got = experiments._ball_plate_pass(rng, n_balls)
     assert got == want
-    assert got[0] == 10 * n_balls and got[1] > 1.0 and got[2] > 1.0
+    assert got[0] == 10 * n_balls and got[1] > 1.0
     assert rng.random() == want_rng.random()
+
+
+def sandwich_grid_c(rng):
+    """Largest c = k / 16 whose 40 trials all hold; the sampling behind
+    the closed form plates.SANDWICH_INNER_C.
+
+    A trial draws a center c0 uniform in B(0.8) with |y| clamped to 0.9
+    and a radius r uniform in [0.01, 0.11), and holds if 200 points of
+    the modified plate Pi_{c r} on the dual ray of c0 lie in the rigid
+    plate P_r there.  The 640 trials are drawn at once, c-major.
+    """
+    cvals = np.linspace(1.0 / 16, 1.0, 16)
+    n = len(cvals) * 40
+    c0 = uniform_ball_points(n, rng, 0.8)
+    c0[:, 1] = np.clip(c0[:, 1], -0.9, 0.9)
+    r = rng.random(n) * 0.1 + 0.01
+    cr = np.repeat(cvals, 40) * r
+    ray = dual_ray(c0.T)
+    held = np.empty(n, dtype=bool)
+    for sl in core.blocks(n, 800):
+        u, v, y = ray.u[sl], ray.v[sl], ray.y[sl]
+        pts = ModifiedPlate(u, v, y, cr[sl]).sample(
+            rng.random((len(u), 800)))
+        rigid = Plate(u[:, None], v[:, None], y[:, None], r[sl, None])
+        held[sl] = np.all(rigid.contains(pts, tol=1e-9), axis=-1)
+    return float(cvals[held.reshape(-1, 40).all(axis=1)].max(initial=0.0))
 
 
 def sandwich_loop_oracle(rng):
@@ -564,14 +595,52 @@ def sandwich_loop_oracle(rng):
 def test_sandwich_matches_double_loop(seed):
     want_rng, rng = make_rng(seed), make_rng(seed)
     want = sandwich_loop_oracle(want_rng)
-    assert experiments._sandwich_c(rng) == want
-    assert 0.0 < want < 1.0
+    assert sandwich_grid_c(rng) == want
+    # the largest grid value k / 16 below the closed form 1/3
+    assert want == 5 / 16 == math.floor(16 * SANDWICH_INNER_C) / 16
     assert rng.random() == want_rng.random()
+
+
+def test_sandwich_corner_fails_just_above_closed_form():
+    # Pi_{c r}'s point with w1 = c r and w2 + y w1 = 0 on the ray with
+    # offset e = -c r at s = 2 (uniforms 1, 0.5, 0, 1) has W1 = 3 c r:
+    # inside the rigid plate P_r at c = 1/3, outside just above it
+    u, v, y, r = 0.3, -0.1, 0.4, 0.1
+    rigid = Plate(u, v, y, r)
+    corner = [1.0, 0.5, 0.0, 1.0]
+    for c, inside in ((SANDWICH_INNER_C, True),
+                      (SANDWICH_INNER_C * (1 + 1e-9), False),
+                      (SANDWICH_INNER_C + 1e-3, False)):
+        pts = ModifiedPlate(u, v, y, c * r).sample(corner)
+        assert bool(rigid.contains(pts)[0]) is inside, c
+    held = ModifiedPlate(u, v, y, SANDWICH_INNER_C * r).sample(
+        make_rng(5).random(4 * 20000))
+    assert np.all(rigid.contains(held))
+
+
+@pytest.mark.parametrize("block", [1, 7, 10 ** 6])
+def test_monte_carlo_volume_does_not_depend_on_blocking(monkeypatch, block):
+    # the same draw loop at any n, so a small n checks every budget
+    want = monte_carlo_ball_volume(30_000, seed=0)
+    monkeypatch.setattr(core, "PAIR_BLOCK", block)
+    assert monte_carlo_ball_volume(30_000, seed=0) == want
 
 
 @pytest.mark.parametrize("block", [1, 7, 10 ** 6])
 def test_constants_do_not_depend_on_blocking(tmp_path, monkeypatch, block):
-    # the seed-0 manifest at the default sizes is the checked-in fixture
+    # the seed-0 manifest at the default sizes is the checked-in fixture;
+    # the Monte Carlo volume, whose 10^6 rows would be drawn a row or two
+    # at a time at budgets 1 and 7, runs at the default budget (the test
+    # above checks its blocking)
+    default = core.PAIR_BLOCK
+
+    def mc_at_default_budget(n, seed):
+        with monkeypatch.context() as m:
+            m.setattr(core, "PAIR_BLOCK", default)
+            return monte_carlo_ball_volume(n, seed=seed)
+
+    monkeypatch.setattr(experiments, "monte_carlo_ball_volume",
+                        mc_at_default_budget)
     monkeypatch.setattr(core, "PAIR_BLOCK", block)
     path = tmp_path / "m.txt"
     write_manifest(path, experiments.derive_constants(seed=0))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,14 +10,57 @@ import heislab.core
 from heislab.core import dilate, gauge_norm, group_mul, heis_dist
 from heislab.delta_sets import generate
 from heislab.duality import LightRay, dual_ray
-from heislab.plates import (ModifiedPlate, Plate, _plate_candidates,
-                            ball_to_modified_plate, compose_center,
-                            count_memberships, rect_contains,
-                            same_direction_separation)
+from heislab.plates import (PLATE_OUTER_C, ModifiedPlate, _plate_candidates,
+                            ball_to_modified_plate, count_memberships,
+                            rect_contains, same_direction_separation)
 from heislab.sampling import (make_rng, uniform_ball_points,
                               uniform_euclidean_ball)
 
 coord = st.floats(-1, 1, allow_nan=False)
+
+
+def compose_center(u, v, y):
+    """Inverse of duality.dual_ray: the point (u, 0, v) * (0, y, 0)."""
+    u = np.asarray(u, dtype=float)
+    return np.stack(np.broadcast_arrays(u, np.asarray(y, dtype=float),
+                                        np.asarray(v, dtype=float) + 0.5 * u * y),
+                    axis=-1)
+
+
+@dataclass(frozen=True)
+class Plate:
+    """Fixed-direction ray bundle P_r(y) based at (u, v); oracle for the
+    sandwich constant plates.SANDWICH_INNER_C.
+
+    Fields may be arrays, one plate per entry, broadcast against q.
+    """
+
+    u: object
+    v: object
+    y: object
+    r: object
+
+    def contains(self, q, tol=1e-12):
+        q = np.asarray(q, dtype=float)
+        s, q2, q3 = q[..., 0], q[..., 1], q[..., 2]
+        w1 = q2 - self.u + s * self.y
+        w2 = q3 - self.v - 0.5 * s * (self.y * self.y)
+        inside = rect_contains(self.y, self.r, np.stack([w1, w2], axis=-1), tol)
+        return inside & (np.abs(s) <= 2.0 + tol)
+
+
+def sample_rays(plate, uniforms):
+    """Rays of a ModifiedPlate, as a LightRay of arrays, from uniforms.
+
+    uniforms has shape (..., 3), leading axes broadcast against the
+    fields; rng.random((n, 3)) gives n uniform rays: a point (w1, w2) of
+    the base rectangle and a direction offset each.
+    """
+    w = np.moveaxis(np.asarray(uniforms, dtype=float), -1, 0)
+    u, v, y, r = plate.u, plate.v, plate.y, plate.r
+    w1 = w[0] * (2 * r) - r
+    w2 = w[1] * (2 * r * r) - r * r
+    return LightRay(u + w1, v + w2 - y * w1, y + (w[2] * 2 - 1) * r)
 
 
 def _plate_sample(plate, n, rng):
@@ -182,7 +226,7 @@ def test_modified_plate_contains_fixed_direction_plate():
 def test_contains_ray_vs_pointwise():
     mp = ModifiedPlate(0.0, 0.0, 0.4, 0.25)
     rng = make_rng(5)
-    rays = mp.sample_rays(rng.random((200, 3)))
+    rays = sample_rays(mp, rng.random((200, 3)))
     assert np.all(mp.contains_ray(rays))
     for ray in map(LightRay, rays.u, rays.v, rays.y):
         s = rng.random(32) * 4 - 2
@@ -228,7 +272,7 @@ def test_array_plate_fields_match_scalar_plates(uvyr, pts):
 def test_sample_rays_equal_one_ray_draws(n):
     mp = ModifiedPlate(0.3, -0.1, 0.8, 0.2)
     fast_rng, slow_rng = make_rng(9), make_rng(9)
-    rays = mp.sample_rays(fast_rng.random((n, 3)))
+    rays = sample_rays(mp, fast_rng.random((n, 3)))
     want = np.array([sample_ray_scalar(mp, slow_rng) for _ in range(n)])
     assert np.array_equal(np.stack([rays.u, rays.v, rays.y], axis=1), want)
     # both generators stand at the same place in the stream
@@ -241,11 +285,11 @@ def test_sample_rays_on_array_fields_match_each_plate():
     u, v, y = rng.random((3, 4, 1)) - 0.5
     r = rng.random((4, 1)) * 0.2 + 0.05
     uni = rng.random((4, 6, 3))
-    rays = ModifiedPlate(u, v, y, r).sample_rays(uni)
+    rays = sample_rays(ModifiedPlate(u, v, y, r), uni)
     assert rays.u.shape == (4, 6)
     for i in range(4):
-        one = ModifiedPlate(u[i, 0], v[i, 0], y[i, 0], r[i, 0]).sample_rays(
-            uni[i])
+        one = sample_rays(ModifiedPlate(u[i, 0], v[i, 0], y[i, 0], r[i, 0]),
+                          uni[i])
         for got, want in zip((rays.u, rays.v, rays.y),
                              (one.u, one.v, one.y)):
             assert got[i].tobytes() == want.tobytes()
@@ -313,6 +357,29 @@ def test_ray_base_point_duality():
     p = compose_center(u, v, y)
     ray = dual_ray(tuple(p))
     assert np.allclose([ray.u, ray.v, ray.y], [u, v, y], atol=1e-12)
+
+
+def test_plate_ray_bases_lie_within_outer_constant():
+    # the sampling behind the closed form PLATE_OUTER_C = 2 40^(1/4): the
+    # base point of every ray of the plate Pi_{2r} of B(c, r) lies within
+    # PLATE_OUTER_C r of c, and the corner |w1| = |e| = 2r, w2 = 4r^2 of
+    # the ray box (uniforms 1, 1, 1) reaches it
+    rng = make_rng(0)
+    n = 1000
+    c = uniform_ball_points(n, rng, 0.9)
+    c[:, 1] = np.clip(c[:, 1], -0.95, 0.95)
+    r = rng.random((n, 1)) * 0.2 + 0.02
+    plate = ball_to_modified_plate(c[:, None], r)
+
+    def ratios(uniforms):
+        rays = sample_rays(plate, uniforms)
+        return heis_dist(compose_center(rays.u, rays.v, rays.y),
+                         c[:, None]) / r
+
+    sampled = ratios(rng.random((n, 10, 3)))
+    assert sampled.max() <= PLATE_OUTER_C * (1 + 1e-12)
+    corner = ratios(np.ones((n, 1, 3)))
+    assert np.allclose(corner, PLATE_OUTER_C, rtol=1e-12, atol=0.0)
 
 
 def test_same_direction_separation_bounded():

@@ -8,9 +8,17 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from heislab.core import _as_points, group_mul, heis_dist, dilate
-from heislab.projections import (distinct, parabolic_dist, pi_e, pixel_keys,
+from heislab.projections import (PARABOLIC_BILIP_LO, PROJECTED_BALL_AREA,
+                                 distinct, pi_e, pixel_keys,
                                  projected_ball_profile)
 from heislab.sampling import make_rng, uniform_ball_points
+
+
+def parabolic_dist(w, v):
+    """Parabolic metric |a - a'| + sqrt(|b - b'|) on chart coordinates."""
+    w = np.asarray(w, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return np.abs(w[..., 0] - v[..., 0]) + np.sqrt(np.abs(w[..., 1] - v[..., 1]))
 
 
 def _pi_xt(p):
@@ -119,16 +127,33 @@ def test_parabolic_dist_properties():
 
 
 def test_parabolic_comparable_to_gauge_on_plane():
-    # bilipschitz band measured in the constants manifest: [0.77, 2.0]
-    w = make_rng(10).random((5000, 2, 2)) * 2 - 1
-    emb = np.zeros((5000, 2, 3))
+    # the sampling behind the closed band [PARABOLIC_BILIP_LO, 2) of the
+    # gauge / parabolic ratio: 20,000 pairs on the plane x = 0
+    w = make_rng(0).random((20000, 2, 2)) * 2 - 1
+    emb = np.zeros((20000, 2, 3))
     emb[..., 1] = w[..., 0]
     emb[..., 2] = w[..., 1]
     dg = heis_dist(emb[:, 0], emb[:, 1])
     dp = parabolic_dist(w[:, 0], w[:, 1])
-    ok = dp > 1e-9
+    ok = dp > 0
     ratio = dg[ok] / dp[ok]
-    assert 0.7 <= ratio.min() and ratio.max() <= 2.0 + 1e-9
+    assert PARABOLIC_BILIP_LO - 1e-12 <= ratio.min() < PARABOLIC_BILIP_LO + 1e-6
+    assert 1.99 < ratio.max() < 2.0
+
+
+def test_parabolic_band_ends_are_closed_forms():
+    # with k = sqrt|db| / |da| the ratio is (1 + 16 k^4)^(1/4) / (1 + k):
+    # least at 16 k^3 = 1, tending to 2 as k grows
+    def ratio(k):
+        return (1.0 + 16.0 * k ** 4) ** 0.25 / (1.0 + k)
+
+    res = minimize_scalar(ratio, bounds=(0.0, 10.0), method="bounded",
+                          options={"xatol": 1e-12})
+    assert res.fun == pytest.approx(PARABOLIC_BILIP_LO, rel=1e-12)
+    assert 16.0 * res.x ** 3 == pytest.approx(1.0, rel=1e-5)
+    assert ratio(2.0 ** (-4.0 / 3.0)) == pytest.approx(PARABOLIC_BILIP_LO,
+                                                       rel=1e-14)
+    assert 2.0 - 1e-5 < ratio(1e6) < 2.0
 
 
 def test_pixel_keys_reject_indices_outside_int32():
@@ -198,8 +223,7 @@ def test_projected_ball_profile_matches_maximisation():
 def test_projected_ball_profile_area_is_closed_form():
     area, _ = quad(lambda a: 2.0 * projected_ball_profile(a), -1.0, 1.0,
                    epsabs=0.0, epsrel=1e-13)
-    closed = 2.0 * math.sqrt(math.pi) * math.gamma(0.75) / math.gamma(0.25)
-    assert area == pytest.approx(closed, rel=1e-10)
+    assert area == pytest.approx(PROJECTED_BALL_AREA, rel=1e-10)
 
 
 @given(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1,
