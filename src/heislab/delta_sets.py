@@ -90,9 +90,14 @@ def dyadic_ball_counts(family, r0, max_centers, seed, shrink=0.0):
     Test centers are all centers or a seeded subsample of max_centers;
     radii are r0 * 2^k up to 2.  Returns (test, radii, counts), counts[k, i]
     the number of centers within radii[k] - shrink of test[i].  Dense, in
-    blocks of test centers of about PAIR_BLOCK distances: at radius 2, the
-    unit ball's diameter, every center is a neighbour; an index only adds
-    cost.
+    blocks of test centers of about PAIR_BLOCK distances, each compared
+    with every radius at once: at radius 2, the unit ball's diameter, every
+    center is a neighbour; an index only adds cost.  When every center is
+    tested, each pair is taken once: heis_dist(p, q) and heis_dist(q, p)
+    are the same bits (dx, dy and tau change sign exactly), so a block of
+    rows meets the columns from its own on, and the part right of its
+    diagonal square counts for those columns too.  Counts add up in int32:
+    none exceeds the family's size.
     """
     c = family.centers
     n = len(c)
@@ -104,12 +109,19 @@ def dyadic_ball_counts(family, r0, max_centers, seed, shrink=0.0):
     while r <= 2.0:
         radii.append(r)
         r *= 2.0
-    counts = np.empty((len(radii), len(test)), dtype=np.int64)
-    for sl in blocks(len(test), n):
-        d = heis_dist(test[sl, None, :], c[None, :, :])
-        for k, r in enumerate(radii):
-            counts[k, sl] = np.count_nonzero(d <= r - shrink, axis=1)
-    return test, radii, counts
+    thr = np.array([r - shrink for r in radii])[:, None, None]
+    counts = np.zeros((len(radii), len(test)), dtype=np.int32)
+    if test is c:
+        for sl in blocks(n, n):
+            hit = heis_dist(c[sl, None, :], c[None, sl.start:, :]) <= thr
+            counts[:, sl] += hit.sum(axis=2, dtype=np.int32)
+            counts[:, sl.stop:] += hit[:, :, sl.stop - sl.start:].sum(
+                axis=1, dtype=np.int32)
+    else:
+        for sl in blocks(len(test), n):
+            counts[:, sl] = (heis_dist(test[sl, None, :], c[None, :, :])
+                             <= thr).sum(axis=2, dtype=np.int32)
+    return test, radii, counts.astype(np.int64)
 
 
 def verify_delta_t_set(family, max_centers=512, seed=0):
@@ -319,6 +331,7 @@ def write_family(path, family):
     """Text format: header 'delta t C count kind', then one 'x y t' per center.
 
     The kind is one word, so that the header splits into five fields.
+    Rows are formatted a block at a time, by one % operation each.
     """
     if family.kind.split() != [family.kind]:
         raise ValueError("family kind must be one word, got %r" % family.kind)
@@ -326,7 +339,10 @@ def write_family(path, family):
         fh.write("%.17g %.17g %.17g %d %s\n"
                  % (family.delta, family.claimed_t, family.claimed_C,
                     len(family), family.kind))
-        np.savetxt(fh, family.centers, fmt="%.17g")
+        for sl in blocks(len(family), 3):
+            rows = family.centers[sl]
+            fh.write(("%.17g %.17g %.17g\n" * len(rows))
+                     % tuple(rows.ravel().tolist()))
 
 
 def read_family(path):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import blocks
+from .core import window_blocks
 
 
 @dataclass(frozen=True)
@@ -92,32 +92,74 @@ def incident_point_ray(pstar, ray, tol=1e-10):
     return abs(r1) <= tol and abs(r2) <= tol
 
 
+def _grid_index(p, origin, spacing, n):
+    """Cell index floor((p - origin) / spacing), and whether it is in [0, n)."""
+    i = np.floor((p - origin) / spacing)
+    return i, (i >= 0) & (i < n)
+
+
+def _sample_span(slope, scale, offset, origin, spacing, n, s, step):
+    """Per line, the samples [first, stop) of s that can meet one axis.
+
+    The line's coordinate on the axis is slope * scale * s + offset, the
+    grid holds [origin, origin + spacing * n) of it, and the samples lie
+    step apart.  A zero slope is flat: every sample meets the axis or
+    none does.  Otherwise the closed-form interval of s is widened by one
+    sample at each end.  Rounding in the coordinate, in the cell index
+    and in the interval's ends moves a crossing by a few ulps of mag /
+    |slope * scale|, where mag = |slope * scale| max|s| + |offset| +
+    |origin| + |top|; where that could reach 2^-40 of a step, as at
+    slopes near 1e-300, the span is every sample.
+    """
+    top = origin + spacing * n
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha = slope * scale
+        mag = (np.abs(alpha) * float(np.abs(s).max(initial=0.0))
+               + np.abs(offset) + abs(origin) + abs(top))
+        steep = np.abs(alpha) * step > 2.0 ** -40 * mag
+        ends = (np.array([[origin], [top]]) - offset) / alpha
+    first = np.searchsorted(s, ends.min(axis=0), side="left") - 1
+    stop = np.searchsorted(s, ends.max(axis=0), side="right") + 1
+    empty = (slope == 0) & ~_grid_index(offset, origin, spacing, n)[1]
+    first = np.where(steep, np.clip(first, 0, len(s)),
+                     np.where(empty, len(s), 0))
+    stop = np.where(steep, np.clip(stop, 0, len(s)), len(s))
+    return first, stop
+
+
 def xray_transform(density, line):
     """Arclength integrals of a gridded density over horizontal lines.
 
     density must expose origin (3,), spacing (3,), values (nx, ny, nz);
     lookup is nearest-cell.  One integral per line, in the broadcast
     shape of line's fields.  Every line is sampled at the same
-    y-parameters, half the smallest spacing apart, in blocks of about
-    core.PAIR_BLOCK (line, sample) entries.
+    y-parameters, half the smallest spacing apart, but only over the span
+    of them that can meet the grid in x and in t (_sample_span), in
+    blocks of about core.PAIR_BLOCK (line, sample) entries.  The cell
+    test decides every sample formed, and a line's samples sum in order
+    in one block, so the span changes no bit of the result.
     """
     origin = np.asarray(density.origin, dtype=float)
     spacing = np.asarray(density.spacing, dtype=float)
     values = density.values
     fields = np.broadcast_arrays(line.a, line.b, line.c)
-    a, b, c = (np.asarray(f, dtype=float).reshape(-1, 1) for f in fields)
+    a, b, c = (np.asarray(f, dtype=float).ravel() for f in fields)
     step = float(spacing.min()) / 2.0
     y1 = origin[1] + spacing[1] * values.shape[1]
     s = np.arange(origin[1] + step / 2.0, y1, step)
+    first, stop = np.zeros(len(a), dtype=np.int64), np.full(len(a), len(s))
+    for slope, scale, offset, ax in ((a, 1.0, b, 0), (b, 0.5, c, 2)):
+        f, e = _sample_span(slope, scale, offset, origin[ax], spacing[ax],
+                            values.shape[ax], s, step)
+        first, stop = np.maximum(first, f), np.minimum(stop, e)
     total = np.zeros(len(a))
-    for sl in blocks(len(a), len(s)):
-        part = HorizontalLine(a[sl], b[sl], c[sl])
-        idx = np.broadcast_arrays(*(np.floor((p - o) / h) for p, o, h
-                                    in zip(part.point_at(s), origin, spacing)))
-        ok = np.logical_and.reduce([(i >= 0) & (i < n)
-                                    for i, n in zip(idx, values.shape)])
+    for w, k in window_blocks(first, np.maximum(stop - first, 0)):
+        idx, ok = zip(*map(_grid_index,
+                           HorizontalLine(a[w], b[w], c[w]).point_at(s[k]),
+                           origin, spacing, values.shape))
+        ok = np.logical_and.reduce(ok)
         hits = values[tuple(i[ok].astype(np.int64) for i in idx)]
-        total[sl] = np.bincount(np.nonzero(ok)[0], weights=hits,
-                                minlength=len(ok))
-    speed = HorizontalLine(a, b, c).speed()[:, 0]
+        total[w[0]:w[-1] + 1] = np.bincount(w[ok] - w[0], weights=hits,
+                                            minlength=w[-1] + 1 - w[0])
+    speed = HorizontalLine(a, b, c).speed()
     return (total * speed * step).reshape(fields[0].shape)

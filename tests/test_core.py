@@ -123,6 +123,21 @@ def test_distances_and_norms_do_not_depend_on_blocking(a, b):
         assert got.tobytes() == whole_n.tobytes()
 
 
+edge = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
+     0.1, -1 / 3])
+
+
+@given(st.tuples(edge, edge, edge), st.tuples(edge, edge, edge))
+@settings(max_examples=500, deadline=None)
+def test_heis_dist_is_symmetric_to_the_bit(p, q):
+    # dx, dy and tau change sign exactly when p and q swap, so the
+    # squares agree; dyadic_ball_counts takes each pair once on this
+    p, q = np.array(p), np.array(q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert heis_dist(p, q).tobytes() == heis_dist(q, p).tobytes()
+
+
 def test_truncated_metric():
     p = np.zeros(3)
     q = np.array([0.1, 0.0, 0.0])

@@ -300,6 +300,40 @@ def test_verifier_report_does_not_depend_on_blocking(monkeypatch, seed):
     assert verify_delta_t_set(fam, max_centers=len(fam)) == want
 
 
+def dense_ball_counts(family, r0, max_centers, seed, shrink=0.0):
+    """dyadic_ball_counts from the whole distance matrix; the oracle."""
+    c, n = family.centers, len(family)
+    test = c
+    if n > max_centers:
+        test = c[make_rng(seed).choice(n, size=max_centers, replace=False)]
+    d = heis_dist(test[:, None, :], c[None, :, :])
+    radii = [r0 * 2.0 ** k for k in range(int(np.log2(2.0 / r0)) + 1)]
+    return d, radii, np.array([np.count_nonzero(d <= r - shrink, axis=1)
+                               for r in radii])
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_dyadic_ball_counts_match_the_dense_matrix(monkeypatch, block):
+    # the lattice puts many pairs exactly at a dyadic radius, where a
+    # distance that rounds apart one way round would move a count
+    fam = gen_heis_lattice(2.0 ** -3)
+    delta, n = fam.delta, len(fam)
+    if block is not None:
+        monkeypatch.setattr(core, "PAIR_BLOCK", block)
+    for max_centers in (n, 300):
+        for r0, shrink in ((delta, 0.0), (2.0 * delta, delta)):
+            d, radii, want = dense_ball_counts(fam, r0, max_centers, 3,
+                                               shrink)
+            on_edge = np.isin(d, [r - shrink for r in radii])
+            assert np.count_nonzero(on_edge) > len(d)
+            test, got_radii, got = delta_sets.dyadic_ball_counts(
+                fam, r0, max_centers, 3, shrink=shrink)
+            assert got_radii == radii
+            assert len(test) == min(n, max_centers)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+
 def test_verifier_empty_family():
     with pytest.raises(ValueError):
         verify_delta_t_set(BallFamily(np.zeros((0, 3)), 0.1, 1, 1))

@@ -228,6 +228,73 @@ def test_xray_transform_blocks_do_not_change_the_result(monkeypatch, block):
     assert xray_transform(g, lines).tobytes() == want.tobytes()
 
 
+def _edge_lines(g):
+    """Lines at the edges of a line's in-grid span, as (a, b, c) arrays.
+
+    Returns the lines and two masks: the lines that meet the grid in
+    exactly one sample, and the lines that never meet it.
+    """
+    origin = np.asarray(g.origin, dtype=float)
+    top = origin + np.asarray(g.spacing) * np.array(g.values.shape)
+    step = float(np.min(g.spacing)) / 2.0
+    s = np.arange(origin[1] + step / 2.0, top[1], step)
+    lines, kind = [], []
+
+    def add(tag, a, b, c):
+        lines.append((a, b, c))
+        kind.append(tag)
+
+    for k in (0, 1, len(s) // 3, len(s) - 2, len(s) - 1):
+        for x in (origin[0], top[0]):
+            for t in (origin[2], top[2]):
+                # through a corner of the grid at a sample
+                for a in np.linspace(-3.0, 3.0, 25):
+                    b = x - a * s[k]
+                    add("corner", a, b, t - b * s[k] / 2)
+        # one sample: x moves 5 a sample, the grid is 1.15 wide in x
+        for a in (200.0, -200.0):
+            b = origin[0] + 0.5 - a * s[k]
+            add("one", a, b, -b * s[k] / 2)
+        # none: x jumps over the whole grid between s[k] and s[k + 1]
+        a = -(top[0] - origin[0] + 0.2) / step
+        add("none", a, top[0] + 0.1 - a * s[k], 0.0)
+    for slope in (0.0, -0.0, 1e-300, -1e-300):
+        for x in (origin[0], top[0], 0.1):
+            # along a face in x, with t = x s / 2 inside the grid
+            add("face", slope, x, 0.0)
+        for t in (origin[2], top[2], 0.1):
+            # along a face in t
+            add("face", 0.7, slope, t)
+    add("none", 0.0, 0.1, top[2] + 1.0)
+    add("none", 0.3, 0.0, origin[2] - 1.0)
+    fields = tuple(np.array(f) for f in zip(*lines))
+    kind = np.array(kind)
+    return HorizontalLine(*fields), kind == "one", kind == "none"
+
+
+@pytest.mark.parametrize("block", [1, 31, None])
+def test_xray_transform_span_misses_no_sample(monkeypatch, block):
+    # every value is positive, so a line's integral is 0 exactly when no
+    # sample of it meets the grid, and integers sum alike in any order
+    rng = make_rng(25)
+    g = GridDensity(origin=[-0.6, -1.1, -1.8], spacing=[0.05, 0.07, 0.09],
+                    values=rng.integers(1, 50, (23, 31, 40)).astype(float))
+    lines, one, none = _edge_lines(g)
+    if block is not None:
+        monkeypatch.setattr(heislab.core, "PAIR_BLOCK", block)
+    got = xray_transform(g, lines)
+    want = np.array([xray_transform_per_line(g, HorizontalLine(*abc))
+                     for abc in zip(lines.a, lines.b, lines.c)])
+    assert got.tobytes() == want.tobytes()
+    speed = lines.speed()
+    step = float(np.min(g.spacing)) / 2.0
+    # one cell value per line: the integral is value * speed * step
+    hit = want[one] / (speed[one] * step)
+    np.testing.assert_allclose(hit, np.clip(np.round(hit), 1, 49), rtol=1e-12)
+    assert np.all(want[none] == 0)
+    assert np.count_nonzero(want) > len(want) // 3
+
+
 def test_xray_transform_constant_density():
     # unit density on a box; integral over a line segment inside the box
     # is speed * (parameter length inside)
