@@ -282,9 +282,9 @@ def _ball_plate_pass(rng, n_balls):
             plate.contains_ray(dual_ray(np.moveaxis(qs, -1, 0)))))
         # ray point s of candidate k of ball i is ray_pts[s, i, k]
         q = group_mul(cb, dilate(4 * rb, cand[sl]))
-        ray_pts = np.stack(np.broadcast_arrays(*dual_ray(
-            np.moveaxis(q, -1, 0)).point_at(svals)), axis=-1)
-        tested = np.linalg.norm(ray_pts, axis=-1) <= 1.0
+        x1, x2, x3 = dual_ray(np.moveaxis(q, -1, 0)).point_at(svals)
+        ray_pts = np.stack(np.broadcast_arrays(x1, x2, x3), axis=-1)
+        tested = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3) <= 1.0
         kept = np.any(tested, axis=0) & np.all(
             plate.contains(ray_pts) | ~tested, axis=0)
         recov = float((heis_dist(q, cb) / rb)[kept].max(initial=recov))

@@ -33,11 +33,16 @@ W2 + y W1 = (w2 + y w1) + s e^2 / 2.  So |W1| <= 3 c r and
 |W2 + y W1| <= 2 c^2 r^2, both reached, and Pi_{c r} lies inside P_r iff
 c <= SANDWICH_INNER_C = 1/3.
 
-Membership of a point in a modified plate is a feasibility question over
-the free direction y': one linear band, one quadratic band and the box
-[y - r, y + r].  The feasible set is a union of at most two intervals
-whose endpoints are explicit, so membership is decided exactly by
-testing at most eight candidate values (no grid search).
+Membership of a point q = (s, q2, q3) in a modified plate is a
+feasibility question over the direction offset d = y' - y: the box
+|d| <= r, the linear band |A + s d| <= r and the quadratic band
+|K - (s / 2) d^2| <= r^2, with A = q2 - u + s y and
+K = q3 - v + y (q2 - u) + s y^2 / 2 (each bound widened by tol).  The
+box and the linear band give one interval [a, b] of d, over which d^2
+fills exactly [m, M]: m = 0 if a <= 0 <= b, else min(a^2, b^2), and
+M = max(a^2, b^2).  The quadratic band asks d^2 to lie in the interval
+with ends 2 (K -+ r^2) / s, so q is a member iff a <= b and the two
+intervals of d^2 meet: three intervals decide it, with no search.
 
 Counting.  If Pi_r(u, v, y) holds q = (s, q2, q3) on its ray of direction
 y' = y + e, |e| <= r, then w1 = q2 - u + s y' and w2 + y w1 =
@@ -94,31 +99,33 @@ class ModifiedPlate:
     r: object
 
     def contains(self, q, tol=1e-9):
-        """Exact membership of the points q (shape (..., 3)).
+        """Membership of the points q (shape (..., 3)) in the widened plate.
 
-        q is a member iff some y' in [y - r, y + r] has |A + s y'| <= r
-        and |Bc + y s y' - (s / 2) y'^2| <= r^2, with A = q2 - u and
-        Bc = q3 - v + y A; then one of eight interval endpoints does.
+        The widened plate holds q iff some d = y' - y has |d| <= r + tol,
+        |A + s d| <= r + tol and |K - (s / 2) d^2| <= r^2 + tol, with A
+        and K of the module docstring; the interval test there decides
+        it exactly.  s = 0 is decided as s = 5e-324, the least positive
+        subnormal, whose quotients overflow: each band then holds for all
+        d or for none.  The result has the broadcast shape of the fields
+        and q[..., 0].
         """
         q = np.asarray(q, dtype=float)
         s, q2, q3 = q[..., 0], q[..., 1], q[..., 2]
-        u, v, y, r = self.u, self.v, self.y, self.r
-        A = q2 - u
-        Bc = q3 - v + y * A
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cands = [y - r, y + r,
-                     (-r - A) / s, (r - A) / s]
-            for sign in (-1.0, 1.0):
-                disc = y * y + 2.0 * (Bc + sign * r * r) / s
-                root = np.sqrt(disc)
-                cands.append(y - root)
-                cands.append(y + root)
-            cands = np.stack(np.broadcast_arrays(*cands))
-            h = Bc + (y * s) * cands - 0.5 * s * cands ** 2
-            ok = (cands >= y - r - tol) & (cands <= y + r + tol) \
-                & (np.abs(A + s * cands) <= r + tol) \
-                & (np.abs(h) <= r * r + tol)
-        return np.any(np.where(np.isfinite(cands), ok, False), axis=0)
+        s = np.where(s == 0, 5e-324, s)
+        u, v, y = self.u, self.v, self.y
+        w, h = self.r + tol, self.r * self.r + tol
+        sy = s * y
+        A = q2 - u + sy
+        K = q3 - v + y * (q2 - u) + sy * y / 2
+        with np.errstate(over="ignore"):
+            e1, e2 = (-w - A) / s, (w - A) / s
+            lo2, hi2 = 2 * (K - h) / s, 2 * (K + h) / s
+            a = np.maximum(np.minimum(e1, e2), -w)
+            b = np.minimum(np.maximum(e1, e2), w)
+            # the point of [a, b] nearest 0 gives m
+            c = np.minimum(np.maximum(a, 0.0), b)
+            return ((a <= b) & (c * c <= np.maximum(lo2, hi2))
+                    & (np.maximum(a * a, b * b) >= np.minimum(lo2, hi2)))
 
     def contains_ray(self, ray, tol=1e-12):
         """Whole-ray membership of a LightRay (fields may be arrays); exact."""
@@ -192,7 +199,8 @@ def same_direction_separation(c1, c2, r, rng):
     for sl in blocks(len(c1), 1024):
         uni = rng.random((sl.stop - sl.start, 1024))
         pts = ModifiedPlate(p1.u[sl], p1.v[sl], p1.y[sl], p1.r).sample(uni)
-        pair, k = np.nonzero(np.linalg.norm(pts, axis=-1) <= 1.0)
+        x1, x2, x3 = np.moveaxis(pts, -1, 0)
+        pair, k = np.nonzero(np.sqrt(x1 * x1 + x2 * x2 + x3 * x3) <= 1.0)
         j = sl.start + pair
         inside = ModifiedPlate(p2.u[j], p2.v[j], p2.y[j], p2.r).contains(
             pts[pair, k])

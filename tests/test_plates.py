@@ -1,10 +1,12 @@
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import heislab.core
 from heislab.core import dilate, gauge_norm, group_mul, heis_dist
@@ -115,6 +117,62 @@ def contains_grid(plate, q, n_grid=65, tol=1e-9):
     return np.minimum(fc, fd) <= tol
 
 
+def contains_endpoints(plate, q, tol=1e-9):
+    """Eight-candidate oracle for ModifiedPlate.contains.
+
+    The feasible set over y' in [y - r, y + r] of |A + s y'| <= r and
+    |Bc + y s y' - (s / 2) y'^2| <= r^2, with A = q2 - u and
+    Bc = q3 - v + y A, is a union of at most two intervals; q is a
+    member iff one of their eight possible endpoints meets the bounds
+    widened by tol.
+    """
+    q = np.asarray(q, dtype=float)
+    s, q2, q3 = q[..., 0], q[..., 1], q[..., 2]
+    u, v, y, r = plate.u, plate.v, plate.y, plate.r
+    A = q2 - u
+    Bc = q3 - v + y * A
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cands = [y - r, y + r, (-r - A) / s, (r - A) / s]
+        for sign in (-1.0, 1.0):
+            root = np.sqrt(y * y + 2.0 * (Bc + sign * r * r) / s)
+            cands += [y - root, y + root]
+        cands = np.stack(np.broadcast_arrays(*cands))
+        h = Bc + (y * s) * cands - 0.5 * s * cands ** 2
+        ok = (cands >= y - r - tol) & (cands <= y + r + tol) \
+            & (np.abs(A + s * cands) <= r + tol) \
+            & (np.abs(h) <= r * r + tol)
+    return np.any(np.where(np.isfinite(cands), ok, False), axis=0)
+
+
+def contains_exact(plate, q, tol=1e-9):
+    """ModifiedPlate.contains on Fractions, one plate and point at a time.
+
+    The rule of the plates module docstring: the box and the linear band
+    give [a, b] in d = y' - y, d^2 fills [m, M] over it, and q is a
+    member iff a <= b and [m, M] meets the quadratic band's [lo2, hi2].
+    At s = 0 each band holds for all d or for none.
+    """
+    q = np.asarray(q, dtype=float)
+    cols = np.broadcast_arrays(plate.u, plate.v, plate.y, plate.r,
+                               q[..., 0], q[..., 1], q[..., 2])
+    out = np.zeros(cols[0].shape, dtype=bool)
+    t = Fraction(tol)
+    for idx in np.ndindex(out.shape):
+        u, v, y, r, s, q2, q3 = (Fraction(float(c[idx])) for c in cols)
+        w, h = r + t, r * r + t
+        A = q2 - u + s * y
+        K = q3 - v + y * (q2 - u) + s * y * y / 2
+        if s == 0:
+            out[idx] = abs(A) <= w and abs(K) <= h
+            continue
+        a, b = sorted([(-w - A) / s, (w - A) / s])
+        a, b = max(a, -w), min(b, w)
+        m = 0 if a <= 0 <= b else min(a * a, b * b)
+        lo2, hi2 = sorted([2 * (K - h) / s, 2 * (K + h) / s])
+        out[idx] = a <= b and m <= hi2 and max(a * a, b * b) >= lo2
+    return out
+
+
 def count_memberships_bruteforce(u, v, y, r, pts, tol=1e-9):
     """Plate-by-plate count; oracle for count_memberships."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
@@ -214,6 +272,62 @@ def test_modified_contains_matches_grid_oracle():
         fast = plate.contains(q)
         slow = contains_grid(plate, q)
         assert np.array_equal(fast, slow)
+        assert np.array_equal(fast, contains_endpoints(plate, q))
+
+
+def test_contains_matches_endpoints_on_plate_candidates():
+    # every pair the count index reads on random3 at 2^-3, near or not
+    fam = generate("random3", 2.0 ** -3, seed=1)
+    plate = ball_to_modified_plate(fam.centers, fam.delta)
+    u, v, y, r = plate.u, plate.v, plate.y, plate.r
+    pts = uniform_euclidean_ball(5000, make_rng(3), 2.0)
+    pairs = hits = 0
+    for i, j, _ in _plate_candidates(u, v, y, r, pts, 1e-9):
+        pair = ModifiedPlate(u[j], v[j], y[j], r)
+        got = pair.contains(pts[i])
+        assert np.array_equal(got, contains_endpoints(pair, pts[i]))
+        pairs, hits = pairs + len(i), hits + int(got.sum())
+    assert 0 < hits < pairs
+
+
+def test_contains_decides_s_zero_on_band_edges():
+    # at s = 0 with tol = 0, points exactly on an edge of the linear or
+    # the quadratic band are members, and one ulp beyond it are not
+    plate = ModifiedPlate(0.0, 0.0, 0.0, 0.5)
+    out = np.nextafter(0.5, 1.0)
+    q = np.array([[s, q2, q3] for s in (0.0, -0.0)
+                  for q2, q3 in [(0.5, 0.0), (-0.5, 0.0), (0.0, 0.25),
+                                 (0.0, -0.25), (0.5, 0.25), (out, 0.0),
+                                 (0.0, np.nextafter(0.25, 1.0))]])
+    want = np.tile([True] * 5 + [False] * 2, 2)
+    assert np.array_equal(plate.contains(q, tol=0.0), want)
+    assert np.array_equal(contains_exact(plate, q, tol=0.0), want)
+    assert np.array_equal(contains_endpoints(plate, q, tol=0.0), want)
+
+
+def test_contains_broadcasts_fields_against_points():
+    # plate fields (n, 1) against ray points (21, n, 24, 3), as the
+    # constants' plate recovery pass calls it; one plate and one point
+    # give a 0-d result
+    rng = make_rng(15)
+    n = 5
+    c = uniform_ball_points(n, rng, 0.9)[:, None]
+    rb = rng.random((n, 1)) * 0.2 + 0.02
+    plate = ball_to_modified_plate(c, rb)
+    q = group_mul(c, dilate(4 * rb, uniform_ball_points(n * 24, rng)
+                            .reshape(n, 24, 3)))
+    pts = np.stack(np.broadcast_arrays(*dual_ray(np.moveaxis(q, -1, 0))
+                                       .point_at(np.linspace(-1, 1, 21)
+                                                 [:, None, None])), axis=-1)
+    got = plate.contains(pts)
+    assert got.shape == (21, n, 24)
+    assert 0 < got.sum() < got.size
+    for i in range(n):
+        one = ModifiedPlate(*(f[i, 0] for f in (plate.u, plate.v, plate.y,
+                                                 plate.r)))
+        assert np.array_equal(got[:, i], one.contains(pts[:, i]))
+        point = one.contains(pts[3, i, 5])
+        assert np.shape(point) == () and point == got[3, i, 5]
 
 
 def test_modified_plate_contains_fixed_direction_plate():
@@ -468,9 +582,10 @@ def test_count_memberships_empty_inputs():
 
 
 @st.composite
-def plate_edge_cases(draw):
+def plate_edge_cases(draw, nudges=(0.0, 1e-9, -1e-9, 1e-12, -1e-12)):
     """Plates on direction-bin edges or with |y| > 1, duplicated, and
-    points built on their boundaries, with s = 0 and |s| > 2."""
+    points built on their boundaries, with s = 0 and |s| > 2, each moved
+    by one of the nudges."""
     r = draw(st.sampled_from([0.0, 2.0 ** -5, 2.0 ** -3, 0.25]))
     if draw(st.booleans()):
         ydir = st.integers(-12, 12).map(lambda k: k * r)
@@ -486,7 +601,7 @@ def plate_edge_cases(draw):
                       st.one_of(side, st.floats(-1, 1)),
                       st.one_of(side, st.floats(-1, 1)),
                       st.one_of(side, st.floats(-1, 1)),
-                      st.sampled_from([0.0, 1e-9, -1e-9, 1e-12, -1e-12]))
+                      st.sampled_from(nudges))
     pts = []
     for j, s, dy, w1, g, nudge in draw(st.lists(built, min_size=1,
                                                 max_size=30)):
@@ -510,6 +625,33 @@ def test_count_memberships_edge_cases_match_bruteforce(case):
     u, v, y, r, pts = case
     assert np.array_equal(count_memberships(u, v, y, r, pts),
                           count_memberships_bruteforce(u, v, y, r, pts))
+
+
+# a nudge of exactly tol puts a point on the widened boundary, where the
+# rounding of its coordinates decides: those are left out
+@given(plate_edge_cases(nudges=(0.0, 1e-12, -1e-12, 1e-6, -1e-6)))
+@settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_contains_matches_exact_rule_on_edge_cases(case):
+    u, v, y, r, pts = case
+    plate = ModifiedPlate(u[:, None], v[:, None], y[:, None], r)
+    assert np.array_equal(plate.contains(pts), contains_exact(plate, pts))
+
+
+@given(hnp.arrays(float, st.tuples(st.integers(1, 12), st.just(3)),
+                  elements=st.floats(allow_nan=False)))
+@settings(max_examples=200, deadline=None)
+def test_three_product_sqrt_has_the_bits_of_norm(x):
+    # the Euclidean norm written out in plates and experiments, against
+    # np.linalg.norm, on rows of edge floats, one row and many, and on a
+    # view whose rows are not adjacent (as ModifiedPlate.sample returns)
+    big = np.tile(x, (300, 1))
+    with np.errstate(over="ignore"):
+        for p in (x, x[:1], big.reshape(-1, 20, 3), np.moveaxis(
+                np.stack([big] * 4, axis=0), 0, -2)):
+            x1, x2, x3 = np.moveaxis(p, -1, 0)
+            got = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+            assert got.tobytes() == np.linalg.norm(p, axis=-1).tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
