@@ -114,8 +114,6 @@ def cmd_experiment(args):
              "euclidean_slope": res["euclidean_slope"],
              "sqrt_slope": res["sqrt_slope"]})
         _write_reports(rep, args.out_dir, "theta")
-    else:
-        raise ValueError("unknown experiment %r" % args.experiment)
     return 0
 
 
@@ -166,8 +164,7 @@ def build_parser():
 
     e = sub.add_parser("experiment", help="run an experiment and write "
                                           "json/csv/svg reports")
-    e.add_argument("experiment",
-                   choices=["best-direction", "plate-energy", "rho-dim"])
+    e.add_argument("experiment", choices=sorted(_COUNT_FLAGS))
     _family_flags(e, delta_required=False)
     e.add_argument("--input", default=None)
     e.add_argument("--directions", type=int, default=64)

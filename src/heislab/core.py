@@ -102,14 +102,16 @@ def gauge_pairs(queries, points, r):
     k(w) = t_w + (c_y x_w - c_x y_w) / 2 by |k(a) - k(b)| <= r^2 / 4
     + |z_a - c| r / 2.  Points are listed under the 9 cells around their
     own, sorted by (cell, k), and a query reads one window of its cell.
+    r and every |coordinate| must be at most 2^250: then (x^2 + y^2)^2 <=
+    2^1006, 16 tau^2 <= 2^1004 and the keys stay below 2^530, all finite.
     """
     q = _as_points(queries).reshape(-1, 3)
     p = _as_points(points).reshape(-1, 3)
-    r = float(r)
-    if not (math.isfinite(r) and r >= 0):
-        raise ValueError("radius must be finite and nonnegative")
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-        raise ValueError("coordinates must be finite")
+    r, big = float(r), 2.0 ** 250
+    if not 0 <= r <= big:
+        raise ValueError("radius must lie in [0, 2^250]")
+    if not (np.all(np.abs(q) <= big) and np.all(np.abs(p) <= big)):
+        raise ValueError("coordinates must be finite, of size at most 2^250")
     if len(q) == 0 or len(p) == 0:
         return
     z = np.concatenate([q[:, :2], p[:, :2]])

@@ -99,6 +99,7 @@ def dyadic_ball_counts(family, r0, max_centers, seed, shrink=0.0):
     diagonal square counts for those columns too.  Counts add up in int32:
     none exceeds the family's size.
     """
+    check_delta(family.delta)
     c = family.centers
     n = len(c)
     test = c
@@ -132,9 +133,9 @@ def verify_delta_t_set(family, max_centers=512, seed=0):
     Passes iff max over (x, r) of count / (C r^t n) is at most 1.  The
     witness is the first (radius, test center) pair, radii ascending and
     test centers in order, at which the worst ratio is reached.
-    Raises ValueError for an empty family, a claimed C that is not
-    finite and positive, a claimed t that is not finite and nonnegative,
-    or max_centers < 1, on which a verdict would mean nothing.
+    Raises ValueError for an empty family, delta not in (0, 1/2], claimed
+    C not finite and positive, claimed t not finite and nonnegative, or
+    max_centers < 1, on which a verdict would mean nothing.
     """
     n = len(family)
     if n == 0:
@@ -272,8 +273,12 @@ def gen_horizontal_line(delta):
 def gen_product(delta, dim0=0.5):
     """Planar Cantor set of dimension dim0 times a vertical delta^2-grid.
 
-    Four-map IFS with ratio 4^(-1/dim0) on [-c, c]^2, iterated while the
-    level separation stays above delta; gauge dimension dim0 + 2.
+    Four-map IFS with ratio rho = 4^(-1/dim0) < 1/2 on [-c, c]^2, iterated
+    while its columns stay delta apart; gauge dimension dim0 + 2.  Per
+    coordinate a level-k column is sum_{i<k} +-rho^i (1 - rho) c, all sign
+    pairs occurring.  Columns first differing in map i are at least
+    2c[rho^i (1 - 2 rho) + rho^k] apart; the least, 2c(1 - rho) rho^(k-1),
+    is met by equal y differing only in the first map applied.
     """
     check_delta(delta)
     if not 0 < dim0 < 2:
@@ -282,17 +287,12 @@ def gen_product(delta, dim0=0.5):
     c = 0.3
     corners = np.array([[c, c], [c, -c], [-c, c], [-c, -c]])
     pts2 = np.zeros((1, 2))
-    while True:
-        nxt = (rho * pts2[:, None, :]
-               + (1 - rho) * corners[None, :, :]).reshape(-1, 2)
-        if len(nxt) > 4096:  # first: the scan below is len(nxt)^2 pairs
-            break
-        seps = (np.sqrt(((nxt[sl, None, :] - nxt[None, :, :]) ** 2).sum(-1))
-                for sl in blocks(len(nxt), len(nxt)))
-        if any(float(sep[sep > 0].min(initial=np.inf)) < delta
-               for sep in seps):
-            break
-        pts2 = nxt
+    gap = 2 * c * (1 - rho)
+    # the 4096-column cap binds only below delta = 0.6 * 2^-7 (rho -> 1/2)
+    while gap >= delta and 4 * len(pts2) <= 4096:
+        pts2 = (rho * pts2[:, None, :]
+                + (1 - rho) * corners[None, :, :]).reshape(-1, 2)
+        gap *= rho
     pts = ball_grid(pts2, delta ** 2, delta)
     return BallFamily(pts, delta, dim0 + 2.0, 16.0, kind="product")
 

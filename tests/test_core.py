@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import heislab.core
 from heislab.core import (UNIT_BALL_VOLUME, ball_volume, blocks, dilate,
                           gauge_norm, gauge_pairs, group_mul, heis_dist,
                           heis_dist_trunc, window_blocks)
-from heislab.delta_sets import gen_heis_lattice
+from heislab.delta_sets import covering_number, gen_heis_lattice
 from heislab.sampling import (make_rng, monte_carlo_ball_volume,
                               uniform_ball_points, uniform_euclidean_ball)
 
@@ -334,6 +335,39 @@ def test_window_blocks_partition_the_windows(windows, budget):
     seen = [set(w) for w in ids]
     assert sum(map(len, seen)) == len(set().union(*seen))
     assert all(len(w) <= budget or len(s) == 1 for w, s in zip(ids, seen))
+
+
+@pytest.mark.parametrize("s", [1.0, 1e50, 2.0 ** 249])
+def test_gauge_pairs_scaled_up_to_the_range_match_dense(s):
+    # at s = 2^249 the radius is 2^250, the largest allowed
+    pts = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 1e-3]]) * s
+    with np.errstate(over="raise", invalid="raise"):
+        got = fast_pairs(pts, pts, 2 * s)
+        assert got == dense_pairs(pts, pts, 2 * s)
+    assert len(got) == 9
+
+
+def test_gauge_pairs_at_the_range_corners_match_dense():
+    big = 2.0 ** 250
+    pts = np.array(list(itertools.product([-big, 0.0, big], repeat=3)))
+    pts = np.concatenate([pts, make_rng(3).uniform(-big, big, (30, 3))])
+    with np.errstate(over="raise", invalid="raise"):
+        for r in (0.0, big / 1e6, big / 2, big):
+            assert fast_pairs(pts, pts, r) == dense_pairs(pts, pts, r)
+
+
+@pytest.mark.parametrize("s, r", [
+    (1e100, 2e100), (1e160, 2e160), (1.0, 1e160),
+    (1.0, np.nextafter(2.0 ** 250, np.inf)),
+    (np.nextafter(2.0 ** 250, np.inf), 1.0)])
+def test_gauge_pairs_rejects_input_beyond_the_range(s, r):
+    # beyond it heis_dist's fourth powers or the keys overflowed, and
+    # pairs went missing without an error
+    pts = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 1e-3]]) * s
+    with pytest.raises(ValueError, match="2\\^250"):
+        list(gauge_pairs(pts, pts, r))
+    with pytest.raises(ValueError, match="2\\^250"):
+        covering_number(pts, r)
 
 
 def test_gauge_pairs_empty_and_bad_input():

@@ -174,10 +174,12 @@ def test_horizontal_line_quarter_delta_example():
 
 
 def product_whole_array(delta, dim0):
-    """gen_product's IFS levels with one len(nxt)^2 separation array."""
+    """gen_product's IFS levels, each kept by one len(nxt)^2 separation
+    array: the centers, and each kept level's least column distance."""
     rho = 4.0 ** (-1.0 / dim0)
     corners = np.array([[0.3, 0.3], [0.3, -0.3], [-0.3, 0.3], [-0.3, -0.3]])
     pts2 = np.zeros((1, 2))
+    gaps = []
     while True:
         nxt = (rho * pts2[:, None, :]
                + (1 - rho) * corners[None, :, :]).reshape(-1, 2)
@@ -189,18 +191,35 @@ def product_whole_array(delta, dim0):
         if float(sep.min()) < delta:
             break
         pts2 = nxt
-    return ball_grid(pts2, delta ** 2, delta)
+        gaps.append(float(sep.min()))
+    return ball_grid(pts2, delta ** 2, delta), gaps
 
 
-@pytest.mark.parametrize("delta, dim0", [
-    (0.25, 0.5), (2.0 ** -4, 0.5), (2.0 ** -4, 1.0), (2.0 ** -5, 1.5),
-    (2.0 ** -5, 1.99)])
+# 2^-5 is the least delta: at 2^-6 the scan's array would be 4096^2
+@pytest.mark.parametrize("delta, dim0", sorted(
+    {(2.0 ** -4, 1.0), (2.0 ** -5, 1.99)}
+    | set(itertools.product([2.0 ** -k for k in range(1, 6)],
+                            [0.05, 0.3, 0.5, 0.9, 1.5, 1.999]))))
 @pytest.mark.parametrize("block", [None, 1000])
 def test_product_matches_whole_array_levels(monkeypatch, delta, dim0, block):
     if block:
         monkeypatch.setattr(core, "PAIR_BLOCK", block)
-    assert gen_product(delta, dim0).centers.tobytes() \
-        == product_whole_array(delta, dim0).tobytes()
+    centers, gaps = product_whole_array(delta, dim0)
+    assert gen_product(delta, dim0).centers.tobytes() == centers.tobytes()
+    # the closed form gen_product reads: level k's columns are
+    # 2c(1 - rho) rho^(k-1) apart
+    rho = 4.0 ** (-1.0 / dim0)
+    want = [0.6 * (1 - rho) * rho ** k for k in range(len(gaps))]
+    assert gaps == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_product_at_tiny_dim0_is_delta_separated():
+    # rho c is below half an ulp of c: columns that differ only in later
+    # maps round to one float, and a scan of float distances that skips
+    # zeros kept levels up to the cap, 20,480 centers with 20 distinct
+    fam = gen_product(0.25, dim0=0.03)
+    assert len(fam) == len(np.unique(fam.centers, axis=0)) == 20
+    assert fam.validate()
 
 
 def test_product_dim_validation():
@@ -332,6 +351,14 @@ def test_dyadic_ball_counts_match_the_dense_matrix(monkeypatch, block):
             assert len(test) == min(n, max_centers)
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, float("nan"), 0.75])
+def test_verifier_rejects_bad_delta(delta):
+    # at delta <= 0 the dyadic radii never reached 2, and the scan hung
+    fam = BallFamily([[0, 0, 0], [0.5, 0, 0]], delta, 3.0, 8.0)
+    with pytest.raises(ValueError, match="delta"):
+        verify_delta_t_set(fam)
 
 
 def test_verifier_empty_family():

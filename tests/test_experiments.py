@@ -301,6 +301,13 @@ def test_family_regularity_constant_lattice():
     assert 0 < c38 < 8.0
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.1, float("nan"), 0.75])
+def test_family_regularity_constant_rejects_bad_delta(delta):
+    fam = BallFamily([[0, 0, 0], [0.5, 0, 0]], delta, 3.0, 8.0)
+    with pytest.raises(ValueError, match="delta"):
+        family_regularity_constant(fam)
+
+
 @pytest.mark.parametrize("seed", [7, 8])
 def test_family_regularity_constant_does_not_depend_on_blocking(monkeypatch,
                                                                 seed):
