@@ -86,7 +86,7 @@ def heis_dist(p, q):
 
 def heis_dist_trunc(p, q, delta):
     """Truncated metric max(d(p, q), delta); a metric for every delta > 0."""
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be nonnegative")
     return np.maximum(heis_dist(p, q), delta)
 
@@ -98,12 +98,15 @@ def gauge_pairs(queries, points, r):
     order; the pairs of one query are consecutive, in one block.  Exact: an
     index proposes candidates and heis_dist decides them.  If d(a, b) <= r,
     b lies in one of the 9 cells of side h >= r around a's, and with c the
-    center of a's cell the group law bounds the sheared heights
-    k(w) = t_w + (c_y x_w - c_x y_w) / 2 by |k(a) - k(b)| <= r^2 / 4
-    + |z_a - c| r / 2.  Points are listed under the 9 cells around their
-    own, sorted by (cell, k), and a query reads one window of its cell.
-    r and every |coordinate| must be at most 2^250: then (x^2 + y^2)^2 <=
-    2^1006, 16 tau^2 <= 2^1004 and the keys stay below 2^530, all finite.
+    center of a's cell the heights k(w) = t_w + (c_y x_w - c_x y_w) / 2 of
+    c^-1 * w obey |k(a) - k(b)| <= r^2 / 4 + |z_a - c| r / 2.  Keyed once at
+    its own cell's c, a point has key k + (h/2)(n_y x - n_x y) at the cell
+    n steps away; listed under the 9 cells around its own, sorted by (cell,
+    k), it is found in one window of a query's cell.  A cell's offset is
+    added last, the same float on both sides, so the window covers just the
+    rounding of k and the shift (added first, its ulps lose pairs).  r and
+    every |coordinate| must be at most 2^250: then (x^2 + y^2)^2 <= 2^1006,
+    16 tau^2 <= 2^1004, the shift <= 2^501 and the keys < 2^530, all finite.
     """
     q = _as_points(queries).reshape(-1, 3)
     p = _as_points(points).reshape(-1, 3)
@@ -114,37 +117,31 @@ def gauge_pairs(queries, points, r):
         raise ValueError("coordinates must be finite, of size at most 2^250")
     if len(q) == 0 or len(p) == 0:
         return
-    z = np.concatenate([q[:, :2], p[:, :2]])
-    lo = z.min(axis=0)
+    n, w = len(q), np.concatenate([q, p])
+    z, lo = w[:, :2], w[:, :2].min(axis=0)
     # r's margin absorbs rounding in the cells, heis_dist rounds no
     # |z_a - z_b| above 1e-70 to 0, and 1024 cells a side keep keys precise
     h = max(r * (1 + 1e-6), 1e-70, float((z.max(axis=0) - lo).max()) / 1024)
     cell = np.floor((z - lo) / h).astype(np.int64) + 1
     width = int(cell[:, 1].max()) + 2
-    near = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)])
-    lcell = (cell[None, len(q):] + near[:, None]).reshape(-1, 2)
-    lj = np.tile(np.arange(len(p)), 9)
     # m bounds |k| and the scale of rounding in k and in heis_dist
-    amax = np.abs(np.concatenate([q, p])).max(axis=0)
+    amax = np.abs(w).max(axis=0)
     zmax = float(amax[:2].max())
     m = 1.0 + float(amax[2]) + (zmax + 2.0 * h) * zmax
     bound = r * (r + 2.0 * h) / 4.0 + 1e-12 * m
-
-    def keys(cells, w):
-        # k and a per-cell offset: adding one offset is monotone, and the
-        # offsets keep the cells' ranges of k apart
-        c = lo + (cells - 0.5) * h
-        return (w[:, 2] + 0.5 * (c[:, 1] * w[:, 0] - c[:, 0] * w[:, 1]),
-                (cells[:, 0] * width + cells[:, 1]) * (3.0 * (m + bound)))
-
-    key = sum(keys(lcell, p[lj]))
+    c = lo + (cell - 0.5) * h
+    k = w[:, 2] + 0.5 * (c[:, 1] * w[:, 0] - c[:, 0] * w[:, 1])
+    ids, gap = cell[:, 0] * width + cell[:, 1], 3.0 * (m + bound)
+    nx, ny = np.indices((3, 3)).reshape(2, 9, 1) - 1
+    key = ((k[n:] + 0.5 * h * (ny * p[:, 0] - nx * p[:, 1]))
+           + (ids[n:] + (nx * width + ny)) * gap).ravel()
     order = np.argsort(key)
-    key, lj = key[order], lj[order]
-    qk, qoff = keys(cell[:len(q)], q)
-    first = np.searchsorted(key, (qk - bound) + qoff, side="left")
-    lens = np.searchsorted(key, (qk + bound) + qoff, side="right") - first
-    for i, k in window_blocks(first, lens):
-        j = lj[k]
+    key = key[order]
+    first = np.searchsorted(key, (k[:n] - bound) + ids[:n] * gap, side="left")
+    lens = np.searchsorted(key, (k[:n] + bound) + ids[:n] * gap,
+                           side="right") - first
+    for i, kk in window_blocks(first, lens):
+        j = order[kk] % len(p)
         d = heis_dist(q[i], p[j])
         hit = d <= r
         yield i[hit], j[hit], d[hit]

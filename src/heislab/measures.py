@@ -61,8 +61,9 @@ class DiscreteMeasure:
     @classmethod
     def uniform(cls, points):
         points = np.asarray(points, dtype=float).reshape(-1, 3)
-        n = len(points)
-        return cls(points, np.full(n, 1.0 / n))
+        if len(points) == 0:
+            raise ValueError("a uniform measure needs at least one point")
+        return cls(points, np.full(len(points), 1.0 / len(points)))
 
 
 def riesz_energy(mu, s, delta):
@@ -72,9 +73,9 @@ def riesz_energy(mu, s, delta):
     columns from their own on: the square on the diagonal counts once,
     the rest twice.
     """
-    if s < 0:
+    if not s >= 0:
         raise ValueError("s must be nonnegative")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     pts = mu.points
     w = mu.weights
@@ -209,7 +210,7 @@ def augment_to_dim3(mu, s, t, delta, seed=0):
     point of H by delta^s.  Returns eta, eta * mu and an energy report
     comparing I_{s+t}(eta * mu) against I_t(mu).
     """
-    if s <= 0 or t < 0:
+    if not (s > 0 and t >= 0):
         raise ValueError("need s > 0 and t >= 0")
     Z = grid_z(delta)
     nz = len(Z)

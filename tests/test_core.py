@@ -146,6 +146,8 @@ def test_truncated_metric():
     assert heis_dist_trunc(p, q, 0.01) == pytest.approx(0.1)
     with pytest.raises(ValueError):
         heis_dist_trunc(p, q, -1.0)
+    with pytest.raises(ValueError):
+        heis_dist_trunc(p, q, np.nan)
 
 
 def test_ball_volume_closed_form_vs_quadrature():
@@ -277,14 +279,40 @@ def test_gauge_pairs_radius_zero_finds_duplicates(pts, copies):
     assert len(got) >= len(pts)
 
 
+def pair_stream(queries, points, r):
+    """gauge_pairs' blocks concatenated: the (i, j, d) arrays in order."""
+    blocks = gauge_pairs(queries, points, r)
+    return [np.concatenate(col) for col in zip(*blocks)]
+
+
 def test_gauge_pairs_lattice_and_small_blocks(monkeypatch):
     pts = gen_heis_lattice(2.0 ** -3).centers
     want = dense_pairs(pts, pts, 2.0 ** -2)
+    monkeypatch.setattr(heislab.core, "PAIR_BLOCK", 1 << 14)
     assert fast_pairs(pts, pts, 2.0 ** -2) == want
+    stream = pair_stream(pts, pts, 2.0 ** -2)
     monkeypatch.setattr(heislab.core, "PAIR_BLOCK", 7)
     assert fast_pairs(pts, pts, 2.0 ** -2) == want
+    # ball_masses sums in stream order, so blocking must not move a pair
+    small = pair_stream(pts, pts, 2.0 ** -2)
+    assert [a.tobytes() for a in small] == [a.tobytes() for a in stream]
     # a radius beyond the diameter pairs everything
     assert len(fast_pairs(pts[:50], pts, 3.0)) == 50 * len(pts)
+
+
+def test_gauge_pairs_far_from_zero_match_dense():
+    # at height 1e4 a cell's offset has ulps far above the window's margin,
+    # so it must be added last: added before the shift, it lost 24-49 pairs
+    r = 1e-4
+    a = make_rng(5).uniform(-1, 1, (400, 3)) * [1, 1, 0] + [0, 0, 1e4]
+    turn = make_rng(6).uniform(0, 2 * math.pi, 400)
+    side = np.stack([r * np.cos(turn), r * np.sin(turn), 0 * turn], axis=1)
+    pts = np.concatenate([a, group_mul(a, [0, 0, r * r / 4]),
+                          group_mul(a, side)])
+    # just above r, so that rounding in heis_dist keeps every partner
+    got = fast_pairs(pts, pts, r * (1 + 1e-6))
+    assert got == dense_pairs(pts, pts, r * (1 + 1e-6))
+    assert len(got) == 3 * 400 + 4 * 400
 
 
 @pytest.mark.parametrize("n, per_item, budget, sizes", [

@@ -33,6 +33,9 @@ def test_discrete_measure_validation():
     mu = DiscreteMeasure.uniform(np.zeros((4, 3)))
     assert mu.total_mass == pytest.approx(1.0)
     assert len(mu) == 4
+    # an empty uniform measure has no weight 1/n to give
+    with pytest.raises(ValueError, match="at least one point"):
+        DiscreteMeasure.uniform(np.zeros((0, 3)))
 
 
 def test_riesz_energy_matches_loop():
@@ -70,6 +73,11 @@ def test_riesz_energy_validation():
         riesz_energy(mu, -1.0, 0.1)
     with pytest.raises(ValueError):
         riesz_energy(mu, 1.0, 0.0)
+    # NaN fails every comparison: the checks accept only what is valid
+    with pytest.raises(ValueError, match="delta"):
+        riesz_energy(mu, 3.0, np.nan)
+    with pytest.raises(ValueError, match="s must"):
+        riesz_energy(mu, np.nan, 0.1)
 
 
 def test_riesz_diagonal_term():
@@ -269,3 +277,8 @@ def test_augmentation_validation():
         augment_to_dim3(mu, 0.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         augment_to_dim3(mu, 1.0, -1.0, 0.1)
+    # a NaN dimension is rejected before any draw
+    with pytest.raises(ValueError):
+        augment_to_dim3(mu, np.nan, 1.0, 0.25)
+    with pytest.raises(ValueError):
+        augment_to_dim3(mu, 1.0, np.nan, 0.25)
