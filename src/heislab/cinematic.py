@@ -79,7 +79,7 @@ def graph_overlap_integral(points, delta):
     core.PAIR_BLOCK (point, column) entries; a cumulative sum down each
     column gives the counts.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     points = _as_points(points).reshape(-1, 3)
     h = delta / 2.0

@@ -91,58 +91,56 @@ def heis_dist_trunc(p, q, delta):
     return np.maximum(heis_dist(p, q), delta)
 
 
-def gauge_pairs(queries, points, r):
-    """Yield every pair (i, j) with d = heis_dist(queries[i], points[j]) <= r.
+def gauge_pairs(points, r):
+    """Yield every pair (i, j) with d = heis_dist(points[i], points[j]) <= r.
 
-    Blocks (i, j, d), from about PAIR_BLOCK candidates each, come in query
-    order; the pairs of one query are consecutive, in one block.  Exact: an
-    index proposes candidates and heis_dist decides them.  If d(a, b) <= r,
-    b lies in one of the 9 cells of side h >= r around a's, and with c the
-    center of a's cell the heights k(w) = t_w + (c_y x_w - c_x y_w) / 2 of
-    c^-1 * w obey |k(a) - k(b)| <= r^2 / 4 + |z_a - c| r / 2.  Keyed once at
-    its own cell's c, a point has key k + (h/2)(n_y x - n_x y) at the cell
-    n steps away; listed under the 9 cells around its own, sorted by (cell,
-    k), it is found in one window of a query's cell.  A cell's offset is
-    added last, the same float on both sides, so the window covers just the
-    rounding of k and the shift (added first, its ulps lose pairs).  r and
-    every |coordinate| must be at most 2^250: then (x^2 + y^2)^2 <= 2^1006,
+    A self-join: every point pairs with itself at d = 0.  Blocks (i, j, d),
+    from about PAIR_BLOCK candidates each, come in order of i; the pairs of
+    one i are consecutive, in one block.  Exact: an index proposes
+    candidates and heis_dist decides them.  If d(a, b) <= r, b lies in one
+    of the 9 cells of side h >= r around a's, and with c the center of a's
+    cell the heights k(w) = t_w + (c_y x_w - c_x y_w) / 2 of c^-1 * w obey
+    |k(a) - k(b)| <= r^2 / 4 + |z_a - c| r / 2.  Keyed once at its own
+    cell's c, a point has key k + (h/2)(n_y x - n_x y) at the cell n steps
+    away; listed under the 9 cells around its own, sorted by (cell, k), it
+    is found in one window of a's cell.  A cell's offset is added last, the
+    same float on both sides, so the window covers just the rounding of k
+    and the shift (added first, its ulps lose pairs).  r and every
+    |coordinate| must be at most 2^250: then (x^2 + y^2)^2 <= 2^1006,
     16 tau^2 <= 2^1004, the shift <= 2^501 and the keys < 2^530, all finite.
     """
-    q = _as_points(queries).reshape(-1, 3)
     p = _as_points(points).reshape(-1, 3)
     r, big = float(r), 2.0 ** 250
     if not 0 <= r <= big:
         raise ValueError("radius must lie in [0, 2^250]")
-    if not (np.all(np.abs(q) <= big) and np.all(np.abs(p) <= big)):
+    if not np.all(np.abs(p) <= big):
         raise ValueError("coordinates must be finite, of size at most 2^250")
-    if len(q) == 0 or len(p) == 0:
+    if len(p) == 0:
         return
-    n, w = len(q), np.concatenate([q, p])
-    z, lo = w[:, :2], w[:, :2].min(axis=0)
+    z, lo = p[:, :2], p[:, :2].min(axis=0)
     # r's margin absorbs rounding in the cells, heis_dist rounds no
     # |z_a - z_b| above 1e-70 to 0, and 1024 cells a side keep keys precise
     h = max(r * (1 + 1e-6), 1e-70, float((z.max(axis=0) - lo).max()) / 1024)
     cell = np.floor((z - lo) / h).astype(np.int64) + 1
     width = int(cell[:, 1].max()) + 2
     # m bounds |k| and the scale of rounding in k and in heis_dist
-    amax = np.abs(w).max(axis=0)
+    amax = np.abs(p).max(axis=0)
     zmax = float(amax[:2].max())
     m = 1.0 + float(amax[2]) + (zmax + 2.0 * h) * zmax
     bound = r * (r + 2.0 * h) / 4.0 + 1e-12 * m
     c = lo + (cell - 0.5) * h
-    k = w[:, 2] + 0.5 * (c[:, 1] * w[:, 0] - c[:, 0] * w[:, 1])
+    k = p[:, 2] + 0.5 * (c[:, 1] * p[:, 0] - c[:, 0] * p[:, 1])
     ids, gap = cell[:, 0] * width + cell[:, 1], 3.0 * (m + bound)
     nx, ny = np.indices((3, 3)).reshape(2, 9, 1) - 1
-    key = ((k[n:] + 0.5 * h * (ny * p[:, 0] - nx * p[:, 1]))
-           + (ids[n:] + (nx * width + ny)) * gap).ravel()
+    key = ((k + 0.5 * h * (ny * p[:, 0] - nx * p[:, 1]))
+           + (ids + (nx * width + ny)) * gap).ravel()
     order = np.argsort(key)
     key = key[order]
-    first = np.searchsorted(key, (k[:n] - bound) + ids[:n] * gap, side="left")
-    lens = np.searchsorted(key, (k[:n] + bound) + ids[:n] * gap,
-                           side="right") - first
+    first = np.searchsorted(key, (k - bound) + ids * gap, side="left")
+    lens = np.searchsorted(key, (k + bound) + ids * gap, side="right") - first
     for i, kk in window_blocks(first, lens):
         j = order[kk] % len(p)
-        d = heis_dist(q[i], p[j])
+        d = heis_dist(p[i], p[j])
         hit = d <= r
         yield i[hit], j[hit], d[hit]
 
@@ -179,6 +177,6 @@ def window_blocks(first, lens):
 def ball_volume(r):
     """Lebesgue measure of a gauge ball of radius r (any center)."""
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if not np.all(r >= 0):
         raise ValueError("radius must be nonnegative")
     return UNIT_BALL_VOLUME * r ** 4

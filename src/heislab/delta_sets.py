@@ -59,7 +59,7 @@ class BallFamily:
         check_delta(self.delta)
         if float(gauge_norm(c).max(initial=0.0)) > 1.0 + 1e-12:
             raise ValueError("centers must lie in the unit gauge ball")
-        for i, j, d in gauge_pairs(c, c, self.delta):
+        for i, j, d in gauge_pairs(c, self.delta):
             if np.any((i != j) & (d < self.delta - 1e-12)):
                 raise ValueError("centers are not delta-separated")
         return True
@@ -75,7 +75,7 @@ def covering_number(points, delta):
     covered = np.zeros(len(pts), dtype=bool)
     net = 0
     # first fit: a point joins unless an earlier net point is within delta
-    for i, j, _ in gauge_pairs(pts, pts, delta):
+    for i, j, _ in gauge_pairs(pts, delta):
         first = np.flatnonzero(np.diff(i, prepend=-1))
         for p, near in zip(i[first], np.split(j, first[1:])):
             if not covered[p]:

@@ -19,8 +19,7 @@ from .core import (UNIT_BALL_VOLUME, blocks, dilate, gauge_norm, group_mul,
 from .delta_sets import dyadic_ball_counts, verify_delta_t_set
 from .duality import HorizontalLine, dual_ray, xray_transform
 from .projections import (PARABOLIC_BILIP_LO, PROJECTED_BALL_AREA, distinct,
-                          pack_pixels, pi_e, pixel_keys,
-                          projected_ball_profile, ze_zje)
+                          pi_e, pixel_keys, projected_ball_profile, ze_zje)
 from .sampling import (make_rng, monte_carlo_ball_volume, uniform_ball_points,
                        uniform_euclidean_ball)
 
@@ -47,6 +46,8 @@ def projection_area(theta, centers, radius, pixel, points_per_ball=None):
         return 0.0
     if not pixel > 0:
         raise ValueError("pixel must be positive")
+    if not np.all((radius > 0) & (radius < np.inf)):
+        raise ValueError("radius must be finite and positive")
     if pixel > radius.min() / 2 + 1e-15:
         raise ValueError("pixel must be at most half the ball radius")
     ze, ac = ze_zje(theta, centers)
@@ -170,15 +171,13 @@ def covering_count_2d(points, scale, metric="euclidean"):
     scale x scale^2 for the parabolic one; within a bounded factor of
     greedy-net covering numbers, which leaves log-log slopes unchanged.
     """
-    w = np.asarray(points, dtype=float).reshape(-1, 2)
     if metric == "euclidean":
-        h = np.array([scale, scale])
+        h = scale
     elif metric == "parabolic":
-        h = np.array([scale, scale * scale])
+        h = (scale, scale * scale)
     else:
         raise ValueError("metric must be euclidean or parabolic")
-    return len(distinct(pack_pixels(np.floor(w[:, 0] / h[0]),
-                                    np.floor(w[:, 1] / h[1]))))
+    return len(distinct(pixel_keys(points, h)))
 
 
 def box_dimension(points, scales, metric="euclidean"):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import (ball_volume, blocks, gauge_pairs, group_mul,
                    heis_dist_trunc)
-from .delta_sets import ball_grid, grid_columns
+from .delta_sets import ball_grid, check_delta, grid_columns
 from .projections import distinct
 from .sampling import make_rng
 
@@ -98,11 +98,10 @@ def heis_convolve(mu, nu):
     return DiscreteMeasure(pts, w)
 
 
-def ball_masses(mu, centers, radius):
-    """mu(B(x, r)) for each center x, closed balls."""
-    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
-    out = np.zeros(len(centers))
-    for i, j, _ in gauge_pairs(centers, mu.points, radius):
+def ball_masses(mu, radius):
+    """mu(B(x, r)) for each atom x of mu, closed balls."""
+    out = np.zeros(len(mu))
+    for i, j, _ in gauge_pairs(mu.points, radius):
         first = np.flatnonzero(np.diff(i, prepend=-1))
         out[i[first]] = np.add.reduceat(mu.weights[j], first)
     return out
@@ -125,7 +124,7 @@ class GridDensity:
         self.origin = np.asarray(self.origin, dtype=float).reshape(3)
         self.spacing = np.asarray(self.spacing, dtype=float).reshape(3)
         self.values = np.asarray(self.values, dtype=float)
-        if np.any(self.spacing <= 0):
+        if not np.all(self.spacing > 0):
             raise ValueError("spacing must be positive")
 
     @property
@@ -169,7 +168,7 @@ def delta_measure_report(grid, delta, C=1.0):
     """
     centers, dens = grid.occupied()
     vol = float(ball_volume(delta))
-    mass = ball_masses(DiscreteMeasure(centers, dens), centers, delta) \
+    mass = ball_masses(DiscreteMeasure(centers, dens), delta) \
         * grid.cell_volume
     worst = float((dens / (C * mass / vol)).max(initial=0.0))
     return {"passes": worst <= 1.0 + 1e-9, "max_ratio": worst,
@@ -183,7 +182,7 @@ def layer_decomposition(mu, delta):
     alpha / 2 <= mu(B(x, delta)) <= alpha; layers with alpha <= delta^10
     are flagged discardable.
     """
-    m = ball_masses(mu, mu.points, delta)
+    m = ball_masses(mu, delta)
     levels = np.full(len(m), np.iinfo(np.int64).min, dtype=np.int64)
     pos = m > 0
     # m = f 2^e with f in [1/2, 1): alpha = 2^e, or m itself when f = 1/2
@@ -212,6 +211,7 @@ def augment_to_dim3(mu, s, t, delta, seed=0):
     """
     if not (s > 0 and t >= 0):
         raise ValueError("need s > 0 and t >= 0")
+    check_delta(delta)
     Z = grid_z(delta)
     nz = len(Z)
     target = delta ** -s

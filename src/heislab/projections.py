@@ -47,19 +47,17 @@ def pi_e(theta, p):
     return np.stack([zje, p[..., 2] + 0.5 * ze * zje], axis=-1)
 
 
-def pack_pixels(ia, ib):
-    """One int64 key per pixel, from integer indices in the int32 range."""
+def pixel_keys(w, cell):
+    """One int64 key per pixel (floor grid) of chart points: cell is one
+    side or the two sides (h_a, h_b); indices must lie in the int32 range."""
+    w = np.asarray(w, dtype=float).reshape(-1, 2)
+    h_a, h_b = np.broadcast_to(cell, 2)
+    ia, ib = np.floor(w[:, 0] / h_a), np.floor(w[:, 1] / h_b)
     lim = np.iinfo(np.int32)
     for a in (ia, ib):
         if a.size and not (lim.min <= a.min() and a.max() <= lim.max):
             raise ValueError("pixel index outside the int32 range")
     return (ia.astype(np.int64) << 32) ^ (ib.astype(np.int64) & 0xFFFFFFFF)
-
-
-def pixel_keys(w, pixel):
-    """Integer pixel indices (floor grid) of chart points, as a single key."""
-    w = np.asarray(w, dtype=float).reshape(-1, 2)
-    return pack_pixels(np.floor(w[:, 0] / pixel), np.floor(w[:, 1] / pixel))
 
 
 def distinct(keys, presorted=False):

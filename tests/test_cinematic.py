@@ -154,6 +154,8 @@ def test_graph_overlap_disjoint_additivity():
 def test_graph_overlap_rejects_bad_delta():
     with pytest.raises(ValueError):
         graph_overlap_integral(np.zeros((1, 3)), 0.0)
+    with pytest.raises(ValueError):
+        graph_overlap_integral(np.zeros((1, 3)), np.nan)
 
 
 @pytest.mark.parametrize("seed", [7, 8, 101])

@@ -169,6 +169,8 @@ def test_ball_volume_scaling():
     assert ball_volume(0.0) == 0.0
     with pytest.raises(ValueError):
         ball_volume(-1.0)
+    with pytest.raises(ValueError):
+        ball_volume(np.nan)
 
 
 def test_ball_contains_and_volume():
@@ -227,22 +229,25 @@ def test_rejection_samplers_match_their_loops(n, fast, loop, radius):
     assert fast_rng.random() == slow_rng.random()
 
 
-def dense_pairs(queries, points, r):
+def dense_pairs(points, r):
     """Oracle for gauge_pairs: every (i, j, d) from the full matrix."""
-    q = np.asarray(queries, dtype=float).reshape(-1, 3)
     p = np.asarray(points, dtype=float).reshape(-1, 3)
-    d = heis_dist(q[:, None, :], p[None, :, :])
+    d = heis_dist(p[:, None, :], p[None, :, :])
     return {(i, j, d[i, j]) for i, j in zip(*np.nonzero(d <= r))}
 
 
-def fast_pairs(queries, points, r):
+def fast_pairs(points, r):
     """gauge_pairs as a set; also checks the block layout it promises."""
-    blocks = list(gauge_pairs(queries, points, r))
+    blocks = list(gauge_pairs(points, r))
     if not blocks:
         return set()
     i = np.concatenate([b[0] for b in blocks])
-    assert np.all(np.diff(i) >= 0)  # query order, each query consecutive
-    return {(a, b, c) for blk in blocks for a, b, c in zip(*blk)}
+    assert np.all(np.diff(i) >= 0)  # order of i, each i consecutive
+    got = {(a, b, c) for blk in blocks for a, b, c in zip(*blk)}
+    # every point pairs with itself, at d = 0 exactly
+    assert {(a, c) for a, b, c in got if a == b} \
+        == {(a, 0.0) for a in range(len(np.reshape(points, (-1, 3))))}
+    return got
 
 
 # points whose |z| is near 1, where the sheared height tilts most
@@ -254,8 +259,10 @@ rim = st.tuples(st.floats(0, 2 * math.pi), st.floats(0.9, 1.0),
 @given(st.lists(rim, min_size=1, max_size=40),
        st.lists(rim, min_size=1, max_size=40), st.floats(0, 0.6))
 @settings(max_examples=200, deadline=None)
-def test_gauge_pairs_near_rim_match_dense(points, queries, r):
-    assert fast_pairs(queries, points, r) == dense_pairs(queries, points, r)
+def test_gauge_pairs_near_rim_match_dense(a, b, r):
+    # the self-join of the union holds every pair across the two sets
+    pts = np.array(a + b)
+    assert fast_pairs(pts, r) == dense_pairs(pts, r)
 
 
 @given(st.sampled_from([2.0 ** -3, 0.075, 0.1]),
@@ -267,37 +274,37 @@ def test_gauge_pairs_on_cell_edges_match_dense(delta, ijk, k):
     # lattice points at distance exactly r sit on the edges of the cells
     pts = np.array(ijk, dtype=float) * [delta, delta, delta ** 2]
     r = k * delta
-    assert fast_pairs(pts, pts, r) == dense_pairs(pts, pts, r)
+    assert fast_pairs(pts, r) == dense_pairs(pts, r)
 
 
 @given(st.lists(point, min_size=1, max_size=20), st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
 def test_gauge_pairs_radius_zero_finds_duplicates(pts, copies):
     pts = np.concatenate([np.array(pts)] * copies)
-    got = fast_pairs(pts, pts, 0.0)
-    assert got == dense_pairs(pts, pts, 0.0)
+    got = fast_pairs(pts, 0.0)
+    assert got == dense_pairs(pts, 0.0)
     assert len(got) >= len(pts)
 
 
-def pair_stream(queries, points, r):
+def pair_stream(points, r):
     """gauge_pairs' blocks concatenated: the (i, j, d) arrays in order."""
-    blocks = gauge_pairs(queries, points, r)
+    blocks = gauge_pairs(points, r)
     return [np.concatenate(col) for col in zip(*blocks)]
 
 
 def test_gauge_pairs_lattice_and_small_blocks(monkeypatch):
     pts = gen_heis_lattice(2.0 ** -3).centers
-    want = dense_pairs(pts, pts, 2.0 ** -2)
+    want = dense_pairs(pts, 2.0 ** -2)
     monkeypatch.setattr(heislab.core, "PAIR_BLOCK", 1 << 14)
-    assert fast_pairs(pts, pts, 2.0 ** -2) == want
-    stream = pair_stream(pts, pts, 2.0 ** -2)
+    assert fast_pairs(pts, 2.0 ** -2) == want
+    stream = pair_stream(pts, 2.0 ** -2)
     monkeypatch.setattr(heislab.core, "PAIR_BLOCK", 7)
-    assert fast_pairs(pts, pts, 2.0 ** -2) == want
+    assert fast_pairs(pts, 2.0 ** -2) == want
     # ball_masses sums in stream order, so blocking must not move a pair
-    small = pair_stream(pts, pts, 2.0 ** -2)
+    small = pair_stream(pts, 2.0 ** -2)
     assert [a.tobytes() for a in small] == [a.tobytes() for a in stream]
     # a radius beyond the diameter pairs everything
-    assert len(fast_pairs(pts[:50], pts, 3.0)) == 50 * len(pts)
+    assert len(fast_pairs(pts, 3.0)) == len(pts) ** 2
 
 
 def test_gauge_pairs_far_from_zero_match_dense():
@@ -310,8 +317,8 @@ def test_gauge_pairs_far_from_zero_match_dense():
     pts = np.concatenate([a, group_mul(a, [0, 0, r * r / 4]),
                           group_mul(a, side)])
     # just above r, so that rounding in heis_dist keeps every partner
-    got = fast_pairs(pts, pts, r * (1 + 1e-6))
-    assert got == dense_pairs(pts, pts, r * (1 + 1e-6))
+    got = fast_pairs(pts, r * (1 + 1e-6))
+    assert got == dense_pairs(pts, r * (1 + 1e-6))
     assert len(got) == 3 * 400 + 4 * 400
 
 
@@ -370,8 +377,8 @@ def test_gauge_pairs_scaled_up_to_the_range_match_dense(s):
     # at s = 2^249 the radius is 2^250, the largest allowed
     pts = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 1e-3]]) * s
     with np.errstate(over="raise", invalid="raise"):
-        got = fast_pairs(pts, pts, 2 * s)
-        assert got == dense_pairs(pts, pts, 2 * s)
+        got = fast_pairs(pts, 2 * s)
+        assert got == dense_pairs(pts, 2 * s)
     assert len(got) == 9
 
 
@@ -381,7 +388,7 @@ def test_gauge_pairs_at_the_range_corners_match_dense():
     pts = np.concatenate([pts, make_rng(3).uniform(-big, big, (30, 3))])
     with np.errstate(over="raise", invalid="raise"):
         for r in (0.0, big / 1e6, big / 2, big):
-            assert fast_pairs(pts, pts, r) == dense_pairs(pts, pts, r)
+            assert fast_pairs(pts, r) == dense_pairs(pts, r)
 
 
 @pytest.mark.parametrize("s, r", [
@@ -393,18 +400,18 @@ def test_gauge_pairs_rejects_input_beyond_the_range(s, r):
     # pairs went missing without an error
     pts = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 1e-3]]) * s
     with pytest.raises(ValueError, match="2\\^250"):
-        list(gauge_pairs(pts, pts, r))
+        list(gauge_pairs(pts, r))
     with pytest.raises(ValueError, match="2\\^250"):
         covering_number(pts, r)
 
 
 def test_gauge_pairs_empty_and_bad_input():
     pts = np.zeros((3, 3))
-    assert list(gauge_pairs(np.zeros((0, 3)), pts, 1.0)) == []
-    assert list(gauge_pairs(pts, np.zeros((0, 3)), 1.0)) == []
-    with pytest.raises(ValueError):
-        list(gauge_pairs(np.array([[0.0, np.nan, 0.0]]), pts, 1.0))
-    with pytest.raises(ValueError):
-        list(gauge_pairs(pts, np.array([[np.inf, 0.0, 0.0]]), 1.0))
-    with pytest.raises(ValueError):
-        list(gauge_pairs(pts, pts, -1.0))
+    assert list(gauge_pairs(np.zeros((0, 3)), 1.0)) == []
+    assert fast_pairs(pts, 0.0) == dense_pairs(pts, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            list(gauge_pairs(np.concatenate([pts, [[0.0, bad, 0.0]]]), 1.0))
+    for r in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            list(gauge_pairs(pts, r))

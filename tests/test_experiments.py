@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,15 @@ def test_projection_area_pixel_guard():
     with pytest.raises(ValueError, match="too many pixels"):
         projection_area(0.0, [[0.0, -1.0, -1.0], [0.0, 1.0, 1.0]], 2.0 ** -26,
                         2.0 ** -27)
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -0.1])
+def test_projection_area_rejects_bad_radius(radius):
+    # a NaN or inf radius had passed, warned in a cast and returned junk
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="radius must be finite"):
+            projection_area(0.0, np.zeros((1, 3)), radius, 0.01)
 
 
 def test_projection_area_ignores_points_per_ball():

@@ -119,19 +119,17 @@ def test_convolution_atom_guard():
 def test_ball_masses():
     pts = np.array([[0, 0, 0], [0.5, 0, 0], [2.0, 0, 0]])
     mu = DiscreteMeasure(pts, np.array([1.0, 2.0, 4.0]))
-    m = ball_masses(mu, np.array([[0.0, 0.0, 0.0]]), 1.0)
-    assert m[0] == pytest.approx(3.0)
+    m = ball_masses(mu, 1.0)
+    assert m.tolist() == [3.0, 3.0, 4.0]
 
 
 def test_ball_masses_match_dense_sum():
     rng = make_rng(6)
     mu = DiscreteMeasure(rng.random((700, 3)) * 2 - 1, rng.random(700))
-    centers = rng.random((300, 3)) * 2 - 1
-    d = heis_dist(centers[:, None, :], mu.points[None, :, :])
+    d = heis_dist(mu.points[:, None, :], mu.points[None, :, :])
     for r in (0.0, 0.1, 0.4, 1.0, 5.0):
         want = ((d <= r) * mu.weights[None, :]).sum(axis=1)
-        assert np.allclose(ball_masses(mu, centers, r), want,
-                           rtol=1e-12, atol=0)
+        assert np.allclose(ball_masses(mu, r), want, rtol=1e-12, atol=0)
 
 
 def test_grid_density_mass_and_occupied():
@@ -145,6 +143,8 @@ def test_grid_density_mass_and_occupied():
     assert dens.tolist() == [8.0]
     with pytest.raises(ValueError):
         GridDensity([0, 0, 0], [0.1, 0.0, 0.1], np.zeros((1, 1, 1)))
+    with pytest.raises(ValueError):
+        GridDensity([0, 0, 0], [0.1, np.nan, 0.1], np.zeros((1, 1, 1)))
 
 
 def test_rasterize_preserves_mass():
@@ -203,7 +203,7 @@ def test_layer_decomposition_partition_and_bounds():
     layers = layer_decomposition(mu, delta)
     seen = np.concatenate([idx for _, idx, _ in layers])
     assert sorted(seen.tolist()) == list(range(100))
-    m = ball_masses(mu, mu.points, delta)
+    m = ball_masses(mu, delta)
     for alpha, idx, discard in layers:
         assert np.all(m[idx] <= alpha + 1e-12)
         assert np.all(m[idx] >= alpha / 2 - 1e-12)
@@ -224,7 +224,7 @@ def test_layer_decomposition_levels_hold_their_masses(masses):
     pts = np.zeros((len(masses), 3))
     pts[:, 0] = np.arange(len(masses))
     mu = DiscreteMeasure(pts, np.array(masses))
-    assert np.array_equal(ball_masses(mu, mu.points, 0.1), masses)
+    assert np.array_equal(ball_masses(mu, 0.1), masses)
     layers = layer_decomposition(mu, 0.1)
     seen = np.concatenate([idx for _, idx, _ in layers])
     assert sorted(seen.tolist()) == list(range(len(masses)))
@@ -282,3 +282,7 @@ def test_augmentation_validation():
         augment_to_dim3(mu, np.nan, 1.0, 0.25)
     with pytest.raises(ValueError):
         augment_to_dim3(mu, 1.0, np.nan, 0.25)
+    # so is a delta outside (0, 1/2]
+    for delta in (0.0, -0.1, np.nan):
+        with pytest.raises(ValueError):
+            augment_to_dim3(mu, 1.0, 1.0, delta)

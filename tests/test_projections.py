@@ -167,6 +167,15 @@ def test_pixel_keys_reject_indices_outside_int32():
     assert len(np.unique(keys)) == 2
 
 
+def test_pixel_keys_take_one_side_or_two():
+    w = np.random.default_rng(2).uniform(-1, 1, (500, 2))
+    keys = pixel_keys(w, (0.1, 0.01))
+    ia, ib = np.floor(w[:, 0] / 0.1), np.floor(w[:, 1] / 0.01)
+    assert np.array_equal(keys >> 32, ia)
+    assert np.array_equal(keys.astype(np.int32), ib)
+    assert np.array_equal(pixel_keys(w, 0.1), pixel_keys(w, (0.1, 0.1)))
+
+
 INT64 = np.iinfo(np.int64)
 
 
