@@ -92,37 +92,33 @@ def dyadic_ball_counts(family, r0, max_centers, seed, shrink=0.0):
     the number of centers within radii[k] - shrink of test[i].  Dense, in
     blocks of test centers of about PAIR_BLOCK distances, each compared
     with every radius at once: at radius 2, the unit ball's diameter, every
-    center is a neighbour; an index only adds cost.  When every center is
-    tested, each pair is taken once: heis_dist(p, q) and heis_dist(q, p)
-    are the same bits (dx, dy and tau change sign exactly), so a block of
-    rows meets the columns from its own on, and the part right of its
-    diagonal square counts for those columns too.  Counts add up in int32:
-    none exceeds the family's size.
+    center is a neighbour; an index only adds cost.  The m test centers
+    are put first, so each pair of them is taken once: heis_dist(p, q) and
+    heis_dist(q, p) are the same bits (dx, dy and tau change sign exactly),
+    so a block of rows meets the columns from its own on, and the part
+    right of its diagonal square counts for those columns below m too.
+    Counts add up in int32: none exceeds the family's size.
     """
     check_delta(family.delta)
     c = family.centers
     n = len(c)
-    test = c
-    if n > max_centers:
-        test = c[make_rng(seed).choice(n, size=max_centers, replace=False)]
+    m = min(n, max_centers)
+    if m < n:
+        pick = make_rng(seed).choice(n, size=m, replace=False)
+        c = np.concatenate([c[pick], np.delete(c, pick, axis=0)])
     radii = []
     r = r0
     while r <= 2.0:
         radii.append(r)
         r *= 2.0
     thr = np.array([r - shrink for r in radii])[:, None, None]
-    counts = np.zeros((len(radii), len(test)), dtype=np.int32)
-    if test is c:
-        for sl in blocks(n, n):
-            hit = heis_dist(c[sl, None, :], c[None, sl.start:, :]) <= thr
-            counts[:, sl] += hit.sum(axis=2, dtype=np.int32)
-            counts[:, sl.stop:] += hit[:, :, sl.stop - sl.start:].sum(
-                axis=1, dtype=np.int32)
-    else:
-        for sl in blocks(len(test), n):
-            counts[:, sl] = (heis_dist(test[sl, None, :], c[None, :, :])
-                             <= thr).sum(axis=2, dtype=np.int32)
-    return test, radii, counts.astype(np.int64)
+    counts = np.zeros((len(radii), m), dtype=np.int32)
+    for sl in blocks(m, n):
+        hit = heis_dist(c[sl, None, :], c[None, sl.start:, :]) <= thr
+        counts[:, sl] += hit.sum(axis=2, dtype=np.int32)
+        counts[:, sl.stop:] += hit[:, :, sl.stop - sl.start:m - sl.start].sum(
+            axis=1, dtype=np.int32)
+    return c[:m], radii, counts.astype(np.int64)
 
 
 def verify_delta_t_set(family, max_centers=512, seed=0):

@@ -27,6 +27,21 @@ tests/test_plates.py), which lies at gauge distance
 PLATE_OUTER_C r = 2 40^(1/4) r, reached at the corner |w1| = |e| = 2r,
 w2 = 4r^2, w1 e > 0.
 
+Proof of the inclusion.  Write q = p * (a, b, c) with ||(a, b, c)|| <= r.
+By the group law dual_ray(q) = (u0 + a, v0 + (c - ab / 2) - y0 a, y0 + b):
+the ray of Pi_{2r} with w1 = a, e = b and w2 = c - ab / 2, the coordinate
+that the membership test reads as w2 + y0 w1 of the sheared rectangle.
+As |a|, |b| <= r, |c| <= r^2 / 4 and |ab| <= (a^2 + b^2) / 2 <= r^2 / 2,
+|c - ab / 2| <= r^2 / 2, well inside the 4r^2 the plate allows (by
+Cauchy-Schwarz the sharp bound is sqrt(2) r^2 / 4).  So every dual ray of
+the ball is a whole ray of the plate, and dual_ray_inclusion_rate is 1.
+Conversely the whole dual ray of a point p' lies in the plate, as a ray
+of it, exactly when p' is the base point of one of the plate's rays, so
+d(p, p') <= PLATE_OUTER_C r, with equality at the corner above: the
+whole-ray recovery radius plate_recovery_C is plate_outer_C.  The
+whole-ray test and the per-ball loop over sampled balls are their
+oracles in tests/.
+
 Sandwich.  The point of Pi_{c r}(u, v, y) on the ray with offset e,
 |e| <= c r, at parameter s has, in P_r(y) at (u, v), W1 = w1 - s e and
 W2 + y W1 = (w2 + y w1) + s e^2 / 2.  So |W1| <= 3 c r and
@@ -78,19 +93,11 @@ PLATE_OUTER_C = 2.0 * 40.0 ** 0.25
 SANDWICH_INNER_C = 1.0 / 3.0
 
 
-def rect_contains(y, r, w, tol=0.0):
-    """Membership in R_r(y); w has shape (..., 2)."""
-    w = np.asarray(w, dtype=float)
-    w1 = w[..., 0]
-    w2 = w[..., 1]
-    return (np.abs(w1) <= r + tol) & (np.abs(w2 + y * w1) <= r * r + tol)
-
-
 @dataclass(frozen=True)
 class ModifiedPlate:
     """Ray bundle Pi_r(u, v, y) with direction slack |y' - y| <= r.
 
-    Fields may be arrays, one plate per entry, broadcast against q or ray.
+    Fields may be arrays, one plate per entry, broadcast against q.
     """
 
     u: object
@@ -126,13 +133,6 @@ class ModifiedPlate:
             c = np.minimum(np.maximum(a, 0.0), b)
             return ((a <= b) & (c * c <= np.maximum(lo2, hi2))
                     & (np.maximum(a * a, b * b) >= np.minimum(lo2, hi2)))
-
-    def contains_ray(self, ray, tol=1e-12):
-        """Whole-ray membership of a LightRay (fields may be arrays); exact."""
-        w = np.stack(np.broadcast_arrays(ray.u - self.u, ray.v - self.v),
-                     axis=-1)
-        return ((np.abs(ray.y - self.y) <= self.r + tol)
-                & rect_contains(self.y, self.r, w, tol))
 
     def sample(self, uniforms):
         """Points of the bundle's rays over |s| <= 2, from uniforms in [0, 1).

@@ -152,7 +152,8 @@ def test_acceptance_05_projected_area_left_invariance():
 
 def test_acceptance_06_constants_manifest():
     # every dual ray of a ball point lands in the scale-2r plate, the
-    # derived constants are stable across seeds, and the checked-in
+    # closed entries come from no samples and do not move with the seed,
+    # the derived constants are stable across seeds, and the checked-in
     # manifest still matches a fresh derivation at its recorded seed
     fixture = read_manifest(os.path.join(FIXTURES, "constants_manifest.txt"))
     seed0 = derive_constants(seed=0)
@@ -163,6 +164,12 @@ def test_acceptance_06_constants_manifest():
     assert seed0["dual_ray_inclusion_rate"]["value"] == 1.0
 
     seed1 = derive_constants(seed=1)
+    closed = [name for name, entry in seed0.items()
+              if entry["description"].startswith("closed:")]
+    assert "plate_recovery_C" in closed and len(closed) == 7
+    for name in closed:
+        assert seed0[name]["samples"] == seed1[name]["samples"] == 0, name
+        assert seed0[name]["value"] == seed1[name]["value"], name
     worst = 0.0
     for name in seed0:
         a, b = seed0[name]["value"], seed1[name]["value"]

@@ -339,7 +339,7 @@ def test_dyadic_ball_counts_match_the_dense_matrix(monkeypatch, block):
     delta, n = fam.delta, len(fam)
     if block is not None:
         monkeypatch.setattr(core, "PAIR_BLOCK", block)
-    for max_centers in (n, 300):
+    for max_centers in (n, 300, 1):
         for r0, shrink in ((delta, 0.0), (2.0 * delta, delta)):
             d, radii, want = dense_ball_counts(fam, r0, max_centers, 3,
                                                shrink)

@@ -20,14 +20,14 @@ from heislab.experiments import (_cell_counts,
                                  rho_dimension)
 from heislab.measures import DiscreteMeasure, rasterize
 from heislab.duality import dual_ray
-from heislab.plates import (SANDWICH_INNER_C, ModifiedPlate,
+from heislab.plates import (PLATE_OUTER_C, SANDWICH_INNER_C, ModifiedPlate,
                             ball_to_modified_plate, same_direction_separation)
 from heislab.projections import (PROJECTED_BALL_AREA, pi_e,
                                  projected_ball_profile, ze_zje)
 from heislab.reports import ExperimentReport, read_manifest, write_manifest
 from heislab.sampling import (make_rng, monte_carlo_ball_volume,
                               uniform_ball_points)
-from test_plates import Plate
+from test_plates import Plate, compose_center, contains_ray
 
 
 def projection_area_set(theta, centers, radius, pixel):
@@ -517,43 +517,60 @@ def test_separation_batch_matches_per_pair_loop(seed, n_pairs):
     assert rng.random() == want_rng.random()
 
 
-def ball_plate_loop_oracle(rng, n_balls):
-    """derive_constants' ball-plate pass, one ball at a time over the same
-    pre-drawn arrays: centers, radii, ball points and recovery
-    candidates."""
-    c = uniform_ball_points(n_balls, rng, 0.9)
-    r = rng.random(n_balls) * 0.2 + 0.02
-    pts = uniform_ball_points(n_balls * 10, rng).reshape(n_balls, 10, 3)
+def ball_plate_loop(rng, n_balls):
+    """The closed entries dual_ray_inclusion_rate and plate_recovery_C
+    re-derived ball by ball with the whole-ray oracle contains_ray.
+
+    Ball i is B(c_i, r_i), c_i uniform in the unit ball (so |y| <= 1) and
+    r_i uniform in [0.02, 0.5).  Returns, over all balls: the fraction of
+    dual rays inside Pi_{2 r_i} of 10 points drawn in the ball and 10 at
+    gauge distance r_i from c_i; the largest |w2 + y w1| / r_i^2 of those
+    rays; the largest d / r_i over 24 candidates drawn in B(c_i, 6 r_i)
+    whose whole dual ray lies in the plate; and the largest d / r_i of the
+    plate's corner ray |w1| = |e| = 2r, w2 = 4r^2, pulled in by 1e-9.
+    """
+    c = uniform_ball_points(n_balls, rng)
+    r = rng.random(n_balls) * 0.48 + 0.02
+    pts = uniform_ball_points(n_balls * 20, rng).reshape(n_balls, 20, 3)
+    pts[:, 10:] = dilate(1.0 / gauge_norm(pts[:, 10:]), pts[:, 10:])
     cand = uniform_ball_points(n_balls * 24, rng).reshape(n_balls, 24, 3)
-    inc, recov = 0, 0.0
-    svals = np.linspace(-1.0, 1.0, 21)[:, None]
+    inc, shear, recov, corner = 0, 0.0, 0.0, 0.0
     for i in range(n_balls):
-        ci = c[i].copy()
-        ci[1] = min(max(ci[1], -0.95), 0.95)
-        plate = ball_to_modified_plate(ci, r[i])
-        qs = group_mul(ci, dilate(r[i] * 0.999, pts[i]))
-        inc += int(np.count_nonzero(plate.contains_ray(dual_ray(qs.T))))
-        # ray point s of candidate k is ray_pts[s, k], tested if in B(1)
-        q = group_mul(ci, dilate(4 * r[i], cand[i]))
-        ray_pts = np.stack(np.broadcast_arrays(
-            *dual_ray(q.T).point_at(svals)), axis=-1)
-        tested = np.linalg.norm(ray_pts, axis=-1) <= 1.0
-        kept = np.any(tested, axis=0) & np.all(
-            plate.contains(ray_pts) | ~tested, axis=0)
-        if np.any(kept):
-            recov = max(recov, float((heis_dist(q[kept], ci) / r[i]).max()))
-    return inc, recov
+        plate = ball_to_modified_plate(c[i], r[i])
+        ray = dual_ray(group_mul(c[i], dilate(r[i], pts[i])).T)
+        inc += int(np.count_nonzero(contains_ray(plate, ray)))
+        w1 = ray.u - plate.u
+        shear = max(shear, float(np.abs(ray.v - plate.v + plate.y * w1)
+                                 .max()) / r[i] ** 2)
+        q = group_mul(c[i], dilate(6 * r[i], cand[i]))
+        kept = contains_ray(plate, dual_ray(q.T), tol=0.0)
+        recov = max(recov, float((heis_dist(q[kept], c[i]) / r[i])
+                                 .max(initial=0.0)))
+        w = plate.r * (1 - 1e-9)
+        p = compose_center(plate.u + w, plate.v + w * w - plate.y * w,
+                           plate.y + w)
+        assert contains_ray(plate, dual_ray(p), tol=0.0)
+        corner = max(corner, float(heis_dist(p, c[i])) / r[i])
+    return inc / (20 * n_balls), shear, recov, corner
 
 
 @pytest.mark.parametrize("n_balls", [1, 13, 150])
 @pytest.mark.parametrize("seed", [0, 7, 8])
 def test_ball_plate_pass_matches_per_ball_loop(seed, n_balls):
-    want_rng, rng = make_rng(seed), make_rng(seed)
-    want = ball_plate_loop_oracle(want_rng, n_balls)
-    got = experiments._ball_plate_pass(rng, n_balls)
-    assert got == want
-    assert got[0] == 10 * n_balls and got[1] > 1.0
-    assert rng.random() == want_rng.random()
+    # derive_constants' ball-plate entries are closed (proof in the plates
+    # docstring): every dual ray of a ball point is a ray of the plate,
+    # |w2 + y w1| <= sqrt(2) r^2 / 4 <= r^2 / 2, and a whole dual ray in
+    # the plate has its point within PLATE_OUTER_C r, reached at the corner
+    rate, shear, recov, corner = ball_plate_loop(make_rng(seed), n_balls)
+    entries = experiments.derive_constants(seed=seed, n_pairs=0)
+    assert rate == entries["dual_ray_inclusion_rate"]["value"] == 1.0
+    assert shear <= math.sqrt(2) / 4 + 1e-9
+    closed = entries["plate_recovery_C"]["value"]
+    assert closed == PLATE_OUTER_C
+    assert recov <= closed * (1 + 1e-12)
+    assert 0.999 * closed <= corner <= closed * (1 + 1e-12)
+    if n_balls > 1:
+        assert recov > 1.0
 
 
 def sandwich_grid_c(rng):
@@ -673,3 +690,6 @@ def test_fixture_manifest_readable():
         "proj_ball_area", "dual_ray_inclusion_rate", "sandwich_inner_c",
     }
     assert back["dual_ray_inclusion_rate"]["value"] == 1.0
+    assert back["plate_recovery_C"]["value"] == back["plate_outer_C"]["value"]
+    assert [name for name in back if back[name]["samples"]] == [
+        "ball_volume_mc", "same_direction_separation_C"]
