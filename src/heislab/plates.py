@@ -69,19 +69,52 @@ bound widened by tol)
 
 the centers of the plates holding q lie in a tube r wide in u but r^2
 thin in lam.  count_memberships bins plates by direction into bins of
-width b = r and, in the bin centred at theta, sorts them by u-cell and
-lam_theta = v + theta u.  As |y - theta| <= b / 2, a member has u within
-W1 + |s| b / 2 of q2 + s theta and lam_theta within
-W2 + (b / 2) W1 + |s| b^2 / 8 of q3 + theta q2 + s theta^2 / 2.  A point
-reads these windows in every bin and keeps the pairs meeting both
-conditions at the plate's own y.  Windows and conditions only widen, by
-a margin above the rounding of every term too, so no member is dropped
-and the exact test decides the rest: the pairs read grow with the hits.
+width b = r (wider if that makes more than 1024) and, in the bin centred
+at theta, keys each point once by its predictions of a member's u and
+lam_theta = v + theta u:
+
+    K1 = q2 + s theta,      K2 = q3 + theta q2 + s theta^2 / 2.
+
+As |y - theta| <= b / 2 (the theta slack), a member has |u - K1| <=
+hu(s) = W1 + |s| b / 2 and |lam_theta - K2| <= hl(s) = W2 + (b / 2) W1 +
+|s| b^2 / 8.  Both grow with |s|, so the points fall into three bands
+|s| <= S / 3, <= 2 S / 3 and <= S (S the largest |s|; |s| on an edge
+takes the lower band), and band k is read at its top: hu_k, hl_k.  A
+point whose K1 is farther than hu_k from the bin's u range is dropped;
+the rest are sorted by (band, u-cell of K1, K2), band k's u-cells hu_k
+wide (at most 1024 over the bin's reach, which keeps ids small at
+r = 0).  A plate reads, in each band, one K2 window of half-width hl_k
+about its lam_theta in every u-cell that [u - hu_k, u + hu_k] meets, at
+most three, and keeps the pairs meeting both conditions at its own y.
+So a plate reads at most nine windows per bin however many points there
+are, and the pairs read grow with the hits.  Windows, cells and
+conditions only widen, by the margin 1e-12 (1 + a)^5 (a the largest
+|coordinate| plus r + b) above the rounding of every term, each below
+(1 + a)^3 and rounded by < 1e-15 of it; flooring, clipping and adding
+one id offset to both sides are monotone; so no member is dropped and
+the exact test decides the rest.
+
+Why three bands and cells hu_k wide.  At b = r and |s| <= 2 (the
+experiment samples the ball of radius 2), hu(s) = r (1 + 3|s| / 2) and
+hl(s) = r^2 (3/2 + 9|s| / 8) up to tol.  A band read at its top reads,
+for a point at its bottom, hu(top) hl(top) / (hu hl) times the area the
+point needs: 4 x 5/2 = 10 for one band, at most 2 x 3/2 = 3 for three
+(the lowest band).  A u-cell as wide as the window's half-width adds at
+most half the window (a factor 3/2) and makes a window meet at most
+three cells, so each band costs up to three windows per plate.  On
+random3 at 2^-4 with 20,000 points, one, two, three and four bands read
+9.4, 6.3, 5.5 and 5.1 pairs per hit; three is where the saving in pairs
+stops paying for the windows.
+
+Size.  count_memberships takes r and every |coordinate| at most 2^200.
+Then b <= 2^200, a < 2^202 and the margin < 2^971;
+|K1|, |K2|, |lam_theta| < (1 + a)^3 < 2^607, hl_k < 2^603 + margin,
+the id spacing 3 (1 + a)^3 + 3 hl_2 < 2^974 and ids < 3 * 1025 < 2^12,
+so every key and window end is below 2^987: all finite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,21 +246,23 @@ def same_direction_separation(c1, c2, r, rng):
 def count_memberships(u, v, y, r, pts, tol=1e-9):
     """N(x) = number of modified plates Pi_r(u_i, v_i, y_i) containing x.
 
-    Plates share the scale r >= 0.  Exact, at a cost that grows with the
-    hits: the index of the module docstring proposes only plates meeting
-    widened necessary conditions, and the closed-form test decides each.
-    Raises ValueError for u, v and y of different lengths, a coordinate
-    or r that is not finite, or r < 0.
+    Plates share the scale r.  Exact: in each direction bin the point
+    index of the module docstring keys every point once, each plate reads
+    at most nine windows of it, and the closed-form test decides every
+    pair read, about 5.5 per hit on random3 families.  Raises
+    ValueError for u, v and y of different lengths, r outside [0, 2^200],
+    or a coordinate that is not finite or of size above 2^200 (below it
+    every margin, key and window end of the index is finite).
     """
     u, v, y = (np.asarray(a, dtype=float).ravel() for a in (u, v, y))
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    r = float(r)
+    r, big = float(r), 2.0 ** 200
     if not len(u) == len(v) == len(y):
         raise ValueError("u, v and y must have the same length")
-    if not (math.isfinite(r) and r >= 0):
-        raise ValueError("r must be finite and nonnegative")
-    if not all(np.all(np.isfinite(a)) for a in (u, v, y, pts)):
-        raise ValueError("coordinates must be finite")
+    if not 0 <= r <= big:
+        raise ValueError("r must lie in [0, 2^200]")
+    if not all(np.all(np.abs(a) <= big) for a in (u, v, y, pts)):
+        raise ValueError("coordinates must be finite, of size at most 2^200")
     counts = np.zeros(len(pts), dtype=np.int64)
     for i, j, near in _plate_candidates(u, v, y, r, pts, tol):
         i, j = i[near], j[near]
@@ -246,49 +281,71 @@ def _plate_candidates(u, v, y, r, pts, tol):
         return
     s, q2, q3 = pts[:, 0], pts[:, 1], pts[:, 2]
     sabs = np.abs(s)
-    ylo, ulo = float(y.min()), float(u.min())
-    # at most 1024 bins and u-cells keep ids small; 1e-70 serves r = 0
+    ylo = float(y.min())
+    # at most 1024 bins; 1e-70 serves r = 0
     b = max(r, float(y.max() - ylo) / 1024, 1e-70)
     # every term of the conditions, the test and the keys is below
     # (1 + a)^3 and rounds by < 1e-15 of it; W1, W2 scale that by (1 + a)^2
     a = max(float(np.abs(c).max()) for c in (u, v, y, s, q2, q3)) + r + b
     margin = 1e-12 * (1.0 + a) ** 5
-    w1 = (r + tol) * (1.0 + sabs)
-    hu = w1 + sabs * b / 2 + margin
-    w2 = r * r + tol + sabs * (r + tol) ** 2 / 2
-    hl = w2 + b / 2 * w1 + sabs * b * b / 8 + margin
-    # u-cells over twice the widest u-window: a window meets at most two
-    side = max(2.0 * float(hu.max()) * (1 + 1e-6),
-               float(u.max() - ulo) / 1024, 1e-70)
-    ncell = int((u.max() - ulo) / side) + 1
+    # the conditions at the plate's own y, with lam = v + y u
+    w1 = (r + tol) * (1.0 + sabs) + margin
+    w2 = r * r + tol + sabs * (r + tol) ** 2 / 2 + margin
+    lam = v + y * u
+    # three |s| bands, each read at its largest |s|; |s| on an edge takes
+    # the lower band, whose top it equals
+    smax = float(sabs.max())
+    top = np.array([smax / 3, 2 * smax / 3, smax])
+    band = np.searchsorted(top[:2], sabs)
+    tw1 = (r + tol) * (1.0 + top)
+    hu = tw1 + top * b / 2 + margin
+    hl = (r * r + tol + top * (r + tol) ** 2 / 2 + b / 2 * tw1
+          + top * b * b / 8 + margin)
+    hub = hu[band]
+    # |keys| < (1 + a)^3 and |window ends| < (1 + a)^3 + hl[2], so id *
+    # spacing keeps (band, cell) ids apart, and adding it to both is monotone
+    spacing = 3.0 * (1.0 + a) ** 3 + 3.0 * float(hl[2])
     occupied, rank = np.unique(np.floor((y - ylo) / b).astype(np.int64),
                                return_inverse=True)
-    theta = ylo + (occupied + 0.5) * b
-    # ids bin * stride + cell + 1 leave the clipped cells -1 and ncell of
-    # far points empty; |keys| and |window ends| < (1 + a)^3 + max(hl), so
-    # id * spacing keeps cells apart, and adding it to both is monotone
-    stride = ncell + 2
-    spacing = 3.0 * (1.0 + a) ** 3 + 3.0 * float(hl.max())
-    cell = np.floor((u - ulo) / side).astype(np.int64)
-    key = v + theta[rank] * u + (rank * stride + cell + 1) * spacing
-    order = np.argsort(key)
-    key = key[order]
-    base = np.arange(len(theta)) * stride + 1
-    for sl in blocks(len(pts), len(theta)):
-        cu = q2[sl, None] + s[sl, None] * theta - ulo
-        lo = np.clip(np.floor((cu - hu[sl, None]) / side), -1, ncell)
-        hi = np.clip(np.floor((cu + hu[sl, None]) / side), -1, ncell)
-        off = (base[:, None] + np.stack([lo, hi], axis=-1)) * spacing
-        c = (q3[sl, None] + theta * q2[sl, None]
-             + s[sl, None] * theta * theta / 2)[..., None]
-        h = hl[sl, None, None]
-        first = np.searchsorted(key, (c - h) + off, side="left")
-        lens = np.searchsorted(key, (c + h) + off, side="right") - first
-        lens[..., 1] *= hi > lo
-        for w, k in window_blocks(first.ravel(), lens.ravel()):
-            i, j = sl.start + w // (2 * len(theta)), order[k]
-            yj, si = y[j], s[i]
-            near = ((np.abs(q2[i] - u[j] + si * yj) <= w1[i] + margin)
-                    & (np.abs(q3[i] - v[j] - yj * u[j] + yj * q2[i]
-                              + si * yj * yj / 2) <= w2[i] + margin))
-            yield i, j, near
+    bins = np.split(np.argsort(rank, kind="stable"),
+                    np.cumsum(np.bincount(rank))[:-1])
+    for theta, J in zip(ylo + (occupied + 0.5) * b, bins):
+        uj = u[J]
+        ulo, uhi = float(uj.min()), float(uj.max())
+        k1 = q2 + s * theta
+        i = np.flatnonzero((k1 + hub >= ulo) & (k1 - hub <= uhi))
+        if len(i) == 0:
+            continue
+        # in band k, u-cells as wide as hu[k], at most 1024 over the bin's
+        # reach: a plate's u-window meets at most three; clipping is monotone
+        base, span = ulo - hu[2], uhi - ulo + 2 * hu[2]
+        side = np.maximum(hu, span / 1024)
+        ncell = int(span / side[0]) + 1
+
+        def cells(x, k):
+            return np.clip(np.floor((x - base) / side[k]), 0, ncell - 1)
+
+        key = (q3[i] + theta * q2[i] + s[i] * theta * theta / 2
+               + (band[i] * ncell + cells(k1[i], band[i])) * spacing)
+        order = np.argsort(key)
+        key, i = key[order], i[order]
+        # the points' columns in key order, so windows read them in runs
+        si, q2i, q3i, w1i, w2i = (c[i] for c in (s, q2, q3, w1, w2))
+        yj, lamj = y[J], lam[J]
+        # each plate reads one window per band and u-cell its u-window meets
+        lamt = (v[J] + theta * uj)[:, None]
+        for k in range(3):
+            lo, hi = cells(uj - hu[k], k), cells(uj + hu[k], k)
+            cell = lo[:, None] + np.arange(int((hi - lo).max()) + 1)
+            off = (k * ncell + cell) * spacing
+            first = np.searchsorted(key, (lamt - hl[k]) + off, side="left")
+            lens = (np.searchsorted(key, (lamt + hl[k]) + off, side="right")
+                    - first) * (cell <= hi[:, None])
+            for w, kk in window_blocks(first.ravel(), lens.ravel()):
+                p = w // cell.shape[1]
+                yp, q2p = yj[p], q2i[kk]
+                sy = si[kk] * yp
+                near = ((np.abs(q2p - uj[p] + sy) <= w1i[kk])
+                        & (np.abs(q3i[kk] - lamj[p] + yp * (q2p + sy / 2))
+                           <= w2i[kk]))
+                yield i[kk], J[p], near

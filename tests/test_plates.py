@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import heislab.core
-from heislab.core import dilate, gauge_norm, group_mul, heis_dist
+import heislab.plates
+from heislab.core import (dilate, gauge_norm, group_mul, heis_dist,
+                          window_blocks)
 from heislab.delta_sets import generate
 from heislab.duality import LightRay, dual_ray
 from heislab.plates import (PLATE_OUTER_C, ModifiedPlate, _plate_candidates,
@@ -604,7 +606,11 @@ def test_count_memberships_empty_inputs():
 def plate_edge_cases(draw, nudges=(0.0, 1e-9, -1e-9, 1e-12, -1e-12)):
     """Plates on direction-bin edges or with |y| > 1, duplicated, and
     points built on their boundaries, with s = 0 and |s| > 2, each moved
-    by one of the nudges."""
+    by one of the nudges.  In some cases every point has s = 0 or -0.0,
+    so the largest |s| is 0; in others every |s| lies on an edge S / 3 or
+    2 S / 3 of the count index's |s| bands, or on S, the largest.  r is 0
+    in a quarter of the cases, where only the index's caps of 1024 bins
+    and 1024 u-cells keep its keys precise."""
     r = draw(st.sampled_from([0.0, 2.0 ** -5, 2.0 ** -3, 0.25]))
     if draw(st.booleans()):
         ydir = st.integers(-12, 12).map(lambda k: k * r)
@@ -614,9 +620,17 @@ def plate_edge_cases(draw, nudges=(0.0, 1e-9, -1e-9, 1e-12, -1e-12)):
     uvy = draw(st.lists(plate, min_size=1, max_size=10))
     uvy += draw(st.lists(st.sampled_from(uvy), max_size=4))
     u, v, y = np.array(uvy).T
+    mode = draw(st.sampled_from(["any", "zero", "edges"]))
+    if mode == "zero":
+        svals = st.sampled_from([0.0, -0.0])
+    elif mode == "edges":
+        smax = draw(st.floats(1e-3, 4))
+        svals = st.sampled_from([smax / 3, -smax / 3, 2 * smax / 3,
+                                 -2 * smax / 3, smax, -smax])
+    else:
+        svals = st.one_of(st.just(0.0), st.floats(-4, 4))
     side = st.sampled_from([-1.0, 1.0])
-    built = st.tuples(st.integers(0, len(uvy) - 1),
-                      st.one_of(st.just(0.0), st.floats(-4, 4)),
+    built = st.tuples(st.integers(0, len(uvy) - 1), svals,
                       st.one_of(side, st.floats(-1, 1)),
                       st.one_of(side, st.floats(-1, 1)),
                       st.one_of(side, st.floats(-1, 1)),
@@ -630,8 +644,11 @@ def plate_edge_cases(draw, nudges=(0.0, 1e-9, -1e-9, 1e-12, -1e-12)):
         w2 = g * r * r - y[j] * w1 * r
         pts.append([s, u[j] + w1 * r - s * yp + nudge,
                     v[j] + w2 + 0.5 * s * yp * yp - nudge])
-    free = st.tuples(st.floats(-4, 4), st.floats(-3, 3), st.floats(-3, 3))
+    free = st.tuples(svals, st.floats(-3, 3), st.floats(-3, 3))
     pts += draw(st.lists(free, max_size=10))
+    if mode == "edges":
+        # the largest |s| is smax, so the band edges are the ones drawn
+        pts.append([smax, 0.0, 0.0])
     return u, v, y, r, np.array(pts)
 
 
@@ -714,3 +731,67 @@ def test_count_memberships_rejects_bad_input():
         count_memberships([0.0], [0.0], [0.0], np.nan, pts)
     with pytest.raises(ValueError):
         count_memberships([0.0], [0.0], [0.0], -0.1, pts)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_count_memberships_at_the_size_bound():
+    # r and every |coordinate| up to 2^200 are counted exactly, with the
+    # index's margins, keys and window ends finite; 1e80 is rejected
+    big = 2.0 ** 200
+    u = np.array([0.0, big, -big, 0.5])
+    v = np.array([0.0, -big, big, big])
+    y = np.array([0.0, 0.5, -0.5, -big])
+    pts = np.array([[0.0, 0.0, 0.0], [0.5, big, -big], [-1.0, -big, big],
+                    [big, 0.0, 0.0], [1.0, 0.1, -big], [0.0, 0.5, big],
+                    [-big, big, big]])
+    for r in (0.1, big):
+        want = count_memberships_bruteforce(u, v, y, r, pts)
+        assert np.array_equal(count_memberships(u, v, y, r, pts), want)
+        assert 0 < want.sum() < want.size * len(u)
+    for bad in (1e80, -1e80, np.nextafter(big, np.inf)):
+        with pytest.raises(ValueError, match="2\\^200"):
+            count_memberships(u + np.array([bad, 0, 0, 0]), v, y, 0.1, pts)
+        with pytest.raises(ValueError, match="2\\^200"):
+            count_memberships(u, v, y, 0.1, np.append(pts, [[0, bad, 0]], 0))
+    with pytest.raises(ValueError, match="2\\^200"):
+        count_memberships(u, v, y, 1e80, pts)
+
+
+@pytest.mark.parametrize("kind, params", [("random3", {"seed": 7}),
+                                          ("slab", {"x0": 0.07})])
+def test_count_memberships_matches_bruteforce_on_families(kind, params):
+    # the slab's plates all have u = 0.07: each band has a single u-cell
+    fam = generate(kind, 2.0 ** -4, **params)
+    plate = ball_to_modified_plate(fam.centers, fam.delta)
+    u, v, y, r = plate.u, plate.v, plate.y, plate.r
+    if kind == "slab":
+        assert np.all(u == 0.07)
+    pts = uniform_euclidean_ball(2000, make_rng(7), 2.0)
+    want = count_memberships_bruteforce(u, v, y, r, pts)
+    assert np.array_equal(count_memberships(u, v, y, r, pts), want)
+    assert want.sum() > 1000
+
+
+def test_plate_windows_do_not_grow_with_the_points(monkeypatch):
+    # each plate reads at most nine windows in its direction bin, and the
+    # points only set the largest |s| and |coordinate|: both samples hold
+    # (+-2, 0, 0), so twice the points read exactly the same windows
+    fam = generate("random3", 2.0 ** -4, seed=7)
+    plate = ball_to_modified_plate(fam.centers, fam.delta)
+    u, v, y, r = plate.u, plate.v, plate.y, plate.r
+    windows = []
+
+    def counted(first, lens):
+        windows[-1] += len(first)
+        return window_blocks(first, lens)
+
+    monkeypatch.setattr(heislab.plates, "window_blocks", counted)
+    ends = np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
+    for n in (2000, 4000):
+        pts = np.concatenate([ends, uniform_euclidean_ball(n, make_rng(n),
+                                                           2.0)])
+        windows.append(0)
+        pairs = sum(len(i) for i, _, _ in
+                    _plate_candidates(u, v, y, r, pts, 1e-9))
+        assert pairs > 10 * n
+    assert windows[0] == windows[1] <= 9 * len(u)
