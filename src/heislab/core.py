@@ -96,18 +96,16 @@ def gauge_pairs(points, r):
 
     A self-join: every point pairs with itself at d = 0.  Blocks (i, j, d),
     from about PAIR_BLOCK candidates each, come in order of i; the pairs of
-    one i are consecutive, in one block.  Exact: an index proposes
+    one i are consecutive, in one block.  Exact: window_join proposes
     candidates and heis_dist decides them.  If d(a, b) <= r, b lies in one
     of the 9 cells of side h >= r around a's, and with c the center of a's
     cell the heights k(w) = t_w + (c_y x_w - c_x y_w) / 2 of c^-1 * w obey
     |k(a) - k(b)| <= r^2 / 4 + |z_a - c| r / 2.  Keyed once at its own
     cell's c, a point has key k + (h/2)(n_y x - n_x y) at the cell n steps
-    away; listed under the 9 cells around its own, sorted by (cell, k), it
-    is found in one window of a's cell.  A cell's offset is added last, the
-    same float on both sides, so the window covers just the rounding of k
-    and the shift (added first, its ulps lose pairs).  r and every
-    |coordinate| must be at most 2^250: then (x^2 + y^2)^2 <= 2^1006,
-    16 tau^2 <= 2^1004, the shift <= 2^501 and the keys < 2^530, all finite.
+    away; listed under the 9 cells around its own, it is found in the
+    window of a's cell about k(a).  r and every |coordinate| must be at
+    most 2^250: then (x^2 + y^2)^2 <= 2^1006, 16 tau^2 <= 2^1004, the shift
+    <= 2^501, the keys < 2^530 and the cell ids < 2^21, all finite.
     """
     p = _as_points(points).reshape(-1, 3)
     r, big = float(r), 2.0 ** 250
@@ -130,19 +128,40 @@ def gauge_pairs(points, r):
     bound = r * (r + 2.0 * h) / 4.0 + 1e-12 * m
     c = lo + (cell - 0.5) * h
     k = p[:, 2] + 0.5 * (c[:, 1] * p[:, 0] - c[:, 0] * p[:, 1])
-    ids, gap = cell[:, 0] * width + cell[:, 1], 3.0 * (m + bound)
+    ids = cell[:, 0] * width + cell[:, 1]
+    del cell, c  # n-sized, not needed while the join sorts the 9n keys
     nx, ny = np.indices((3, 3)).reshape(2, 9, 1) - 1
-    key = ((k + 0.5 * h * (ny * p[:, 0] - nx * p[:, 1]))
-           + (ids + (nx * width + ny)) * gap).ravel()
-    order = np.argsort(key)
-    key = key[order]
-    first = np.searchsorted(key, (k - bound) + ids * gap, side="left")
-    lens = np.searchsorted(key, (k + bound) + ids * gap, side="right") - first
-    for i, kk in window_blocks(first, lens):
-        j = order[kk] % len(p)
+    for i, j in window_join(ids + (nx * width + ny),
+                            k + 0.5 * h * (ny * p[:, 0] - nx * p[:, 1]),
+                            ids, k - bound, k + bound):
+        j = j % len(p)
         d = heis_dist(p[i], p[j])
         hit = d <= r
         yield i[hit], j[hit], d[hit]
+
+
+def window_join(ids, key, qid, lo, hi):
+    """Blocks (w, j): every j with ids[j] == qid[w], lo[w] <= key[j] <= hi[w].
+
+    All arrays; qid, lo and hi broadcast, w is their flat index.  Windows
+    come whole and in order (window_blocks), each one's j in key order.
+    Keys are sorted once as key + id * spacing, spacing 3 max(|key|,
+    |window end|) with |id| * spacing finite: ids stay apart and a qid
+    below every id reads nothing.  Two binary searches find a window's
+    ends plus the same float qid * spacing, added last; as rounding is
+    monotone no j is missed, but keys within it may swap or be read extra.
+    """
+    spacing = 3.0 * float(max(max(a.max(initial=0.0), -a.min(initial=0.0))
+                              for a in (key, lo, hi))) or 1.0
+    key = np.ravel(ids) * spacing + np.ravel(key)
+    del ids  # the caller's, as large as the keys: freed before the sort
+    order = np.argsort(key)
+    key = key[order]
+    off, lo, hi = np.broadcast_arrays(np.multiply(qid, spacing), lo, hi)
+    first = np.searchsorted(key, (lo + off).ravel(), side="left")
+    lens = np.searchsorted(key, (hi + off).ravel(), side="right") - first
+    for w, kk in window_blocks(first, np.maximum(lens, 0)):
+        yield w, order[kk]
 
 
 def blocks(n, per_item):

@@ -124,8 +124,8 @@ class GridDensity:
         self.origin = np.asarray(self.origin, dtype=float).reshape(3)
         self.spacing = np.asarray(self.spacing, dtype=float).reshape(3)
         self.values = np.asarray(self.values, dtype=float)
-        if not np.all(self.spacing > 0):
-            raise ValueError("spacing must be positive")
+        if not np.all((self.spacing > 0) & (self.spacing < math.inf)):
+            raise ValueError("spacing must be finite and positive")
 
     @property
     def cell_volume(self):
@@ -149,6 +149,8 @@ def rasterize(mu, spacing):
     least coordinates, and it reaches the cell of their largest.
     """
     spacing = np.asarray(spacing, dtype=float).reshape(3)
+    if not np.all((spacing > 0) & (spacing < math.inf)):
+        raise ValueError("spacing must be finite and positive")
     pts = mu.points
     origin = np.floor(pts.min(axis=0) / spacing) * spacing
     # floor(min / spacing) * spacing can round above the least atoms,
@@ -164,8 +166,10 @@ def delta_measure_report(grid, delta, C=1.0):
     """Check the pointwise (delta, C) bound density <= C mu(B(x, delta)) / Leb(B(x, delta)).
 
     Evaluated at every occupied cell center.  Returns the worst ratio
-    density / (C * ball average).
+    density / (C * ball average).  delta must be finite and positive.
     """
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be finite and positive")
     centers, dens = grid.occupied()
     vol = float(ball_volume(delta))
     mass = ball_masses(DiscreteMeasure(centers, dens), delta) \

@@ -62,55 +62,46 @@ intervals of d^2 meet: three intervals decide it, with no search.
 Counting.  If Pi_r(u, v, y) holds q = (s, q2, q3) on its ray of direction
 y' = y + e, |e| <= r, then w1 = q2 - u + s y' and w2 + y w1 =
 q3 - lam + y q2 + s y^2 / 2 - s e^2 / 2 with lam = v + y u, so (each
-bound widened by tol)
+bound widened by tol = MEMBER_TOL)
 
     |q2 - u + s y| <= W1 = (r + tol)(1 + |s|),
     |q3 - lam + y q2 + s y^2 / 2| <= W2 = r^2 + tol + |s| (r + tol)^2 / 2:
 
-the centers of the plates holding q lie in a tube r wide in u but r^2
-thin in lam.  count_memberships bins plates by direction into bins of
-width b = r (wider if that makes more than 1024) and, in the bin centred
-at theta, keys each point once by its predictions of a member's u and
-lam_theta = v + theta u:
+the plates holding q lie in a tube r wide in u but r^2 thin in lam.
+Plates are binned by direction, b = r wide (at most 1024 bins); in the
+bin centred at theta a point predicts a member's u and lam_theta = v + theta u:
 
     K1 = q2 + s theta,      K2 = q3 + theta q2 + s theta^2 / 2.
 
-As |y - theta| <= b / 2 (the theta slack), a member has |u - K1| <=
-hu(s) = W1 + |s| b / 2 and |lam_theta - K2| <= hl(s) = W2 + (b / 2) W1 +
-|s| b^2 / 8.  Both grow with |s|, so the points fall into three bands
-|s| <= S / 3, <= 2 S / 3 and <= S (S the largest |s|; |s| on an edge
-takes the lower band), and band k is read at its top: hu_k, hl_k.  A
-point whose K1 is farther than hu_k from the bin's u range is dropped;
-the rest are sorted by (band, u-cell of K1, K2), band k's u-cells hu_k
-wide (at most 1024 over the bin's reach, which keeps ids small at
-r = 0).  A plate reads, in each band, one K2 window of half-width hl_k
-about its lam_theta in every u-cell that [u - hu_k, u + hu_k] meets, at
-most three, and keeps the pairs meeting both conditions at its own y.
-So a plate reads at most nine windows per bin however many points there
-are, and the pairs read grow with the hits.  Windows, cells and
-conditions only widen, by the margin 1e-12 (1 + a)^5 (a the largest
-|coordinate| plus r + b) above the rounding of every term, each below
-(1 + a)^3 and rounded by < 1e-15 of it; flooring, clipping and adding
-one id offset to both sides are monotone; so no member is dropped and
-the exact test decides the rest.
+As |y - theta| <= b / 2, a member has |u - K1| <= hu(s) = W1 + |s| b / 2
+and |lam_theta - K2| <= hl(s) = W2 + (b / 2) W1 + |s| b^2 / 8.  Both grow
+with |s|, so the points fall into three bands |s| <= S / 3, 2 S / 3, S
+(S the largest |s|; an edge |s| takes the lower band), each read at its
+top: hu_k, hl_k.  Points whose K1 is farther than hu_k from the bin's u
+range are dropped; core.window_join keys the rest by K2 under the id
+(band, u-cell of K1), band k's u-cells hu_k wide (at most 1024 over the
+bin's reach, which keeps ids small at r = 0).  In one join a plate
+reads, per band, the K2 window of half-width hl_k about its lam_theta in
+each u-cell that [u - hu_k, u + hu_k] meets, and keeps the pairs meeting
+both conditions at its own y: at most nine windows per bin however many
+points there are.  Windows, cells and conditions only widen, by the
+margin 1e-12 (1 + a)^5 (a the largest |coordinate| plus r + b) above the
+rounding of every term (each below (1 + a)^3, rounded by < 1e-15 of it);
+flooring and clipping are monotone and the join misses no key; so no
+member is dropped, and the exact test decides the rest.
 
 Why three bands and cells hu_k wide.  At b = r and |s| <= 2 (the
-experiment samples the ball of radius 2), hu(s) = r (1 + 3|s| / 2) and
-hl(s) = r^2 (3/2 + 9|s| / 8) up to tol.  A band read at its top reads,
-for a point at its bottom, hu(top) hl(top) / (hu hl) times the area the
-point needs: 4 x 5/2 = 10 for one band, at most 2 x 3/2 = 3 for three
-(the lowest band).  A u-cell as wide as the window's half-width adds at
-most half the window (a factor 3/2) and makes a window meet at most
-three cells, so each band costs up to three windows per plate.  On
-random3 at 2^-4 with 20,000 points, one, two, three and four bands read
-9.4, 6.3, 5.5 and 5.1 pairs per hit; three is where the saving in pairs
-stops paying for the windows.
+experiment samples B(2)), hu(s) = r (1 + 3|s| / 2) and hl(s) =
+r^2 (3/2 + 9|s| / 8) up to tol: a band read at its top over-reads a point
+at its bottom by hu(top) hl(top) / (hu hl), 4 x 5/2 = 10 for one band and
+at most 2 x 3/2 = 3 for three.  A u-cell as wide as the half-width adds a
+factor 3/2 at most, and a window meets at most three.  On random3 at 2^-4
+with 20,000 points, 1-4 bands read 9.4/6.3/5.5/5.1 pairs per hit.
 
-Size.  count_memberships takes r and every |coordinate| at most 2^200.
-Then b <= 2^200, a < 2^202 and the margin < 2^971;
-|K1|, |K2|, |lam_theta| < (1 + a)^3 < 2^607, hl_k < 2^603 + margin,
-the id spacing 3 (1 + a)^3 + 3 hl_2 < 2^974 and ids < 3 * 1025 < 2^12,
-so every key and window end is below 2^987: all finite.
+Size.  With r and every |coordinate| at most 2^200, b <= 2^200,
+a < 2^202, the margin < 2^971, |K1|, |K2|, |lam_theta| < 2^607 and
+hl_k < 2^603 + margin: keys and window ends are below 2^972, ids below
+2^12 and the join's id offsets below 2^986, all finite.
 """
 
 from __future__ import annotations
@@ -119,11 +110,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import blocks, gauge_norm, heis_dist, window_blocks
+from .core import blocks, gauge_norm, heis_dist, window_join
 from .duality import dual_ray
 
 PLATE_OUTER_C = 2.0 * 40.0 ** 0.25
 SANDWICH_INNER_C = 1.0 / 3.0
+MEMBER_TOL = 1e-9  # tol: every bound of plate membership is widened by it
 
 
 @dataclass(frozen=True)
@@ -138,7 +130,7 @@ class ModifiedPlate:
     y: object
     r: object
 
-    def contains(self, q, tol=1e-9):
+    def contains(self, q, tol=MEMBER_TOL):
         """Membership of the points q (shape (..., 3)) in the widened plate.
 
         The widened plate holds q iff some d = y' - y has |d| <= r + tol,
@@ -243,7 +235,7 @@ def same_direction_separation(c1, c2, r, rng):
     return ratios
 
 
-def count_memberships(u, v, y, r, pts, tol=1e-9):
+def count_memberships(u, v, y, r, pts):
     """N(x) = number of modified plates Pi_r(u_i, v_i, y_i) containing x.
 
     Plates share the scale r.  Exact: in each direction bin the point
@@ -251,8 +243,7 @@ def count_memberships(u, v, y, r, pts, tol=1e-9):
     at most nine windows of it, and the closed-form test decides every
     pair read, about 5.5 per hit on random3 families.  Raises
     ValueError for u, v and y of different lengths, r outside [0, 2^200],
-    or a coordinate that is not finite or of size above 2^200 (below it
-    every margin, key and window end of the index is finite).
+    or a coordinate that is not finite or of size above 2^200 (Size).
     """
     u, v, y = (np.asarray(a, dtype=float).ravel() for a in (u, v, y))
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
@@ -264,14 +255,14 @@ def count_memberships(u, v, y, r, pts, tol=1e-9):
     if not all(np.all(np.abs(a) <= big) for a in (u, v, y, pts)):
         raise ValueError("coordinates must be finite, of size at most 2^200")
     counts = np.zeros(len(pts), dtype=np.int64)
-    for i, j, near in _plate_candidates(u, v, y, r, pts, tol):
+    for i, j, near in _plate_candidates(u, v, y, r, pts):
         i, j = i[near], j[near]
-        inside = ModifiedPlate(u[j], v[j], y[j], r).contains(pts[i], tol)
+        inside = ModifiedPlate(u[j], v[j], y[j], r).contains(pts[i])
         counts += np.bincount(i[inside], minlength=len(pts))
     return counts
 
 
-def _plate_candidates(u, v, y, r, pts, tol):
+def _plate_candidates(u, v, y, r, pts):
     """Blocks (i, j, near): point i and plate j read from the index.
 
     near marks the pairs meeting both necessary conditions at the plate's
@@ -289,33 +280,27 @@ def _plate_candidates(u, v, y, r, pts, tol):
     a = max(float(np.abs(c).max()) for c in (u, v, y, s, q2, q3)) + r + b
     margin = 1e-12 * (1.0 + a) ** 5
     # the conditions at the plate's own y, with lam = v + y u
-    w1 = (r + tol) * (1.0 + sabs) + margin
-    w2 = r * r + tol + sabs * (r + tol) ** 2 / 2 + margin
+    w1 = (r + MEMBER_TOL) * (1.0 + sabs) + margin
+    w2 = r * r + MEMBER_TOL + sabs * (r + MEMBER_TOL) ** 2 / 2 + margin
     lam = v + y * u
     # three |s| bands, each read at its largest |s|; |s| on an edge takes
     # the lower band, whose top it equals
     smax = float(sabs.max())
     top = np.array([smax / 3, 2 * smax / 3, smax])
-    band = np.searchsorted(top[:2], sabs)
-    tw1 = (r + tol) * (1.0 + top)
+    band = (sabs > top[0]).astype(np.int64) + (sabs > top[1])
+    tw1 = (r + MEMBER_TOL) * (1.0 + top)
     hu = tw1 + top * b / 2 + margin
-    hl = (r * r + tol + top * (r + tol) ** 2 / 2 + b / 2 * tw1
+    hl = (r * r + MEMBER_TOL + top * (r + MEMBER_TOL) ** 2 / 2 + b / 2 * tw1
           + top * b * b / 8 + margin)
     hub = hu[band]
-    # |keys| < (1 + a)^3 and |window ends| < (1 + a)^3 + hl[2], so id *
-    # spacing keeps (band, cell) ids apart, and adding it to both is monotone
-    spacing = 3.0 * (1.0 + a) ** 3 + 3.0 * float(hl[2])
     occupied, rank = np.unique(np.floor((y - ylo) / b).astype(np.int64),
                                return_inverse=True)
-    bins = np.split(np.argsort(rank, kind="stable"),
-                    np.cumsum(np.bincount(rank))[:-1])
-    for theta, J in zip(ylo + (occupied + 0.5) * b, bins):
-        uj = u[J]
+    for n, theta in enumerate(ylo + (occupied + 0.5) * b):
+        J = np.flatnonzero(rank == n)
+        uj, yj, lamj = u[J], y[J], lam[J]
         ulo, uhi = float(uj.min()), float(uj.max())
         k1 = q2 + s * theta
         i = np.flatnonzero((k1 + hub >= ulo) & (k1 - hub <= uhi))
-        if len(i) == 0:
-            continue
         # in band k, u-cells as wide as hu[k], at most 1024 over the bin's
         # reach: a plate's u-window meets at most three; clipping is monotone
         base, span = ulo - hu[2], uhi - ulo + 2 * hu[2]
@@ -325,27 +310,19 @@ def _plate_candidates(u, v, y, r, pts, tol):
         def cells(x, k):
             return np.clip(np.floor((x - base) / side[k]), 0, ncell - 1)
 
-        key = (q3[i] + theta * q2[i] + s[i] * theta * theta / 2
-               + (band[i] * ncell + cells(k1[i], band[i])) * spacing)
-        order = np.argsort(key)
-        key, i = key[order], i[order]
-        # the points' columns in key order, so windows read them in runs
-        si, q2i, q3i, w1i, w2i = (c[i] for c in (s, q2, q3, w1, w2))
-        yj, lamj = y[J], lam[J]
-        # each plate reads one window per band and u-cell its u-window meets
+        # a window per band and u-cell a plate's u-window meets; -1: none
+        k = np.arange(3)[:, None]
+        lo, hi = cells(uj - hu[k], k), cells(uj + hu[k], k)
+        cell = lo[..., None] + np.arange(int((hi - lo).max()) + 1)
+        qid = np.where(cell <= hi[..., None], k[..., None] * ncell + cell, -1)
         lamt = (v[J] + theta * uj)[:, None]
-        for k in range(3):
-            lo, hi = cells(uj - hu[k], k), cells(uj + hu[k], k)
-            cell = lo[:, None] + np.arange(int((hi - lo).max()) + 1)
-            off = (k * ncell + cell) * spacing
-            first = np.searchsorted(key, (lamt - hl[k]) + off, side="left")
-            lens = (np.searchsorted(key, (lamt + hl[k]) + off, side="right")
-                    - first) * (cell <= hi[:, None])
-            for w, kk in window_blocks(first.ravel(), lens.ravel()):
-                p = w // cell.shape[1]
-                yp, q2p = yj[p], q2i[kk]
-                sy = si[kk] * yp
-                near = ((np.abs(q2p - uj[p] + sy) <= w1i[kk])
-                        & (np.abs(q3i[kk] - lamj[p] + yp * (q2p + sy / 2))
-                           <= w2i[kk]))
-                yield i[kk], J[p], near
+        for w, j in window_join(
+                band[i] * ncell + cells(k1[i], band[i]),
+                q3[i] + theta * q2[i] + s[i] * theta * theta / 2,
+                qid, lamt - hl[:, None, None], lamt + hl[:, None, None]):
+            p, q = w // cell.shape[2] % len(J), i[j]
+            yp, q2p = yj[p], q2[q]
+            sy = s[q] * yp
+            near = (np.abs(q2p - uj[p] + sy) <= w1[q]) & (
+                np.abs(q3[q] - lamj[p] + yp * (q2p + sy / 2)) <= w2[q])
+            yield q, J[p], near

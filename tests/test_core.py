@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import heislab.core
 from heislab.core import (UNIT_BALL_VOLUME, ball_volume, blocks, dilate,
                           gauge_norm, gauge_pairs, group_mul, heis_dist,
-                          heis_dist_trunc, window_blocks)
+                          heis_dist_trunc, window_blocks, window_join)
 from heislab.delta_sets import covering_number, gen_heis_lattice
 from heislab.sampling import (make_rng, monte_carlo_ball_volume,
                               uniform_ball_points, uniform_euclidean_ball)
@@ -230,24 +230,36 @@ def test_rejection_samplers_match_their_loops(n, fast, loop, radius):
 
 
 def dense_pairs(points, r):
-    """Oracle for gauge_pairs: every (i, j, d) from the full matrix."""
+    """Oracle for gauge_pairs: every (i, j, d) from the full matrix, in
+    order of (i, j)."""
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     d = heis_dist(p[:, None, :], p[None, :, :])
-    return {(i, j, d[i, j]) for i, j in zip(*np.nonzero(d <= r))}
+    i, j = np.nonzero(d <= r)
+    return i, j, d[i, j]
 
 
 def fast_pairs(points, r):
-    """gauge_pairs as a set; also checks the block layout it promises."""
-    blocks = list(gauge_pairs(points, r))
+    """gauge_pairs' (i, j, d) in order of (i, j); also checks the block
+    layout it promises."""
+    n = len(np.reshape(points, (-1, 3)))
+    blocks = [b for b in gauge_pairs(points, r) if len(b[0])]
     if not blocks:
-        return set()
-    i = np.concatenate([b[0] for b in blocks])
-    assert np.all(np.diff(i) >= 0)  # order of i, each i consecutive
-    got = {(a, b, c) for blk in blocks for a, b, c in zip(*blk)}
+        return tuple(np.zeros(0, dtype=t) for t in (np.int64, np.int64, float))
+    i, j, d = (np.concatenate(col) for col in zip(*blocks))
+    # order of i, and each i's pairs consecutive in one block
+    assert np.all(np.diff(i) >= 0)
+    assert all(a[0][-1] < b[0][0] for a, b in zip(blocks, blocks[1:]))
     # every point pairs with itself, at d = 0 exactly
-    assert {(a, c) for a, b, c in got if a == b} \
-        == {(a, 0.0) for a in range(len(np.reshape(points, (-1, 3))))}
-    return got
+    own = i == j
+    assert np.array_equal(i[own], np.arange(n)) and np.all(d[own] == 0.0)
+    order = np.lexsort((j, i))
+    return i[order], j[order], d[order]
+
+
+def same_pairs(got, want):
+    """The same (i, j) in the same order, with d bit for bit."""
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(got, want))
 
 
 # points whose |z| is near 1, where the sheared height tilts most
@@ -262,7 +274,7 @@ rim = st.tuples(st.floats(0, 2 * math.pi), st.floats(0.9, 1.0),
 def test_gauge_pairs_near_rim_match_dense(a, b, r):
     # the self-join of the union holds every pair across the two sets
     pts = np.array(a + b)
-    assert fast_pairs(pts, r) == dense_pairs(pts, r)
+    assert same_pairs(fast_pairs(pts, r), dense_pairs(pts, r))
 
 
 @given(st.sampled_from([2.0 ** -3, 0.075, 0.1]),
@@ -274,7 +286,7 @@ def test_gauge_pairs_on_cell_edges_match_dense(delta, ijk, k):
     # lattice points at distance exactly r sit on the edges of the cells
     pts = np.array(ijk, dtype=float) * [delta, delta, delta ** 2]
     r = k * delta
-    assert fast_pairs(pts, r) == dense_pairs(pts, r)
+    assert same_pairs(fast_pairs(pts, r), dense_pairs(pts, r))
 
 
 @given(st.lists(point, min_size=1, max_size=20), st.integers(1, 3))
@@ -282,8 +294,8 @@ def test_gauge_pairs_on_cell_edges_match_dense(delta, ijk, k):
 def test_gauge_pairs_radius_zero_finds_duplicates(pts, copies):
     pts = np.concatenate([np.array(pts)] * copies)
     got = fast_pairs(pts, 0.0)
-    assert got == dense_pairs(pts, 0.0)
-    assert len(got) >= len(pts)
+    assert same_pairs(got, dense_pairs(pts, 0.0))
+    assert len(got[0]) >= len(pts)
 
 
 def pair_stream(points, r):
@@ -296,15 +308,18 @@ def test_gauge_pairs_lattice_and_small_blocks(monkeypatch):
     pts = gen_heis_lattice(2.0 ** -3).centers
     want = dense_pairs(pts, 2.0 ** -2)
     monkeypatch.setattr(heislab.core, "PAIR_BLOCK", 1 << 14)
-    assert fast_pairs(pts, 2.0 ** -2) == want
+    assert same_pairs(fast_pairs(pts, 2.0 ** -2), want)
     stream = pair_stream(pts, 2.0 ** -2)
     monkeypatch.setattr(heislab.core, "PAIR_BLOCK", 7)
-    assert fast_pairs(pts, 2.0 ** -2) == want
+    assert same_pairs(fast_pairs(pts, 2.0 ** -2), want)
     # ball_masses sums in stream order, so blocking must not move a pair
     small = pair_stream(pts, 2.0 ** -2)
     assert [a.tobytes() for a in small] == [a.tobytes() for a in stream]
     # a radius beyond the diameter pairs everything
-    assert len(fast_pairs(pts, 3.0)) == len(pts) ** 2
+    i, j, _ = fast_pairs(pts, 3.0)
+    n = len(pts)
+    assert np.array_equal(i, np.repeat(np.arange(n), n))
+    assert np.array_equal(j, np.tile(np.arange(n), n))
 
 
 def test_gauge_pairs_far_from_zero_match_dense():
@@ -318,8 +333,8 @@ def test_gauge_pairs_far_from_zero_match_dense():
                           group_mul(a, side)])
     # just above r, so that rounding in heis_dist keeps every partner
     got = fast_pairs(pts, r * (1 + 1e-6))
-    assert got == dense_pairs(pts, r * (1 + 1e-6))
-    assert len(got) == 3 * 400 + 4 * 400
+    assert same_pairs(got, dense_pairs(pts, r * (1 + 1e-6)))
+    assert len(got[0]) == 3 * 400 + 4 * 400
 
 
 @pytest.mark.parametrize("n, per_item, budget, sizes", [
@@ -372,14 +387,67 @@ def test_window_blocks_partition_the_windows(windows, budget):
     assert all(len(w) <= budget or len(s) == 1 for w, s in zip(ids, seen))
 
 
+# keys at zero, near +-2^600 and in between, drawn from a small pool so
+# that keys tie and windows end on them
+join_value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 2.0 ** 600,
+                              -2.0 ** 600, np.nextafter(2.0 ** 600, 0),
+                              2.0 ** 599]) | st.floats(-4, 4)
+join_window = st.tuples(st.integers(-1, 3), join_value, join_value)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), join_value), max_size=30),
+       st.lists(join_window | join_window.map(
+           lambda w: (w[0], w[1], w[1])), max_size=20),
+       st.integers(1, 16))
+@settings(max_examples=300, deadline=None)
+@example([(0, 0.0), (1, 0.0), (0, 0.0)], [(0, 0.0, 0.0), (1, 1.0, 0.0),
+                                           (-1, -1.0, 1.0)], 2)
+@example([(2, 2.0 ** 600), (2, -2.0 ** 600), (0, 1.0)],
+         [(2, -2.0 ** 600, 2.0 ** 600), (0, 1.0, 1.0)], 1)
+@example([(0, 0.0), (1, 0.0)], [(1, 0.0, 0.0), (0, -0.0, 0.0)], 4)
+@example([(0, 0.5), (0, 0.7)], [(0, 1.0, 0.0), (0, 0.0, 1.0)], 4)
+@example([], [(0, 0.0, 1.0)], 4)
+def test_window_join_matches_nested_loops(keyed, windows, budget):
+    ids = np.array([a for a, _ in keyed], dtype=np.int64)
+    key = np.array([k for _, k in keyed])
+    qid = np.array([w[0] for w in windows], dtype=np.int64)
+    lo = np.array([w[1] for w in windows])
+    hi = np.array([w[2] for w in windows])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heislab.core, "PAIR_BLOCK", budget)
+        got = list(window_join(ids, key, qid, lo, hi))
+    # whole windows in order
+    seen = [set(w.tolist()) for w, _ in got]
+    assert sum(map(len, seen)) == len(set().union(*seen))
+    w = np.concatenate([w for w, _ in got]).astype(np.int64) if got \
+        else np.zeros(0, dtype=np.int64)
+    j = np.concatenate([j for _, j in got]) if got else w
+    assert np.all(np.diff(w) >= 0)
+    # the rounding of id * spacing may add j of the window's id, and may
+    # swap keys closer than it
+    m = max([0.0] + [abs(x) for x in np.concatenate([key, lo, hi])])
+    for n in range(len(windows)):
+        jw = j[w == n]
+        slack = 2 * np.spacing((abs(qid[n]) + 1) * (3 * m or 1.0))
+        assert np.all(np.diff(key[jw]) >= -slack)
+        assert np.all(ids[jw] == qid[n])
+        assert np.all((key[jw] >= lo[n] - slack) & (key[jw] <= hi[n] + slack))
+        assert len(set(jw.tolist())) == len(jw)
+        want = [k for k in range(len(keyed)) if ids[k] == qid[n]
+                and lo[n] <= key[k] <= hi[n]]
+        assert set(want) <= set(jw.tolist())
+    # a qid below every id reads nothing
+    assert not np.any(qid[w] == -1)
+
+
 @pytest.mark.parametrize("s", [1.0, 1e50, 2.0 ** 249])
 def test_gauge_pairs_scaled_up_to_the_range_match_dense(s):
     # at s = 2^249 the radius is 2^250, the largest allowed
     pts = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 1e-3]]) * s
     with np.errstate(over="raise", invalid="raise"):
         got = fast_pairs(pts, 2 * s)
-        assert got == dense_pairs(pts, 2 * s)
-    assert len(got) == 9
+        assert same_pairs(got, dense_pairs(pts, 2 * s))
+    assert len(got[0]) == 9
 
 
 def test_gauge_pairs_at_the_range_corners_match_dense():
@@ -388,7 +456,7 @@ def test_gauge_pairs_at_the_range_corners_match_dense():
     pts = np.concatenate([pts, make_rng(3).uniform(-big, big, (30, 3))])
     with np.errstate(over="raise", invalid="raise"):
         for r in (0.0, big / 1e6, big / 2, big):
-            assert fast_pairs(pts, r) == dense_pairs(pts, r)
+            assert same_pairs(fast_pairs(pts, r), dense_pairs(pts, r))
 
 
 @pytest.mark.parametrize("s, r", [
@@ -408,7 +476,7 @@ def test_gauge_pairs_rejects_input_beyond_the_range(s, r):
 def test_gauge_pairs_empty_and_bad_input():
     pts = np.zeros((3, 3))
     assert list(gauge_pairs(np.zeros((0, 3)), 1.0)) == []
-    assert fast_pairs(pts, 0.0) == dense_pairs(pts, 0.0)
+    assert same_pairs(fast_pairs(pts, 0.0), dense_pairs(pts, 0.0))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             list(gauge_pairs(np.concatenate([pts, [[0.0, bad, 0.0]]]), 1.0))

@@ -145,6 +145,8 @@ def test_grid_density_mass_and_occupied():
         GridDensity([0, 0, 0], [0.1, 0.0, 0.1], np.zeros((1, 1, 1)))
     with pytest.raises(ValueError):
         GridDensity([0, 0, 0], [0.1, np.nan, 0.1], np.zeros((1, 1, 1)))
+    with pytest.raises(ValueError):
+        GridDensity([0, 0, 0], [0.1, 0.1, np.inf], np.zeros((1, 1, 1)))
 
 
 def test_rasterize_preserves_mass():
@@ -163,6 +165,19 @@ def test_rasterize_keeps_an_atom_just_below_its_origin():
     assert g.origin[0] > x
     assert g.total_mass == 2.0
     assert g.values[0, 0, 0] * g.cell_volume == 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
+def test_rasterize_rejects_bad_spacing(bad):
+    # checked before binning: a zero, NaN or infinite entry used to warn
+    # and then fail on a negative grid dimension
+    mu = DiscreteMeasure.uniform(make_rng(3).random((20, 3)))
+    for i in range(3):
+        spacing = [0.1, 0.1, 0.01]
+        spacing[i] = bad
+        with pytest.raises(ValueError, match="spacing must be finite"):
+            rasterize(mu, spacing)
 
 
 def test_delta_measure_report_uniform_grid_passes():
@@ -186,6 +201,16 @@ def test_delta_measure_report_flags_spike():
                     spacing=[0.1, 0.1, 0.01], values=vals)
     rep = delta_measure_report(g, delta, C=4.0)
     assert not rep["passes"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
+def test_delta_measure_report_rejects_bad_delta(bad):
+    # at delta 0 the ball volume is 0, and the report used to pass with
+    # max_ratio 0.0 after a division by it
+    g = GridDensity([0, 0, 0], [0.1, 0.1, 0.01], np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match="delta must be finite"):
+        delta_measure_report(g, bad)
 
 
 def test_delta_measure_report_empty():

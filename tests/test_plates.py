@@ -303,7 +303,7 @@ def test_contains_matches_endpoints_on_plate_candidates():
     u, v, y, r = plate.u, plate.v, plate.y, plate.r
     pts = uniform_euclidean_ball(5000, make_rng(3), 2.0)
     pairs = hits = 0
-    for i, j, _ in _plate_candidates(u, v, y, r, pts, 1e-9):
+    for i, j, _ in _plate_candidates(u, v, y, r, pts):
         pair = ModifiedPlate(u[j], v[j], y[j], r)
         got = pair.contains(pts[i])
         assert np.array_equal(got, contains_endpoints(pair, pts[i]))
@@ -712,7 +712,7 @@ def test_plate_candidates_per_hit_stay_flat(k):
     u, v, y, r = plate.u, plate.v, plate.y, plate.r
     pts = uniform_euclidean_ball(5000, make_rng(k), 2.0)
     proposed = sum(len(i) for i, _, _ in
-                   _plate_candidates(u, v, y, r, pts, 1e-9))
+                   _plate_candidates(u, v, y, r, pts))
     hits = int(count_memberships(u, v, y, r, pts).sum())
     assert hits > 10000
     assert proposed <= 16 * hits, proposed / hits
@@ -785,13 +785,13 @@ def test_plate_windows_do_not_grow_with_the_points(monkeypatch):
         windows[-1] += len(first)
         return window_blocks(first, lens)
 
-    monkeypatch.setattr(heislab.plates, "window_blocks", counted)
+    monkeypatch.setattr(heislab.core, "window_blocks", counted)
     ends = np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
     for n in (2000, 4000):
         pts = np.concatenate([ends, uniform_euclidean_ball(n, make_rng(n),
                                                            2.0)])
         windows.append(0)
         pairs = sum(len(i) for i, _, _ in
-                    _plate_candidates(u, v, y, r, pts, 1e-9))
+                    _plate_candidates(u, v, y, r, pts))
         assert pairs > 10 * n
     assert windows[0] == windows[1] <= 9 * len(u)
