@@ -10,7 +10,8 @@ import heislab.core
 from heislab.core import (UNIT_BALL_VOLUME, ball_volume, blocks, dilate,
                           gauge_norm, gauge_pairs, group_mul, heis_dist,
                           heis_dist_trunc, window_blocks, window_join)
-from heislab.delta_sets import covering_number, gen_heis_lattice
+from heislab.delta_sets import (covering_number, gen_heis_lattice,
+                                gen_random3)
 from heislab.sampling import (make_rng, monte_carlo_ball_volume,
                               uniform_ball_points, uniform_euclidean_ball)
 
@@ -296,6 +297,49 @@ def test_gauge_pairs_radius_zero_finds_duplicates(pts, copies):
     got = fast_pairs(pts, 0.0)
     assert same_pairs(got, dense_pairs(pts, 0.0))
     assert len(got[0]) >= len(pts)
+
+
+# maps under which heis_dist, and so every verdict d <= r, is exact:
+# the quarter turn and the reflection are isometric automorphisms that
+# only swap and negate coordinates, and delta_2 scales every term of the
+# distance by a power of 2, doubling d unless a term is subnormal
+SYMMETRIES = [
+    (lambda p: np.stack([-p[:, 1], p[:, 0], p[:, 2]], axis=1), 1.0),
+    (lambda p: p * [1.0, -1.0, -1.0], 1.0),
+    (lambda p: p * [2.0, 2.0, 4.0], 2.0),
+]
+
+
+def assert_pairs_symmetric(points, r):
+    """gauge_pairs gives the same sorted (i, j) under every map of
+    SYMMETRIES, with r and d scaled by its factor exactly."""
+    want = fast_pairs(points, r)
+    for f, lam in SYMMETRIES:
+        i, j, d = fast_pairs(f(points), lam * r)
+        assert i.tobytes() == want[0].tobytes()
+        assert j.tobytes() == want[1].tobytes()
+        assert d.tobytes() == (lam * want[2]).tobytes()
+
+
+# dyadic coordinates, on which many distances equal the radius, and
+# floats at least 2^-60 in size, whose distances' terms stay normal
+dyadic = st.integers(-64, 64).map(lambda k: k / 32.0)
+normal = st.floats(-4, 4).filter(lambda a: a == 0 or abs(a) >= 2.0 ** -60)
+
+
+@given(st.lists(st.tuples(*[st.one_of(dyadic, normal)] * 3),
+                min_size=1, max_size=40),
+       st.one_of(dyadic.map(abs), st.floats(0, 4)))
+@settings(max_examples=200, deadline=None)
+def test_gauge_pairs_exact_under_symmetries(pts, r):
+    assert_pairs_symmetric(np.array(pts, dtype=float), r)
+
+
+def test_gauge_pairs_exact_under_symmetries_on_random3():
+    # the maps need no dense oracle, so they check sizes it cannot reach;
+    # here random3 at 2^-4, 3,072 centers
+    delta = 2.0 ** -4
+    assert_pairs_symmetric(gen_random3(delta, seed=0).centers, 2 * delta)
 
 
 def pair_stream(points, r):

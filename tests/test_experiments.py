@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heislab import core, experiments
+from heislab import cli, core, experiments, plates
 from heislab.cinematic import f_eval
 from heislab.core import dilate, gauge_norm, group_mul, heis_dist
 from heislab.delta_sets import (BallFamily, gen_horizontal_line,
@@ -450,7 +450,11 @@ def test_manifest_roundtrip(tmp_path):
 def separation_pair_oracle(c1, c2, r, uniforms):
     """same_direction_separation of one pair, mapping its row of 1024
     uniforms to 256 plate points with ModifiedPlate.sample's formula
-    inline."""
+    inline and testing all of them.
+
+    Returns the ratio and the index of the first sample in the unit ball
+    and in the second plate, both None where the plates do not meet.
+    """
     if abs(c1[1] - c2[1]) > r + 1e-12:
         raise ValueError("directions differ by more than the radius")
     p1 = ball_to_modified_plate(c1, r)
@@ -464,18 +468,19 @@ def separation_pair_oracle(c1, c2, r, uniforms):
     w2 = w0[:, 1] - p1.y * w0[:, 0]
     pts = np.stack([s, p1.u + w1 - s * yp,
                     p1.v + w2 + 0.5 * s * yp ** 2], axis=1)
-    pts = pts[np.linalg.norm(pts, axis=1) <= 1.0]
-    if len(pts) and bool(np.any(p2.contains(pts))):
-        return float(heis_dist(c1, c2)) / r
-    return None
+    hit = np.flatnonzero((np.linalg.norm(pts, axis=1) <= 1.0)
+                         & p2.contains(pts))
+    if len(hit):
+        return float(heis_dist(c1, c2)) / r, int(hit[0])
+    return None, None
 
 
 def separation_loop_oracle(rng, n_pairs):
     """derive_constants' same-direction pass, one pair at a time over the
     same draws: the centers, then one row of 1024 uniforms a kept pair.
 
-    Returns the kept pairs' centers and ratios (NaN where the plates do
-    not meet).
+    Returns the kept pairs' centers, ratios (NaN where the plates do not
+    meet) and first in-plate sample indices (-1 where they do not meet).
     """
     r = experiments.SEPARATION_RADIUS
     p1 = uniform_ball_points(n_pairs, rng, 0.8)
@@ -493,16 +498,20 @@ def separation_loop_oracle(rng, n_pairs):
         if gauge_norm(c2) <= 1.0 and abs(c2[1]) <= 1.0:
             kept.append((c1, c2))
     rows = rng.random((len(kept), 1024))
-    ratios = [separation_pair_oracle(c1, c2, r, row)
-              for (c1, c2), row in zip(kept, rows)]
+    out = [separation_pair_oracle(c1, c2, r, row)
+           for (c1, c2), row in zip(kept, rows)]
     c1, c2 = (np.array(z).reshape(-1, 3) for z in zip(*kept)) if kept \
         else (np.empty((0, 3)), np.empty((0, 3)))
-    return c1, c2, np.array([np.nan if x is None else x for x in ratios])
+    return (c1, c2, np.array([np.nan if x is None else x for x, _ in out]),
+            np.array([-1 if k is None else k for _, k in out], dtype=int))
 
 
-@pytest.mark.parametrize("n_pairs", [0, 1, 300])
-@pytest.mark.parametrize("seed", [0, 7, 8])
-def test_separation_batch_matches_per_pair_loop(seed, n_pairs):
+def separation_batch_against_loop(seed, n_pairs):
+    """Assert that derive_constants' separation pass equals the per-pair
+    loop bit for bit and leaves the generator in the loop's state.
+
+    Returns the ratios and the loop's first in-plate sample indices.
+    """
     want_rng, rng = make_rng(seed), make_rng(seed)
     want = separation_loop_oracle(want_rng, n_pairs)
     c1, c2 = experiments._separation_pairs(rng, n_pairs)
@@ -511,10 +520,27 @@ def test_separation_batch_matches_per_pair_loop(seed, n_pairs):
     assert c1.tobytes() == want[0].tobytes()
     assert c2.tobytes() == want[1].tobytes()
     assert ratios.tobytes() == want[2].tobytes()
-    if n_pairs == 300:
-        assert 0 < np.count_nonzero(ratios > 0) < len(ratios) <= 300
     # the generator ends where the per-pair draws leave it
     assert rng.random() == want_rng.random()
+    return ratios, want[3]
+
+
+@pytest.mark.parametrize("n_pairs", [0, 1, 300])
+@pytest.mark.parametrize("seed", [0, 7, 8])
+def test_separation_batch_matches_per_pair_loop(seed, n_pairs):
+    ratios, _ = separation_batch_against_loop(seed, n_pairs)
+    if n_pairs == 300:
+        assert 0 < np.count_nonzero(ratios > 0) < len(ratios) <= 300
+
+
+def test_separation_batch_matches_per_pair_loop_at_bench_size():
+    # the benchmark's 3,000 pairs, whose draws reach both passes: pairs
+    # met among the first samples, pairs first met after them, and pairs
+    # whose plates never meet
+    _, first = separation_batch_against_loop(7, 3000)
+    assert np.any((first >= 0) & (first < plates.FIRST_SAMPLES))
+    assert np.any(first >= plates.FIRST_SAMPLES)
+    assert np.any(first < 0)
 
 
 def ball_plate_loop(rng, n_balls):
@@ -679,6 +705,16 @@ def test_constants_do_not_depend_on_blocking(tmp_path, monkeypatch, block):
     path = tmp_path / "m.txt"
     write_manifest(path, experiments.derive_constants(seed=0))
     with open("tests/fixtures/constants_manifest.txt", "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
+def test_constants_at_bench_size_match_fixture(tmp_path):
+    # seed 7 at the benchmark's 3,000 pairs, written before the separation
+    # pass was split in two: the manifest keeps every byte
+    path = tmp_path / "m.txt"
+    assert cli.main(["constants", "--seed", "7", "--pairs", "3000",
+                     "--out", str(path)]) == 0
+    with open("tests/fixtures/constants_manifest_seed7_3000.txt", "rb") as fh:
         assert path.read_bytes() == fh.read()
 
 

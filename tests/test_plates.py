@@ -479,6 +479,23 @@ def test_ball_to_plate_preconditions():
             ball_to_modified_plate((0.0, 0.0, 0.0), r)
 
 
+@pytest.mark.parametrize("bad", [(np.nan, 0.0, 0.0), (0.0, np.nan, 0.0),
+                                 (0.0, 0.0, np.nan), (np.inf, 0.0, 0.0)])
+def test_non_finite_centers_are_rejected_before_any_draw(bad):
+    # a NaN center passes the range checks, as every comparison with NaN
+    # is False; unchecked, its plate of NaNs meets nothing, and its
+    # separation ratio NaN reads as plates that do not meet
+    with pytest.raises(ValueError, match="finite"):
+        ball_to_modified_plate(bad, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        ball_to_modified_plate([(0.0, 0.0, 0.0), bad], 0.1)
+    rng = make_rng(0)
+    for c1, c2 in (([bad], [(0.0, 0.0, 0.0)]), ([(0.0, 0.0, 0.0)], [bad])):
+        with pytest.raises(ValueError, match="finite"):
+            same_direction_separation(c1, c2, 0.1, rng)
+    assert rng.random() == make_rng(0).random()
+
+
 def test_plate_to_ball_roundtrip():
     center = (0.2, -0.3, 0.1)
     plate = ball_to_modified_plate(center, 0.2)
@@ -563,6 +580,22 @@ def test_modified_plate_sample_on_array_fields_matches_each_plate():
     got = ModifiedPlate(0.0, 0.0, 0.0, 0.5).sample(make_rng(3).random(256))
     assert np.array_equal(got[:, 0], (s * 2 - 1) * 2.0)
     assert np.array_equal(got[:, 1], w0[:, 0] - 0.5 - got[:, 0] * (yp - 0.5))
+
+
+def test_separation_passes_split_each_row_of_samples():
+    # the two passes read each of a row's 1024 uniforms once, and map
+    # samples 0..15 and 16..255 to the points one sample call gives them
+    k = heislab.plates.FIRST_SAMPLES
+    first, rest = heislab.plates._PASSES
+    assert np.array_equal(np.sort(np.concatenate([first, rest])),
+                          np.arange(1024))
+    rng = make_rng(13)
+    u, v, y = rng.random((3, 5)) - 0.5
+    plate = ModifiedPlate(u, v, y, 0.2)
+    uni = rng.random((5, 1024))
+    pts = plate.sample(uni)
+    assert plate.sample(uni[:, first]).tobytes() == pts[:, :k].tobytes()
+    assert plate.sample(uni[:, rest]).tobytes() == pts[:, k:].tobytes()
 
 
 def test_count_memberships_matches_bruteforce():
