@@ -100,10 +100,14 @@ def gauge_pairs(points, r):
     candidates and heis_dist decides them.  If d(a, b) <= r, b lies in one
     of the 9 cells of side h >= r around a's, and with c the center of a's
     cell the heights k(w) = t_w + (c_y x_w - c_x y_w) / 2 of c^-1 * w obey
-    |k(a) - k(b)| <= r^2 / 4 + |z_a - c| r / 2.  Keyed once at its own
-    cell's c, a point has key k + (h/2)(n_y x - n_x y) at the cell n steps
-    away; listed under the 9 cells around its own, it is found in the
-    window of a's cell about k(a).  r and every |coordinate| must be at
+    |k(a) - k(b)| <= r^2 / 4 + |z_a - c| r / 2.  As a lies in its cell,
+    |z_a - c| <= h / sqrt(2) <= 0.75 h, so the window k(a) +- r (r + 1.5 h)
+    / 4 holds b; 1e-12 m more covers the rounding of c, k and d.  Keyed
+    once at its own cell's c, a point has key k + (h/2)(n_y x - n_x y) at
+    the cell n steps away; listed under the cells around its own, it is
+    found in the window of a's cell about k(a).  An axis along which every
+    point has one cell is not shifted along: the cells n != 0 there hold
+    no point, so no window reads them.  r and every |coordinate| must be at
     most 2^250: then (x^2 + y^2)^2 <= 2^1006, 16 tau^2 <= 2^1004, the shift
     <= 2^501, the keys < 2^530 and the cell ids < 2^21, all finite.
     """
@@ -125,12 +129,15 @@ def gauge_pairs(points, r):
     amax = np.abs(p).max(axis=0)
     zmax = float(amax[:2].max())
     m = 1.0 + float(amax[2]) + (zmax + 2.0 * h) * zmax
-    bound = r * (r + 2.0 * h) / 4.0 + 1e-12 * m
+    bound = r * (r + 1.5 * h) / 4.0 + 1e-12 * m
     c = lo + (cell - 0.5) * h
     k = p[:, 2] + 0.5 * (c[:, 1] * p[:, 0] - c[:, 0] * p[:, 1])
     ids = cell[:, 0] * width + cell[:, 1]
-    del cell, c  # n-sized, not needed while the join sorts the 9n keys
-    nx, ny = np.indices((3, 3)).reshape(2, 9, 1) - 1
+    nx, ny = np.indices((3, 3)).reshape(2, 9) - 1
+    spread = cell.max(axis=0) > 1
+    shifts = (spread[0] | (nx == 0)) & (spread[1] | (ny == 0))
+    nx, ny = nx[shifts, None], ny[shifts, None]
+    del cell, c  # n-sized, not needed while the join sorts at most 9n keys
     for i, j in window_join(ids + (nx * width + ny),
                             k + 0.5 * h * (ny * p[:, 0] - nx * p[:, 1]),
                             ids, k - bound, k + bound):

@@ -50,7 +50,7 @@ def projection_area(theta, centers, radius, pixel, points_per_ball=None):
     if pixel > radius.min() / 2 + 1e-15:
         raise ValueError("pixel must be at most half the ball radius")
     ze, ac = ze_zje(theta, centers)
-    bc = f_eval(centers, theta)
+    bc = centers[:, 2] + 0.5 * ze * ac  # f_eval's heights, from ze and ac
     # the columns with centre (col + 0.5) pixel in [a_c - r, a_c + r]
     first = np.ceil((ac - radius) / pixel - 0.5)
     ncols = (np.floor((ac + radius) / pixel - 0.5) - first + 1).astype(int)
@@ -191,29 +191,31 @@ def _cell_counts(vals, cells):
     """Number of distinct floor(v / cell) over vals, for each cell > 0.
 
     One sort serves every cell: v -> floor(v / cell) is monotone, so the
-    cells of the sorted values come sorted.
+    cells of the sorted values come sorted, and each new one is a change.
     """
     vals = np.sort(np.asarray(vals, dtype=float).reshape(-1))
-    return [len(distinct(np.floor(vals / cell), presorted=True))
-            for cell in cells]
+    return [np.count_nonzero(f[1:] != f[:-1]) + (len(f) > 0)
+            for f in (np.floor(vals / cell) for cell in cells)]
 
 
 def rho_dimension(points, thetas, scales):
     """1-D box dimensions of the height shadows f_p(theta) over directions.
 
     For each direction records the euclidean slope (cells of length
-    scale) and the square-root-metric slope (cells of length scale^2).
+    scale) and the square-root-metric slope (cells of length scale^2):
+    fit_loglog's slope, from one np.polyfit over every direction's counts
+    (a least-squares fit of many columns solves each on its own).
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     cells = list(scales) + [s * s for s in scales]
-    out = {"thetas": [], "euclidean_slope": [], "sqrt_slope": []}
-    for th in thetas:
-        counts = _cell_counts(f_eval(points, th), cells)
-        out["thetas"].append(float(th))
-        out["euclidean_slope"].append(
-            fit_loglog(scales, counts[:len(scales)])[0])
-        out["sqrt_slope"].append(fit_loglog(scales, counts[len(scales):])[0])
-    return out
+    counts = [_cell_counts(f_eval(points, th), cells) for th in thetas]
+    # one column per (direction, metric), rows in order of scale
+    y = np.log(np.array(counts, dtype=float).reshape(-1, len(scales)).T)
+    x = np.log(1.0 / np.asarray(scales, dtype=float))
+    slopes = np.polyfit(x, y, 1)[0].tolist() if counts else []
+    return {"thetas": [float(th) for th in thetas],
+            "euclidean_slope": slopes[0::2],
+            "sqrt_slope": slopes[1::2]}
 
 
 def directional_l2_vs_xray(grid):

@@ -60,14 +60,13 @@ def pixel_keys(w, cell):
     return (ia.astype(np.int64) << 32) ^ (ib.astype(np.int64) & 0xFFFFFFFF)
 
 
-def distinct(keys, presorted=False):
+def distinct(keys):
     """The distinct values of keys, sorted: one sort and one comparison.
 
     What np.unique returns for integer keys, without its hash path,
-    which is slower on the int64 keys of pixels and cells.  presorted
-    skips the sort for keys already in ascending order.
+    which is slower on the int64 keys of pixels and cells.
     """
-    k = np.ravel(keys) if presorted else np.sort(np.ravel(keys))
+    k = np.sort(np.ravel(keys))
     new = np.ones(len(k), dtype=bool)
     np.not_equal(k[1:], k[:-1], out=new[1:])
     return k[new]

@@ -11,7 +11,8 @@ from heislab.core import (UNIT_BALL_VOLUME, ball_volume, blocks, dilate,
                           gauge_norm, gauge_pairs, group_mul, heis_dist,
                           heis_dist_trunc, window_blocks, window_join)
 from heislab.delta_sets import (covering_number, gen_heis_lattice,
-                                gen_random3)
+                                gen_horizontal_line, gen_lattice_slab,
+                                gen_random3, gen_t_axis)
 from heislab.sampling import (make_rng, monte_carlo_ball_volume,
                               uniform_ball_points, uniform_euclidean_ball)
 
@@ -364,6 +365,125 @@ def test_gauge_pairs_lattice_and_small_blocks(monkeypatch):
     n = len(pts)
     assert np.array_equal(i, np.repeat(np.arange(n), n))
     assert np.array_equal(j, np.tile(np.arange(n), n))
+
+
+def nine_listing_pairs(points, r):
+    """gauge_pairs before it trimmed one-cell axes and narrowed its window:
+    every point under all 9 cells around its own, and a key window of
+    r (r + 2 h) / 4, from |z_a - c| <= h.  The stream oracle."""
+    p = np.asarray(points, dtype=float).reshape(-1, 3)
+    r = float(r)
+    z, lo = p[:, :2], p[:, :2].min(axis=0)
+    h = max(r * (1 + 1e-6), 1e-70, float((z.max(axis=0) - lo).max()) / 1024)
+    cell = np.floor((z - lo) / h).astype(np.int64) + 1
+    width = int(cell[:, 1].max()) + 2
+    amax = np.abs(p).max(axis=0)
+    zmax = float(amax[:2].max())
+    m = 1.0 + float(amax[2]) + (zmax + 2.0 * h) * zmax
+    bound = r * (r + 2.0 * h) / 4.0 + 1e-12 * m
+    c = lo + (cell - 0.5) * h
+    k = p[:, 2] + 0.5 * (c[:, 1] * p[:, 0] - c[:, 0] * p[:, 1])
+    ids = cell[:, 0] * width + cell[:, 1]
+    nx, ny = np.indices((3, 3)).reshape(2, 9, 1) - 1
+    for i, j in window_join(ids + (nx * width + ny),
+                            k + 0.5 * h * (ny * p[:, 0] - nx * p[:, 1]),
+                            ids, k - bound, k + bound):
+        j = j % len(p)
+        d = heis_dist(p[i], p[j])
+        hit = d <= r
+        yield i[hit], j[hit], d[hit]
+
+
+@pytest.mark.parametrize("family", [
+    gen_lattice_slab(2.0 ** -5, 0.0371), gen_t_axis(2.0 ** -6),
+    gen_horizontal_line(2.0 ** -6), gen_random3(2.0 ** -4, seed=0),
+    gen_heis_lattice(2.0 ** -4)], ids=lambda f: f.kind)
+def test_gauge_pairs_stream_matches_nine_listings(family):
+    # validate, covering_number and ball_masses read the stream in order
+    r = family.delta
+    got = pair_stream(family.centers, r)
+    want = [np.concatenate(col)
+            for col in zip(*nine_listing_pairs(family.centers, r))]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("family, listed", [
+    (gen_lattice_slab(2.0 ** -4, 0.0371), 3), (gen_t_axis(2.0 ** -5), 1),
+    (gen_horizontal_line(2.0 ** -5), 3), (gen_random3(2.0 ** -4), 9)],
+    ids=lambda a: getattr(a, "kind", a))
+def test_gauge_pairs_lists_only_along_axes_of_several_cells(
+        monkeypatch, family, listed):
+    shapes = []
+
+    def join(ids, *args):
+        shapes.append(ids.shape)
+        return window_join(ids, *args)
+    monkeypatch.setattr(heislab.core, "window_join", join)
+    list(gauge_pairs(family.centers, family.delta))
+    assert shapes == [(listed, len(family))]
+
+
+def corner_pair(e, m, t, ratio, s, sign, extra=np.zeros((0, 3))):
+    """Points (0, 0, 0) and (2^e, 2^e, 0), which make the cells of side
+    H = 2^e / 1024, a on the corner (m H, m' H, t) of cell m + 1, a partner
+    b = a * (s r u, tau) at d = r = ratio H exactly, and extra * 2^e / 4 +
+    2^e / 2.  u lies across a - c, so the cross term s r |a - c| / 2 adds
+    to tau in k(a) - k(b); s ~ 0.81 maximises the gap at r = H, s = 1 with
+    tau = 0 when r << H.  At ratio 2^-9 and 2^e >= 1 the gap passes
+    r (r + 1.4 H) / 4 by more than the rounding margin."""
+    big = 2.0 ** e
+    a = np.array([m[0] * big / 1024, m[1] * big / 1024, t])
+    r = ratio * big / 1024
+    u = np.array([1.0, -1.0]) * sign * s * r / math.sqrt(2)
+    tau = sign * math.sqrt(max(r ** 4 - (s * r) ** 4, 0.0)) / 4
+    b = group_mul(a, [u[0], u[1], tau])
+    ends = [[0.0, 0.0, 0.0], [big, big, 0.0]]
+    pts = np.concatenate([ends, [a, b], extra * big / 4 + big / 2])
+    return pts, float(heis_dist(a, b))
+
+
+@st.composite
+def one_cell_axes(draw):
+    """Points whose x or y (or both) take one cell, whose x spans just
+    under or just over one cell, or a corner_pair."""
+    free = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+    n = draw(st.integers(1, 30))
+    pts = np.array(draw(st.lists(st.tuples(free, free, free),
+                                 min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["x", "y", "xy", "under", "over", "corner"]))
+    if kind == "corner":
+        return corner_pair(
+            draw(st.integers(-6, 6)),
+            draw(st.tuples(st.integers(1, 1000), st.integers(1, 1000))),
+            draw(st.floats(-1, 1)),
+            draw(st.sampled_from([2.0 ** -9, 0.5])
+                 | st.floats(2.0 ** -11, 0.9)),
+            draw(st.sampled_from([0.81, 1.0])),
+            draw(st.sampled_from([-1.0, 1.0])), pts)
+    r = draw(st.floats(0, 1) | st.sampled_from([0.0, 0.25, 1.0]))
+    h = r * (1 + 1e-6)
+    if kind in ("x", "xy"):
+        pts[:, 0] = pts[0, 0]
+    if kind in ("y", "xy"):
+        pts[:, 1] = pts[0, 1]
+    if kind in ("under", "over"):
+        # y within one cell, x over [x0, x0 + w], ends included, with w
+        # just off h
+        w = h * (1 - 2.0 ** -30 if kind == "under" else 1 + 2.0 ** -30)
+        x0, y0 = pts[0, :2]
+        pts[:, :2] = [x0, y0] + (pts[:, :2] + 2) / 4 * [w, h / 2]
+        pts = np.concatenate([pts, [[x0, y0, 0.0], [x0 + w, y0, 0.0]]])
+    return pts, r
+
+
+@given(one_cell_axes())
+@settings(max_examples=300, deadline=None)
+@example(corner_pair(0, (300, 500), 0.3, 2.0 ** -9, 1.0, 1.0))
+@example(corner_pair(6, (1000, 1), -1.0, 2.0 ** -9, 1.0, -1.0))
+@example(corner_pair(-3, (7, 9), 0.0, 0.9, 0.81, 1.0))
+def test_gauge_pairs_on_one_cell_axes_and_corners_match_dense(case):
+    pts, r = case
+    assert same_pairs(fast_pairs(pts, r), dense_pairs(pts, r))
 
 
 def test_gauge_pairs_far_from_zero_match_dense():

@@ -17,6 +17,7 @@ from heislab.delta_sets import (_GENERATORS, BallFamily, ball_grid,
                                 read_family, verify_delta_t_set, write_family)
 from heislab.measures import grid_z
 from heislab.sampling import make_rng
+from test_core import SYMMETRIES
 
 
 def brute_force_min_cover(points, delta):
@@ -61,6 +62,28 @@ def test_validate_exact_on_large_families():
     assert len(fam) > 60000
     assert fam.validate()
     assert gen_lattice_slab(2.0 ** -5).validate()
+
+
+def validate_outcome(centers, delta):
+    try:
+        return BallFamily(centers, delta, 3, 8).validate()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("family", [gen_lattice_slab(2.0 ** -5, 0.0371),
+                                    gen_t_axis(2.0 ** -6)],
+                         ids=lambda f: f.kind)
+def test_validate_exact_under_symmetries(family):
+    # centers in B(1/2), so that delta_2 keeps them in the unit ball; at
+    # 2 delta the neighbours are too close.  The quarter turn moves the
+    # slab's one-cell axis from x to y
+    c = family.centers[gauge_norm(family.centers) <= 0.5]
+    for delta, want in ((family.delta, True),
+                        (2 * family.delta, "centers are not delta-separated")):
+        assert validate_outcome(c, delta) == want
+        for f, lam in SYMMETRIES:
+            assert validate_outcome(f(c), lam * delta) == want
 
 
 def test_validate_finds_one_close_pair_in_large_lattice():

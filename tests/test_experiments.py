@@ -22,7 +22,7 @@ from heislab.measures import DiscreteMeasure, rasterize
 from heislab.duality import dual_ray
 from heislab.plates import (PLATE_OUTER_C, SANDWICH_INNER_C, ModifiedPlate,
                             ball_to_modified_plate, same_direction_separation)
-from heislab.projections import (PROJECTED_BALL_AREA, pi_e,
+from heislab.projections import (PROJECTED_BALL_AREA, distinct, pi_e,
                                  projected_ball_profile, ze_zje)
 from heislab.reports import ExperimentReport, read_manifest, write_manifest
 from heislab.sampling import (make_rng, monte_carlo_ball_volume,
@@ -292,6 +292,32 @@ def test_rho_dimension_matches_unique_counts():
         sq = unique_cell_counts(vals, [s * s for s in scales])
         assert out["euclidean_slope"][i] == fit_loglog(scales, euc)[0]
         assert out["sqrt_slope"][i] == fit_loglog(scales, sq)[0]
+
+
+def per_direction_rho(points, thetas, scales):
+    """rho_dimension as one distinct and one fit_loglog per direction and
+    metric: the oracle of its single fit."""
+    out = {"thetas": [], "euclidean_slope": [], "sqrt_slope": []}
+    for th in thetas:
+        vals = f_eval(points, th)
+        out["thetas"].append(float(th))
+        for key, cells in (("euclidean_slope", scales),
+                           ("sqrt_slope", [s * s for s in scales])):
+            counts = [len(distinct(np.floor(vals / c))) for c in cells]
+            out[key].append(fit_loglog(scales, counts)[0])
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 32, 64])
+@pytest.mark.parametrize("family", [
+    gen_lattice_slab(2.0 ** -4, 0.0371), gen_t_axis(2.0 ** -5),
+    gen_random3(2.0 ** -4, seed=3)], ids=lambda f: f.kind)
+def test_rho_dimension_matches_per_direction_fits(family, n):
+    # the CLI's directions and scales; slopes bit for bit
+    thetas = np.arange(n) * np.pi / n
+    scales = [2.0 ** -k for k in range(3, 8)]
+    assert (rho_dimension(family.centers, thetas, scales)
+            == per_direction_rho(family.centers, thetas, scales))
 
 
 def test_best_direction_scan_tiny_family():

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 import heislab.core
 from heislab.core import group_mul, heis_dist, heis_dist_trunc
-from heislab.delta_sets import gen_t_axis
+from heislab.delta_sets import gen_lattice_slab, gen_t_axis
 from heislab.measures import (DiscreteMeasure, GridDensity, augment_to_dim3,
                               ball_masses, delta_measure_report, grid_z,
                               heis_convolve, layer_decomposition, rasterize,
                               riesz_energy)
 from heislab.sampling import make_rng
+from test_core import SYMMETRIES
 
 
 def riesz_energy_loop(mu, s, delta):
@@ -130,6 +131,21 @@ def test_ball_masses_match_dense_sum():
     for r in (0.0, 0.1, 0.4, 1.0, 5.0):
         want = ((d <= r) * mu.weights[None, :]).sum(axis=1)
         assert np.allclose(ball_masses(mu, r), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("family", [gen_lattice_slab(2.0 ** -5, 0.0371),
+                                    gen_t_axis(2.0 ** -6)],
+                         ids=lambda f: f.kind)
+def test_ball_masses_exact_under_symmetries(family):
+    # small integer weights sum exactly in any order, so the masses are
+    # the same bits however the maps reorder each ball's pairs
+    w = make_rng(4).integers(1, 8, len(family)).astype(float)
+    r = 2 * family.delta
+    want = ball_masses(DiscreteMeasure(family.centers, w), r)
+    assert np.all(want > w)  # every ball holds more than its center
+    for f, lam in SYMMETRIES:
+        got = ball_masses(DiscreteMeasure(f(family.centers), w), lam * r)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_grid_density_mass_and_occupied():

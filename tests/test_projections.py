@@ -197,7 +197,6 @@ def test_distinct_matches_unique(keys):
     got = distinct(keys)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
-    assert np.array_equal(distinct(np.sort(keys), presorted=True), want)
 
 
 def test_distinct_of_nothing_and_of_one_key():
