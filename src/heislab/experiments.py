@@ -12,15 +12,23 @@ import math
 
 import numpy as np
 
-from . import plates
+from . import core, plates
 from .cinematic import f_eval
 from .core import UNIT_BALL_VOLUME, dilate, gauge_norm, group_mul
 from .delta_sets import dyadic_ball_counts, verify_delta_t_set
 from .duality import HorizontalLine, xray_transform
-from .projections import (PARABOLIC_BILIP_LO, PROJECTED_BALL_AREA, distinct,
-                          pi_e, pixel_keys, projected_ball_profile, ze_zje)
+from .projections import (PARABOLIC_BILIP_LO, PROJECTED_BALL_AREA,
+                          PROJECTED_BALL_PROFILE_MAX, distinct, pi_e,
+                          pixel_keys, projected_ball_profile, ze_zje)
 from .sampling import (make_rng, monte_carlo_ball_volume, uniform_ball_points,
                        uniform_euclidean_ball)
+
+
+# A raster whose box holds at most this many pixels per (ball, column)
+# interval is unioned in a difference array over the box: 8 bytes a pixel,
+# no more than the sort path's dozen interval-sized arrays hold, and a
+# pixel costs one cumsum step where an interval costs a sort.
+BOX_PIXELS_PER_INTERVAL = 8
 
 
 def projection_area(theta, centers, radius, pixel, points_per_ball=None):
@@ -35,10 +43,23 @@ def projection_area(theta, centers, radius, pixel, points_per_ball=None):
     with (a_c, b_c) = pi_e(c) and e = e(theta).  So each pixel column with
     centre a in [a_c - r, a_c + r] meets the image in the interval
     b_c + <z_c, e> (a - a_c) +- r^2 g((a - a_c) / r), and the raster holds
-    the pixels of the column that the interval meets.  radius is a scalar
-    or one per ball; an empty family has area 0.  points_per_ball has no
-    effect: the benchmark still passes it.
+    the pixels of the column that the interval meets.  As g <= 2^(-3/2),
+    a ball's rows lie within b_c +- (|<z_c, e>| r + 2^(-3/2) r^2), one row
+    more either side for rounding: with its columns, that gives the box
+    of the raster before any interval exists.  If the box holds at most
+    BOX_PIXELS_PER_INTERVAL pixels per interval, blocks of intervals
+    (window_blocks) add 1 at each bottom pixel and -1 one
+    past each top into a difference array over the box, whose running
+    sum is nonzero on the raster: no sort, memory O(box + PAIR_BLOCK).
+    Otherwise (far-apart balls, tiny pixels) one sort of every interval by
+    (column, bottom row) and a running maximum of the tops count it,
+    memory O(intervals).  radius is a scalar or one per ball; an empty
+    family has area 0.  Every chart value and |<z_c, e>| (|a_c| + r) must
+    be at most 2^46 pixels, so that rounding moves no interval end by a
+    row.  points_per_ball has no effect: the benchmark still passes it.
     """
+    if not np.isfinite(theta):
+        raise ValueError("theta must be finite")
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
     radius = np.broadcast_to(np.asarray(radius, dtype=float), (len(centers),))
     if len(centers) == 0:
@@ -49,20 +70,40 @@ def projection_area(theta, centers, radius, pixel, points_per_ball=None):
         raise ValueError("radius must be finite and positive")
     if pixel > radius.min() / 2 + 1e-15:
         raise ValueError("pixel must be at most half the ball radius")
-    ze, ac = ze_zje(theta, centers)
-    bc = centers[:, 2] + 0.5 * ze * ac  # f_eval's heights, from ze and ac
+    if not np.all(np.isfinite(centers)):
+        raise ValueError("centers must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ze, ac = ze_zje(theta, centers)
+        bc = centers[:, 2] + 0.5 * ze * ac  # f_eval's heights, from ze and ac
+        # rounding moves a column's a by a few ulp of |a_c| + r, and its
+        # interval by |<z_c, e>| times as much
+        span = np.abs(ac) + radius
+        scale = np.abs(bc) + (1.0 + np.abs(ze)) * span + radius * radius
+    if not scale.max() / pixel <= 2.0 ** 46:
+        raise ValueError("chart coordinates too large against the pixel")
     # the columns with centre (col + 0.5) pixel in [a_c - r, a_c + r]
     first = np.ceil((ac - radius) / pixel - 0.5)
     ncols = (np.floor((ac + radius) / pixel - 0.5) - first + 1).astype(int)
+    ext = np.abs(ze) * radius + radius * radius * PROJECTED_BALL_PROFILE_MAX
+    row0 = np.floor((bc - ext) / pixel).min() - 1
+    # rows row0 .. row1 = max floor((b_c + ext) / pixel) + 1, and one more
+    # for the -1 past a top row
+    rows = np.floor((bc + ext) / pixel).max() + 3 - row0
+    col0 = first.min()
+    box = ((first + ncols).max() - col0) * rows
+    if box <= BOX_PIXELS_PER_INTERVAL * ncols.sum():
+        diff = np.zeros(int(box), dtype=np.int64)
+        for ball, col in core.window_blocks(first, ncols):
+            lo, hi = _column_rows(col, ball, ze, ac, bc, radius, pixel)
+            base = (col - col0) * rows - row0
+            np.add.at(diff, (base + lo).astype(np.int64), 1)
+            np.add.at(diff, (base + hi).astype(np.int64) + 1, -1)
+        return float(np.count_nonzero(np.cumsum(diff, out=diff))) \
+            * pixel * pixel
     ball = np.repeat(np.arange(len(centers)), ncols)
     col = first[ball] + (np.arange(len(ball))
                          - np.repeat(np.cumsum(ncols) - ncols, ncols))
-    da = (col + 0.5) * pixel - ac[ball]
-    r = radius[ball]
-    mid = bc[ball] + ze[ball] * da
-    half = r * r * projected_ball_profile(np.clip(da / r, -1.0, 1.0))
-    lo = np.floor((mid - half) / pixel)
-    hi = np.floor((mid + half) / pixel)
+    lo, hi = _column_rows(col, ball, ze, ac, bc, radius, pixel)
     # keys column * rows + row, counted from 0, order the intervals by
     # (column, bottom row) and keep each column's rows apart, so a running
     # maximum of the earlier tops shows which rows an interval adds
@@ -77,6 +118,15 @@ def projection_area(theta, centers, radius, pixel, points_per_ball=None):
     top = np.maximum.accumulate(np.concatenate([[-np.inf], hi[:-1]]))
     return float(np.maximum(hi - np.maximum(lo, top + 1) + 1, 0).sum()) \
         * pixel * pixel
+
+
+def _column_rows(col, ball, ze, ac, bc, radius, pixel):
+    """Bottom and top rows of each ball's image over each pixel column."""
+    da = (col + 0.5) * pixel - ac[ball]
+    r = radius[ball]
+    mid = bc[ball] + ze[ball] * da
+    half = r * r * projected_ball_profile(np.clip(da / r, -1.0, 1.0))
+    return np.floor((mid - half) / pixel), np.floor((mid + half) / pixel)
 
 
 def best_direction_scan(family, n_directions=64):

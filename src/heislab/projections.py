@@ -31,6 +31,8 @@ from .core import _as_points
 PARABOLIC_BILIP_LO = (1.0 + 2.0 ** (-4.0 / 3.0)) ** -0.75
 PROJECTED_BALL_AREA = 2.0 * math.sqrt(math.pi) * math.gamma(0.75) \
     / math.gamma(0.25)
+# the largest half-height of the projected unit ball (projected_ball_profile)
+PROJECTED_BALL_PROFILE_MAX = 2.0 ** -1.5
 
 
 def ze_zje(theta, p):
@@ -82,7 +84,9 @@ def projected_ball_profile(alpha):
         g(alpha) = (1 + 2 u) sqrt(1 - u) / 4,
 
     and the region has area PROJECTED_BALL_AREA = 2 sqrt(pi) Gamma(3/4) /
-    Gamma(1/4).  The cube root is np.cbrt, which rounds alike for any
+    Gamma(1/4).  g is largest at |alpha| = 2^(-3/4), where u = 1/2 and
+    dg/du = (3 - 6 u) / (8 sqrt(1 - u)) = 0: g <= PROJECTED_BALL_PROFILE_MAX
+    = 2^(-3/2), above g(0) = 1/4.  The cube root is np.cbrt, which rounds alike for any
     blocking of alpha.
     """
     s = np.cbrt(np.square(alpha))

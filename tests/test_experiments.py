@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,8 @@ from heislab.measures import DiscreteMeasure, rasterize
 from heislab.duality import dual_ray
 from heislab.plates import (PLATE_OUTER_C, SANDWICH_INNER_C, ModifiedPlate,
                             ball_to_modified_plate, same_direction_separation)
-from heislab.projections import (PROJECTED_BALL_AREA, distinct, pi_e,
+from heislab.projections import (PROJECTED_BALL_AREA,
+                                 PROJECTED_BALL_PROFILE_MAX, distinct, pi_e,
                                  projected_ball_profile, ze_zje)
 from heislab.reports import ExperimentReport, read_manifest, write_manifest
 from heislab.sampling import (make_rng, monte_carlo_ball_volume,
@@ -30,7 +32,7 @@ from heislab.sampling import (make_rng, monte_carlo_ball_volume,
 from test_plates import Plate, compose_center, contains_ray
 
 
-def projection_area_set(theta, centers, radius, pixel):
+def projection_pixels(theta, centers, radius, pixel):
     """Oracle for projection_area: a Python set of (column, row) pixels,
     filled one ball and one column at a time from the same interval ends."""
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
@@ -49,7 +51,35 @@ def projection_area_set(theta, centers, radius, pixel):
             for row in range(math.floor((mid - half) / pixel),
                              math.floor((mid + half) / pixel) + 1):
                 pixels.add((col, row))
-    return len(pixels) * pixel * pixel
+    return pixels
+
+
+def projection_area_set(theta, centers, radius, pixel):
+    """The oracle's pixel count times the pixel area."""
+    return len(projection_pixels(theta, centers, radius, pixel)) \
+        * pixel * pixel
+
+
+def area_on_path(path, theta, centers, radius, pixel):
+    """projection_area with its union forced onto the box path ("box":
+    every box qualifies, blocks of about 5 intervals) or the sort path
+    ("sort": none does); window_blocks runs on the box path alone."""
+    calls = []
+    window_blocks = core.window_blocks
+
+    def spy(first, lens):
+        calls.append(len(lens))
+        return window_blocks(first, lens)
+
+    box = path == "box"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "window_blocks", spy)
+        mp.setattr(experiments, "BOX_PIXELS_PER_INTERVAL",
+                   math.inf if box else 0)
+        mp.setattr(core, "PAIR_BLOCK", 5)
+        area = projection_area(theta, centers, radius, pixel)
+    assert bool(calls) == (box and len(np.reshape(centers, (-1, 3))) > 0)
+    return area
 
 
 def greedy_net_2d(points, scale, metric="euclidean"):
@@ -142,6 +172,64 @@ def test_projection_area_rejects_bad_radius(radius):
             projection_area(0.0, np.zeros((1, 3)), radius, 0.01)
 
 
+def test_projection_area_rejects_a_far_center_against_the_pixel():
+    # had returned 0.0001, one pixel, where the ball at the origin (left
+    # invariance) gives 0.004
+    assert projection_area(0.3, np.zeros((1, 3)), 0.1, 0.01) \
+        == pytest.approx(0.004)
+    with pytest.raises(ValueError, match="too large against the pixel"):
+        projection_area(0.3, [[1e17, 0.0, 0.0]], 0.1, 0.01)
+
+
+def test_projection_area_limits_chart_values_to_2_46_pixels():
+    r, pix = 2.0 ** -5, 2.0 ** -6
+    for t in (2.0 ** 39, -2.0 ** 39):  # 2^45 pixels high
+        assert projection_area(0.0, [[0.0, 0.0, t]], r, pix) \
+            == projection_area_set(0.0, [[0.0, 0.0, t]], r, pix)
+    with pytest.raises(ValueError, match="too large against the pixel"):
+        projection_area(0.0, [[0.0, 0.0, 2.0 ** 41]], r, pix)
+    # a at 2^40.8 pixels and b at 0, but the rim column's a rounds by
+    # 1e-4 pixel and <z, e> = 2^20 moves its row by 92 rows: had returned
+    # an area, and a box without the |<z, e>| |a| term overran
+    x, y = 2.0 ** 20, 15096271400.192656
+    with pytest.raises(ValueError, match="too large against the pixel"):
+        projection_area(0.0, [[x, y, -0.5 * x * y]], 0.03, 2.0 ** -7)
+
+
+def test_projection_area_rejects_an_overflowing_center():
+    # had overflowed in a multiply and returned nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too large against the pixel"):
+            projection_area(0.3, [[1e300, 0.0, 0.0]], 0.1, 0.01)
+
+
+@pytest.mark.parametrize("theta,center", [
+    (np.nan, (0.0, 0.0, 0.0)), (np.inf, (0.0, 0.0, 0.0)),
+    (0.3, (np.nan, 0.0, 0.0)), (0.3, (0.0, 0.0, -np.inf)),
+], ids=["nan-theta", "inf-theta", "nan-center", "inf-center"])
+def test_projection_area_rejects_nonfinite_input(theta, center):
+    # had warned and failed in np.repeat on negative column counts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            projection_area(theta, [center], 0.1, 0.01)
+
+
+def test_projection_area_memory_on_the_bench_slab():
+    # the box path holds no interval-sized array: the sort path's peak
+    # here was 11.8 MB
+    fam = gen_lattice_slab(2.0 ** -5, 0.05)
+    for th in np.arange(4) * math.pi / 4:
+        tracemalloc.start()
+        try:
+            projection_area(th, fam.centers, fam.delta, fam.delta / 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, (th, peak)
+
+
 def test_projection_area_ignores_points_per_ball():
     fam = gen_lattice_slab(2.0 ** -4, x0=0.3)
     want = projection_area(0.9, fam.centers, fam.delta, fam.delta / 2)
@@ -175,7 +263,10 @@ def test_projection_area_per_ball_radii_match_set_oracle():
 @st.composite
 def ball_families(draw):
     """Balls that nest, overlap, repeat or sit far off the axis (sheared),
-    with one radius or one per ball, and a pixel at most half of each."""
+    with one radius or one per ball, and a pixel at most half of each;
+    or, in the sparse mode, a few small balls far apart for their size."""
+    if draw(st.booleans()):
+        return draw(sparse_ball_families())
     n = draw(st.integers(0, 6))
     # dyadic coordinates, radii and directions 0 and pi/2 put column
     # centres on the rim, where g = 0, and interval ends on pixel edges
@@ -201,12 +292,89 @@ def ball_families(draw):
     return theta, np.array(centers).reshape(-1, 3), radius, pixel
 
 
+@st.composite
+def sparse_ball_families(draw):
+    """Up to 6 balls of radius 2^-8 to 2^-5 anywhere in the unit cube, and
+    a pixel of a half or a quarter of it: a raster whose box holds far
+    more pixels than it has intervals, so projection_area sorts them."""
+    unit = st.floats(-1.0, 1.0, allow_nan=False) \
+        | st.integers(-256, 256).map(lambda i: i / 256)
+    centers = draw(st.lists(st.tuples(unit, unit, unit), min_size=1,
+                            max_size=6))
+    radius = 2.0 ** -draw(st.integers(5, 8))
+    pixel = radius / draw(st.sampled_from([2.0, 4.0]))
+    theta = draw(st.floats(-7.0, 7.0) | st.sampled_from([0.0, math.pi / 2]))
+    return theta, np.array(centers).reshape(-1, 3), radius, pixel
+
+
 @given(ball_families())
 @settings(max_examples=200, deadline=None)
 def test_projection_area_matches_set_oracle_on_any_family(case):
+    # on the path the raster selects, and on each path forced
     theta, centers, radius, pixel = case
-    assert projection_area(theta, centers, radius, pixel) \
-        == projection_area_set(theta, centers, radius, pixel)
+    want = projection_area_set(theta, centers, radius, pixel)
+    assert projection_area(theta, centers, radius, pixel) == want
+    for path in ("box", "sort"):
+        assert area_on_path(path, theta, centers, radius, pixel) == want
+
+
+@st.composite
+def far_chart_families(draw):
+    """Balls whose chart values, in pixels, reach 2^45, beside one another
+    in the chart: (<z, e>, <z, Je>, height) = (ze, a + da, b + db), with
+    |a| / pixel up to 2^38, |b| / pixel up to 2^44 and |ze| up to 64."""
+    pixel = 2.0 ** -6
+    theta = draw(st.floats(-7.0, 7.0) | st.sampled_from([0.0, math.pi / 2]))
+    a = draw(st.floats(-1.0, 1.0)) * 2.0 ** draw(st.integers(0, 38)) * pixel
+    b = draw(st.floats(-1.0, 1.0)) * 2.0 ** draw(st.integers(0, 44)) * pixel
+    near = st.floats(-0.25, 0.25)
+    charts = draw(st.lists(st.tuples(st.floats(-64.0, 64.0), near, near),
+                           min_size=1, max_size=5))
+    ze, da, db = np.array(charts).T
+    ac = a + da
+    c, s = math.cos(theta), math.sin(theta)
+    x, y = ze * c - ac * s, ze * s + ac * c
+    ze, ac = ze_zje(theta, np.stack([x, y, 0 * x], axis=-1))
+    centers = np.stack([x, y, b + db - 0.5 * ze * ac], axis=-1)
+    return theta, centers, 2 * pixel, pixel
+
+
+@given(far_chart_families())
+@settings(max_examples=100, deadline=None)
+def test_projection_area_far_from_the_origin_matches_set_oracle(case):
+    # rounding at 2^45 pixels moves interval ends by a fraction of a row,
+    # which the box's row of slack absorbs
+    theta, centers, radius, pixel = case
+    want = projection_area_set(theta, centers, radius, pixel)
+    assert projection_area(theta, centers, radius, pixel) == want
+    for path in ("box", "sort"):
+        assert area_on_path(path, theta, centers, radius, pixel) == want
+
+
+@pytest.mark.parametrize("path", ["box", "sort"])
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2])
+def test_projection_area_interval_ends_on_the_box_edges(theta, path):
+    # dyadic charts (ze, a_c, b_c): the rim columns, at a_c -+ r where
+    # g = 0, hold the one row of b_c -+ ze r, half a pixel inside the row
+    # of b_c -+ (|ze| r + 2^(-3/2) r^2); so the raster reaches the box's
+    # first and last columns, and its first and last rows before their
+    # row of slack.  At pi/2, cos theta is 6e-17, not 0: the ends round off
+    # the dyadic values, and the first rim column drops out.
+    r, pix = 0.125, 0.0625
+    ze, ac, bc = np.array([[0.5, 1 / 32, -1 / 32], [1.0, 33 / 32, 33 / 32]]).T
+    x, y = (ze, ac) if theta == 0.0 else (-ac, ze)
+    centers = np.stack([x, y, bc - 0.5 * ze * ac], axis=-1)
+    pixels = projection_pixels(theta, centers, r, pix)
+    ze, ac = ze_zje(theta, centers)
+    bc = f_eval(centers, theta)
+    ext = np.abs(ze) * r + r * r * PROJECTED_BALL_PROFILE_MAX
+    cols, rows = np.array(sorted(pixels)).T
+    assert cols[0] == np.ceil((ac - r) / pix - 0.5).min()
+    assert cols[-1] == np.floor((ac + r) / pix - 0.5).max() == 18
+    assert rows.min() == np.floor((bc - ext) / pix).min() == -2
+    assert rows.max() == np.floor((bc + ext) / pix).max() == 18
+    assert area_on_path(path, theta, centers, r, pix) \
+        == len(pixels) * pix * pix
 
 
 def test_covering_count_2d_matches_unique_oracle():

@@ -9,8 +9,8 @@ from scipy.optimize import minimize_scalar
 
 from heislab.core import _as_points, group_mul, heis_dist, dilate
 from heislab.projections import (PARABOLIC_BILIP_LO, PROJECTED_BALL_AREA,
-                                 distinct, pi_e, pixel_keys,
-                                 projected_ball_profile)
+                                 PROJECTED_BALL_PROFILE_MAX, distinct, pi_e,
+                                 pixel_keys, projected_ball_profile)
 from heislab.sampling import make_rng, uniform_ball_points
 
 
@@ -226,6 +226,22 @@ def test_projected_ball_profile_matches_maximisation():
     assert np.max(np.abs(got - want)) <= 1e-12
     assert projected_ball_profile(0.0) == 0.25
     assert projected_ball_profile(1.0) == projected_ball_profile(-1.0) == 0.0
+
+
+def test_projected_ball_profile_maximum():
+    # g <= 2^(-3/2), reached at |alpha| = 2^(-3/4), not at alpha = 0: the
+    # bound of projection_area's raster box rests on it
+    assert PROJECTED_BALL_PROFILE_MAX == math.sqrt(2.0) / 4
+    alphas = np.linspace(-1.0, 1.0, 2_000_001)
+    g = projected_ball_profile(alphas)
+    assert g.max() <= PROJECTED_BALL_PROFILE_MAX
+    assert abs(abs(alphas[np.argmax(g)]) - 2.0 ** -0.75) <= 1e-6
+    peak = 2.0 ** -0.75 + np.arange(-1000, 1001) * 2.0 ** -52
+    for a in (peak, -peak):
+        g = projected_ball_profile(a)
+        assert g.max() <= PROJECTED_BALL_PROFILE_MAX
+        assert g.max() >= PROJECTED_BALL_PROFILE_MAX * (1 - 1e-15)
+    assert projected_ball_profile(0.0) < PROJECTED_BALL_PROFILE_MAX
 
 
 def test_projected_ball_profile_area_is_closed_form():
