@@ -75,13 +75,15 @@ def graph_overlap_integral(points, delta):
     Gamma_p^delta is the vertical delta-slab |y - f_p(theta)| <= delta
     around the graph of f_p, and E the rectangle [0, 2 pi) x [-4, 4) of
     cells of side delta / 2.  Each point adds +1 at its slab's first
-    cell of a column and -1 past its last, in blocks of about
-    core.PAIR_BLOCK (point, column) entries; a cumulative sum down each
-    column gives the counts.
+    cell of a column and -1 past its last (np.add.at), in blocks of about
+    core.PAIR_BLOCK (point, column) entries; a running sum down each column
+    gives the counts.  delta must be finite, |coordinates| at most 2^250.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
     points = _as_points(points).reshape(-1, 3)
+    if not np.all(np.abs(points) <= 2.0 ** 250):
+        raise ValueError("coordinates must be finite, of size at most 2^250")
     h = delta / 2.0
     y0 = -4.0
     ncol = max(1, int(np.ceil(2.0 * np.pi / h)))
@@ -93,12 +95,11 @@ def graph_overlap_integral(points, delta):
     for sl in blocks(len(points), ncol):
         f = f_eval(points[sl, None, :], thetas)
         # center y0 + (k + 0.5) h lies in [f - delta, f + delta]
-        lo = np.ceil((f - delta - y0) / h - 0.5).astype(np.int64)
-        hi = np.floor((f + delta - y0) / h - 0.5).astype(np.int64)
-        lo = np.clip(lo, 0, nrow)
-        hi = np.clip(hi, -1, nrow - 1)
+        # clipped before the cast, so a slab far off E casts no overflow
+        lo = np.clip(np.ceil((f - delta - y0) / h - 0.5), 0, nrow)
+        hi = np.clip(np.floor((f + delta - y0) / h - 0.5), -1, nrow - 1)
         ok = hi >= lo
-        counts += np.bincount((col0 + lo)[ok], minlength=len(counts))
-        counts -= np.bincount((col0 + hi + 1)[ok], minlength=len(counts))
+        np.add.at(counts, (col0 + lo)[ok].astype(np.int64), 1)
+        np.add.at(counts, (col0 + hi)[ok].astype(np.int64) + 1, -1)
     counts = np.cumsum(counts.reshape(ncol, nrow + 1), axis=1)[:, :nrow]
     return float(np.sum(counts.astype(float) ** 1.5) * h * h)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import delta_sets, experiments
-from .reports import ExperimentReport, write_manifest
+from .reports import ExperimentReport, manifest_text, write_manifest
 
 
 def _family(args):
@@ -125,10 +125,7 @@ def cmd_constants(args):
         write_manifest(args.out, entries)
         print("wrote %d constants to %s" % (len(entries), args.out))
     else:
-        for name in sorted(entries):
-            e = entries[name]
-            print("%s %.17g %d %d %s" % (name, e["value"], e["samples"],
-                                         e["seed"], e["description"]))
+        sys.stdout.write(manifest_text(entries))
     return 0
 
 

@@ -34,7 +34,9 @@ PAIR_BLOCK = 1 << 14
 
 def _as_points(p):
     p = np.asarray(p, dtype=float)
-    if p.shape[-1] != 3:
+    if p.shape == (0,):  # an empty array-like holds no points
+        return p.reshape(0, 3)
+    if p.shape[-1:] != (3,):
         raise ValueError("expected shape (..., 3), got %s" % (p.shape,))
     return p
 

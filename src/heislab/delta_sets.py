@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import blocks, gauge_norm, gauge_pairs, heis_dist, window_blocks
+from .core import (_as_points, blocks, gauge_norm, gauge_pairs, heis_dist,
+                   window_blocks)
 from .sampling import make_rng
 
 
@@ -43,7 +44,7 @@ class BallFamily:
     kind: str = "custom"
 
     def __post_init__(self):
-        self.centers = np.asarray(self.centers, dtype=float).reshape(-1, 3)
+        self.centers = _as_points(self.centers).reshape(-1, 3)
 
     def __len__(self):
         return len(self.centers)
@@ -71,7 +72,7 @@ def covering_number(points, delta):
     A 2-approximation of the covering number; constants are folded into
     the C of any (delta, t, C) statement built on it.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = _as_points(points).reshape(-1, 3)
     covered = np.zeros(len(pts), dtype=bool)
     net = 0
     # first fit: a point joins unless an earlier net point is within delta
@@ -224,6 +225,8 @@ def gen_lattice_slab(delta, x0=0.0):
     plane grid itself.
     """
     check_delta(delta)
+    if not math.isfinite(x0):
+        raise ValueError("x0 must be finite")
     ys = grid_axis(delta)
     cols = np.stack([np.full(len(ys), float(x0)), ys], axis=1)
     pts = ball_grid(cols, delta ** 2, delta, shift=0.5 * x0 * ys)

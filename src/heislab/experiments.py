@@ -26,8 +26,8 @@ from .sampling import (make_rng, monte_carlo_ball_volume, uniform_ball_points,
 
 # A raster whose box holds at most this many pixels per (ball, column)
 # interval is unioned in a difference array over the box: 8 bytes a pixel,
-# no more than the sort path's dozen interval-sized arrays hold, and a
-# pixel costs one cumsum step where an interval costs a sort.
+# 64 an interval at most against the sort's 40 (its keys, their order and
+# the sorted keys); a pixel costs a cumsum step, an interval a sort.
 BOX_PIXELS_PER_INTERVAL = 8
 
 
@@ -46,21 +46,22 @@ def projection_area(theta, centers, radius, pixel, points_per_ball=None):
     the pixels of the column that the interval meets.  As g <= 2^(-3/2),
     a ball's rows lie within b_c +- (|<z_c, e>| r + 2^(-3/2) r^2), one row
     more either side for rounding: with its columns, that gives the box
-    of the raster before any interval exists.  If the box holds at most
-    BOX_PIXELS_PER_INTERVAL pixels per interval, blocks of intervals
-    (window_blocks) add 1 at each bottom pixel and -1 one
-    past each top into a difference array over the box, whose running
-    sum is nonzero on the raster: no sort, memory O(box + PAIR_BLOCK).
-    Otherwise (far-apart balls, tiny pixels) one sort of every interval by
-    (column, bottom row) and a running maximum of the tops count it,
-    memory O(intervals).  radius is a scalar or one per ball; an empty
-    family has area 0.  Every chart value and |<z_c, e>| (|a_c| + r) must
-    be at most 2^46 pixels, so that rounding moves no interval end by a
-    row.  points_per_ball has no effect: the benchmark still passes it.
+    of the raster before any interval exists, of under 2^53 pixels.
+    Blocks of (ball, column) intervals (window_blocks) key a pixel
+    (column - col0) rows + row - row0.  If the box holds at most
+    BOX_PIXELS_PER_INTERVAL pixels per interval, each block adds 1 at its
+    bottoms and -1 past its tops into a difference array over the box,
+    whose running sum is nonzero on the raster: memory O(box + PAIR_BLOCK).
+    Else (far-apart balls, tiny pixels) a sort of the blocks' keys and a
+    running maximum of the tops count it: memory O(intervals).  radius is
+    a scalar or one per ball; an empty family has area 0.  Chart values
+    and |<z_c, e>| (|a_c| + r) must be at most 2^46 pixels, so rounding
+    moves no interval end by a row.  points_per_ball has no effect: the
+    benchmark still passes it.
     """
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
-    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    centers = core._as_points(centers).reshape(-1, 3)
     radius = np.broadcast_to(np.asarray(radius, dtype=float), (len(centers),))
     if len(centers) == 0:
         return 0.0
@@ -91,42 +92,33 @@ def projection_area(theta, centers, radius, pixel, points_per_ball=None):
     rows = np.floor((bc + ext) / pixel).max() + 3 - row0
     col0 = first.min()
     box = ((first + ncols).max() - col0) * rows
-    if box <= BOX_PIXELS_PER_INTERVAL * ncols.sum():
-        diff = np.zeros(int(box), dtype=np.int64)
-        for ball, col in core.window_blocks(first, ncols):
-            lo, hi = _column_rows(col, ball, ze, ac, bc, radius, pixel)
-            base = (col - col0) * rows - row0
-            np.add.at(diff, (base + lo).astype(np.int64), 1)
-            np.add.at(diff, (base + hi).astype(np.int64) + 1, -1)
+    if not box < 2.0 ** 53:
+        raise ValueError("too many pixels in the raster")
+    sort = box > BOX_PIXELS_PER_INTERVAL * ncols.sum()
+    diff, ends = np.zeros(0 if sort else int(box), dtype=np.int64), []
+    for ball, col in core.window_blocks(first, ncols):
+        da = (col + 0.5) * pixel - ac[ball]
+        r = radius[ball]
+        mid = bc[ball] + ze[ball] * da
+        half = r * r * projected_ball_profile(np.clip(da / r, -1.0, 1.0))
+        # the keys of the bottom and the top row of each interval
+        keys = np.floor(np.stack((mid - half, mid + half)) / pixel)
+        keys += (col - col0) * rows - row0
+        if sort:
+            ends.append(keys)
+        else:
+            np.add.at(diff, keys[0].astype(np.int64), 1)
+            np.add.at(diff, keys[1].astype(np.int64) + 1, -1)
+    if not sort:
         return float(np.count_nonzero(np.cumsum(diff, out=diff))) \
             * pixel * pixel
-    ball = np.repeat(np.arange(len(centers)), ncols)
-    col = first[ball] + (np.arange(len(ball))
-                         - np.repeat(np.cumsum(ncols) - ncols, ncols))
-    lo, hi = _column_rows(col, ball, ze, ac, bc, radius, pixel)
-    # keys column * rows + row, counted from 0, order the intervals by
-    # (column, bottom row) and keep each column's rows apart, so a running
-    # maximum of the earlier tops shows which rows an interval adds
-    row0 = lo.min()
-    base = (col - col.min()) * (hi.max() - row0 + 2) - row0
-    lo += base
-    hi += base
-    if hi.max() >= 2.0 ** 53:
-        raise ValueError("too many pixels in the raster")
-    order = np.argsort(lo)
-    lo, hi = lo[order], hi[order]
+    # sorted by bottom, an interval adds its keys above every earlier top
+    keys = np.concatenate(ends, axis=1)
+    del ends
+    lo, hi = keys[:, np.argsort(keys[0])]
     top = np.maximum.accumulate(np.concatenate([[-np.inf], hi[:-1]]))
     return float(np.maximum(hi - np.maximum(lo, top + 1) + 1, 0).sum()) \
         * pixel * pixel
-
-
-def _column_rows(col, ball, ze, ac, bc, radius, pixel):
-    """Bottom and top rows of each ball's image over each pixel column."""
-    da = (col + 0.5) * pixel - ac[ball]
-    r = radius[ball]
-    mid = bc[ball] + ze[ball] * da
-    half = r * r * projected_ball_profile(np.clip(da / r, -1.0, 1.0))
-    return np.floor((mid - half) / pixel), np.floor((mid + half) / pixel)
 
 
 def best_direction_scan(family, n_directions=64):
@@ -256,7 +248,7 @@ def rho_dimension(points, thetas, scales):
     fit_loglog's slope, from one np.polyfit over every direction's counts
     (a least-squares fit of many columns solves each on its own).
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    points = core._as_points(points).reshape(-1, 3)
     cells = list(scales) + [s * s for s in scales]
     counts = [_cell_counts(f_eval(points, th), cells) for th in thetas]
     # one column per (direction, metric), rows in order of scale

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ball_volume, blocks, gauge_pairs, group_mul,
+from .core import (_as_points, ball_volume, blocks, gauge_pairs, group_mul,
                    heis_dist_trunc)
 from .delta_sets import ball_grid, check_delta, grid_columns
 from .projections import distinct
@@ -44,12 +44,14 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        self.points = _as_points(self.points).reshape(-1, 3)
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if len(self.points) != len(self.weights):
             raise ValueError("points and weights length mismatch")
         if np.any(self.weights < 0) or not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite and nonnegative")
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("points must be finite")
 
     def __len__(self):
         return len(self.points)
@@ -60,7 +62,7 @@ class DiscreteMeasure:
 
     @classmethod
     def uniform(cls, points):
-        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        points = _as_points(points).reshape(-1, 3)
         if len(points) == 0:
             raise ValueError("a uniform measure needs at least one point")
         return cls(points, np.full(len(points), 1.0 / len(points)))

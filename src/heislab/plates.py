@@ -110,7 +110,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import blocks, gauge_norm, heis_dist, window_join
+from .core import _as_points, blocks, gauge_norm, heis_dist, window_join
 from .duality import dual_ray
 
 PLATE_OUTER_C = 2.0 * 40.0 ** 0.25
@@ -239,8 +239,7 @@ def same_direction_separation(c1, c2, r, rng):
     every ratio, and the generator's stream and final state, are those
     of one pass over all 256 samples.
     """
-    c1 = np.asarray(c1, dtype=float).reshape(-1, 3)
-    c2 = np.asarray(c2, dtype=float).reshape(-1, 3)
+    c1, c2 = (_as_points(c).reshape(-1, 3) for c in (c1, c2))
     if len(c1) != len(c2):
         raise ValueError("c1 and c2 must have the same length")
     if np.any(np.abs(c1[:, 1] - c2[:, 1]) > r + 1e-12):
@@ -277,7 +276,7 @@ def count_memberships(u, v, y, r, pts):
     or a coordinate that is not finite or of size above 2^200 (Size).
     """
     u, v, y = (np.asarray(a, dtype=float).ravel() for a in (u, v, y))
-    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    pts = _as_points(pts).reshape(-1, 3)
     r, big = float(r), 2.0 ** 200
     if not len(u) == len(v) == len(y):
         raise ValueError("u, v and y must have the same length")

@@ -90,14 +90,16 @@ class ExperimentReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def write_manifest(path, entries):
+def manifest_text(entries):
     """Constants manifest: 'name value samples seed description' per line."""
+    return "".join("%s %.17g %d %d %s\n" % (name, e["value"], e["samples"],
+                                            e["seed"], e["description"])
+                   for name, e in sorted(entries.items()))
+
+
+def write_manifest(path, entries):
     with open(path, "w") as fh:
-        for name in sorted(entries):
-            e = entries[name]
-            fh.write("%s %.17g %d %d %s\n"
-                     % (name, e["value"], e["samples"], e["seed"],
-                        e["description"]))
+        fh.write(manifest_text(entries))
 
 
 def read_manifest(path):

@@ -158,6 +158,25 @@ def test_graph_overlap_rejects_bad_delta():
         graph_overlap_integral(np.zeros((1, 3)), np.nan)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("points, delta", [
+    ([[0.3, -0.2, 0.1]], np.inf),
+    ([[np.nan, -0.2, 0.1]], 2.0 ** -4),
+    ([[0.3, -0.2, np.inf]], 2.0 ** -4),
+    ([[0.3, 2.0 ** 260, 0.1]], 2.0 ** -4),
+], ids=["inf-delta", "nan-point", "inf-point", "huge-point"])
+def test_graph_overlap_rejects_nonfinite_input(points, delta):
+    # had warned in a cast and returned junk
+    with pytest.raises(ValueError, match="finite"):
+        graph_overlap_integral(points, delta)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_graph_overlap_far_off_the_region_casts_no_overflow():
+    # a slab 2^70 cells above E: its rows clip before the cast to int
+    assert graph_overlap_integral([[0.0, 0.0, 2.0 ** 64]], 2.0 ** -4) == 0.0
+
+
 @pytest.mark.parametrize("seed", [7, 8, 101])
 def test_graph_overlap_matches_loop_on_random3(seed):
     centers = gen_random3(0.075, seed=seed).centers

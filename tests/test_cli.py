@@ -125,10 +125,11 @@ def test_constants_stdout_and_file(tmp_path, capsys):
     names = [line.split()[0] for line in stdout.strip().splitlines()]
     assert "ball_volume_mc" in names
     out = tmp_path / "m.txt"
-    code, stdout, _ = run_cli(["constants", "--balls", "3", "--pairs", "10",
-                               "--out", str(out)], capsys)
+    code, _, _ = run_cli(["constants", "--balls", "3", "--pairs", "10",
+                         "--out", str(out)], capsys)
     assert code == 0
-    assert out.exists()
+    # stdout is the manifest file, byte for byte
+    assert out.read_text() == stdout
 
 
 def _run_subprocess(args, env, cwd):

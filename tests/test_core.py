@@ -7,10 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heislab.core
+from heislab import experiments, measures, plates
 from heislab.core import (UNIT_BALL_VOLUME, ball_volume, blocks, dilate,
                           gauge_norm, gauge_pairs, group_mul, heis_dist,
                           heis_dist_trunc, window_blocks, window_join)
-from heislab.delta_sets import (covering_number, gen_heis_lattice,
+from heislab.delta_sets import (BallFamily, covering_number, gen_heis_lattice,
                                 gen_horizontal_line, gen_lattice_slab,
                                 gen_random3, gen_t_axis)
 from heislab.sampling import (make_rng, monte_carlo_ball_volume,
@@ -20,6 +21,28 @@ EPS = np.finfo(float).eps
 
 coord = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 point = st.tuples(coord, coord, coord).map(np.array)
+
+
+# (3, 2): six numbers, which a bare reshape(-1, 3) had read as two points
+NOT_POINTS = np.arange(6.0).reshape(3, 2) / 32
+
+
+@pytest.mark.parametrize("read", [
+    lambda a: BallFamily(a, 0.125, 3.0, 1.0),
+    lambda a: covering_number(a, 0.125),
+    lambda a: experiments.projection_area(0.3, a, 0.125, 0.0625),
+    lambda a: experiments.rho_dimension(a, [0.0], [0.5, 0.25]),
+    lambda a: measures.DiscreteMeasure(a, np.ones(2)),
+    lambda a: measures.DiscreteMeasure.uniform(a),
+    lambda a: plates.same_direction_separation(a, a, 0.125, make_rng(0)),
+    lambda a: plates.count_memberships([0.0], [0.0], [0.0], 0.125, a),
+], ids=["BallFamily", "covering_number", "projection_area", "rho_dimension",
+        "DiscreteMeasure", "DiscreteMeasure.uniform",
+        "same_direction_separation", "count_memberships"])
+def test_point_readers_reject_an_array_not_of_points(read):
+    with pytest.raises(ValueError, match="expected shape"):
+        read(NOT_POINTS)
+    read(NOT_POINTS.reshape(2, 3))  # the same numbers as two points
 
 
 def test_group_law_example():

@@ -169,6 +169,14 @@ def test_generate_rejects_bad_delta(kind, delta):
             make(delta)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+def test_lattice_slab_rejects_a_nonfinite_x0(x0):
+    # had warned in the column ends and returned an empty family
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        gen_lattice_slab(0.125, x0)
+
+
 def test_generate_rejects_params_the_kind_does_not_take():
     for kind, params in (("random3", {"s": 1.5}), ("heis-lattice", {"x0": 0.1}),
                          ("t-axis", {"dim0": 0.5}), ("product", {"s": 1.0})):

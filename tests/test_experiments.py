@@ -62,23 +62,23 @@ def projection_area_set(theta, centers, radius, pixel):
 
 def area_on_path(path, theta, centers, radius, pixel):
     """projection_area with its union forced onto the box path ("box":
-    every box qualifies, blocks of about 5 intervals) or the sort path
-    ("sort": none does); window_blocks runs on the box path alone."""
+    every box qualifies) or the sort path ("sort": none does), both in
+    blocks of about 5 intervals; the sort path alone calls np.argsort."""
     calls = []
-    window_blocks = core.window_blocks
+    argsort = np.argsort
 
-    def spy(first, lens):
-        calls.append(len(lens))
-        return window_blocks(first, lens)
+    def spy(a, *args, **kwargs):
+        calls.append(len(a))
+        return argsort(a, *args, **kwargs)
 
     box = path == "box"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "window_blocks", spy)
+        mp.setattr(np, "argsort", spy)
         mp.setattr(experiments, "BOX_PIXELS_PER_INTERVAL",
                    math.inf if box else 0)
         mp.setattr(core, "PAIR_BLOCK", 5)
         area = projection_area(theta, centers, radius, pixel)
-    assert bool(calls) == (box and len(np.reshape(centers, (-1, 3))) > 0)
+    assert bool(calls) == (not box and len(np.reshape(centers, (-1, 3))) > 0)
     return area
 
 
@@ -228,6 +228,27 @@ def test_projection_area_memory_on_the_bench_slab():
         finally:
             tracemalloc.stop()
         assert peak < 6e6, (th, peak)
+
+
+def test_projection_area_sort_union_memory_on_a_fine_line():
+    # 8,193 balls on the x-axis at 2^-12, seen at 45 degrees: the box holds
+    # far more pixels than the intervals, so the sort union counts them.
+    # It holds the blocks' keys and their sort, no ball or column ids:
+    # its peak here had been 3.67 MB
+    fam = gen_horizontal_line(2.0 ** -12)
+    theta, pixel = math.pi / 4, fam.delta / 2
+    sorts = []
+    argsort = np.argsort
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "argsort", lambda a: sorts.append(len(a)) or argsort(a))
+        tracemalloc.start()
+        try:
+            area = projection_area(theta, fam.centers, fam.delta, pixel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(sorts) == 1 and peak < 3.0e6, (sorts, peak)
+    assert area == projection_area_set(theta, fam.centers, fam.delta, pixel)
 
 
 def test_projection_area_ignores_points_per_ball():

@@ -26,6 +26,15 @@ def riesz_energy_loop(mu, s, delta):
     return total
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_discrete_measure_rejects_a_nonfinite_atom(bad):
+    # a NaN atom had passed, and rasterize warned in a cast and binned it
+    # at a garbage index
+    with pytest.raises(ValueError, match="points must be finite"):
+        DiscreteMeasure([[0.0, 0.0, 0.0], [0.0, bad, 0.0]], [0.5, 0.5])
+
+
 def test_discrete_measure_validation():
     with pytest.raises(ValueError):
         DiscreteMeasure(np.zeros((2, 3)), np.ones(3))
