@@ -20,9 +20,9 @@ transform, so the equivalence is exact, not approximate.
 The X-ray transform integrates a density over a line against arclength,
 with constant speed sqrt(1 + a^2 + b^2 / 4).
 
-All predicates run exactly on Fraction/int inputs (tol=0) and to a
-tolerance on floats; lines, rays and the residuals run on columns of
-arrays too, one line per entry, as in
+The incidence predicates compare both residuals with 0, so they are
+exact on Fraction/int inputs; lines, rays and the residuals run on
+columns of arrays too, one line per entry, as in
 line_residuals(pts.T, HorizontalLine(*abc.T)).
 """
 
@@ -82,14 +82,12 @@ def ray_residuals(pstar, ray):
     return (b - (ray.u - a * ray.y), c - (ray.v + a * (ray.y * ray.y) / 2))
 
 
-def incident_point_line(p, line, tol=1e-10):
-    r1, r2 = line_residuals(p, line)
-    return abs(r1) <= tol and abs(r2) <= tol
+def incident_point_line(p, line):
+    return line_residuals(p, line) == (0, 0)
 
 
-def incident_point_ray(pstar, ray, tol=1e-10):
-    r1, r2 = ray_residuals(pstar, ray)
-    return abs(r1) <= tol and abs(r2) <= tol
+def incident_point_ray(pstar, ray):
+    return ray_residuals(pstar, ray) == (0, 0)
 
 
 def _grid_index(p, origin, spacing, n):

@@ -111,7 +111,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _as_points, blocks, gauge_norm, heis_dist, window_join
-from .duality import dual_ray
+from .duality import LightRay, dual_ray
 
 PLATE_OUTER_C = 2.0 * 40.0 ** 0.25
 SANDWICH_INNER_C = 1.0 / 3.0
@@ -160,25 +160,23 @@ class ModifiedPlate:
                     & (np.maximum(a * a, b * b) >= np.minimum(lo2, hi2)))
 
     def sample(self, uniforms):
-        """Points of the bundle's rays over |s| <= 2, from uniforms in [0, 1).
+        """Points on the bundle's rays, one per four uniforms in [0, 1).
 
-        uniforms has shape (..., 4n), one row per plate (leading axes
-        broadcast against the fields), in the order rng.random((n, 2)),
-        rng.random(n), rng.random(n) draw them: n points (w1, w2) of the
-        base rectangle, n direction offsets, n ray parameters s.  Uniform
-        uniforms give uniform points; the result has shape (..., n, 3).
+        The last axis (w1, w2, direction offset, ray parameter) puts (w1,
+        w2) in the base rectangle, y' within r of y and s in [-2, 2], and
+        gives LightRay(u + w1, v + w2, y').point_at(s).  Leading axes
+        broadcast against the fields; uniform uniforms give uniform points.
         """
         q = np.asarray(uniforms, dtype=float)
-        n = q.shape[-1] // 4
-        q = np.moveaxis(q, -1, 0)
+        if q.shape[-1:] != (4,):
+            raise ValueError("uniforms must have a last axis of length 4")
         u, v, y, r = self.u, self.v, self.y, self.r
-        w1 = q[0:2 * n:2] * (2 * r) - r
-        w2 = q[1:2 * n:2] * (2 * r * r) - r * r - y * w1
-        yp = y + (q[2 * n:3 * n] * 2 - 1) * r
-        s = (q[3 * n:] * 2 - 1) * 2.0
-        return np.moveaxis(np.stack([s, u + w1 - s * yp,
-                                     v + w2 + 0.5 * s * yp ** 2], axis=-1),
-                           0, -2)
+        w1 = q[..., 0] * (2 * r) - r
+        w2 = q[..., 1] * (2 * r * r) - r * r - y * w1
+        yp = y + (q[..., 2] * 2 - 1) * r
+        s = (q[..., 3] * 2 - 1) * 2.0
+        return np.stack(np.broadcast_arrays(
+            *LightRay(u + w1, v + w2, yp).point_at(s)), axis=-1)
 
 
 def ball_to_modified_plate(center, radius):
@@ -211,28 +209,25 @@ def ball_to_modified_plate(center, radius):
 FIRST_SAMPLES = 16
 
 
-def _sample_columns(lo, hi):
-    """Columns of samples lo..hi-1 of a row of 1024 uniforms, in
-    ModifiedPlate.sample's layout: (w1, w2) pairs, offsets, parameters."""
-    k = np.arange(lo, hi)
-    return np.concatenate([np.arange(2 * lo, 2 * hi), 512 + k, 768 + k])
-
-
-# the columns each pass of same_direction_separation maps
-_PASSES = (_sample_columns(0, FIRST_SAMPLES),
-           _sample_columns(FIRST_SAMPLES, 256))
+# sample k of a row of 1024 uniforms reads columns 2k, 2k + 1, 512 + k and
+# 768 + k: the order in which rng.random((256, 2)), rng.random(256) and
+# rng.random(256) drew them
+_ROW = np.stack([np.arange(0, 512, 2), np.arange(1, 512, 2),
+                 np.arange(512, 768), np.arange(768, 1024)], axis=-1)
 
 
 def same_direction_separation(c1, c2, r, rng):
     """Separation ratios d(c1, c2) / r of same-direction balls of radius r.
 
-    c1 and c2 are (n, 3) finite centers with |y1 - y2| <= r.  Pair i maps
-    row i of rng.random((n, 1024)) through ModifiedPlate.sample to 256
-    points of the dual plate of B(c1, r) and keeps those inside the unit
-    Euclidean ball; if one lies in the dual plate of B(c2, r) its ratio
-    is d(c1, c2) / r, else NaN.  Rows are drawn whole, in blocks of about
-    core.PAIR_BLOCK sample points, and tested in two passes: samples
-    0..15 of every row, then samples 16..255 of the rows not yet met.
+    c1 and c2 are (n, 3) finite centers with |y1 - y2| <= r.  Pair i reads
+    row i of rng.random((n, 1024)) as 256 samples of four uniforms (_ROW),
+    maps them through ModifiedPlate.sample to points of the dual plate of
+    B(c1, r) and keeps those inside the unit Euclidean ball; if one lies
+    in the dual plate of B(c2, r) its ratio is d(c1, c2) / r, else NaN.
+    Rows are drawn whole, in blocks of about core.PAIR_BLOCK sample
+    points, and tested in two passes, each gathering its own samples'
+    columns: samples 0..15 of every row, then samples 16..255 of the rows
+    not yet met.
     sample and contains are elementwise, so a sample's point and verdict
     do not depend on which other samples are mapped with it, and a pair
     meets iff some in-ball sample of its 256 lies in the second plate:
@@ -244,16 +239,16 @@ def same_direction_separation(c1, c2, r, rng):
         raise ValueError("c1 and c2 must have the same length")
     if np.any(np.abs(c1[:, 1] - c2[:, 1]) > r + 1e-12):
         raise ValueError("directions differ by more than the radius")
-    p1 = ball_to_modified_plate(c1, r)
+    p1 = ball_to_modified_plate(c1[:, None], r)  # fields (n, 1)
     p2 = ball_to_modified_plate(c2, r)
     met = np.zeros(len(c1), dtype=bool)
     for sl in blocks(len(c1), 256):
         uni = rng.random((sl.stop - sl.start, 1024))
-        for cols in _PASSES:
+        for part in (slice(FIRST_SAMPLES), slice(FIRST_SAMPLES, None)):
             rows = np.flatnonzero(~met[sl])
             j = sl.start + rows
             pts = ModifiedPlate(p1.u[j], p1.v[j], p1.y[j], p1.r).sample(
-                uni[np.ix_(rows, cols)])
+                uni[rows[:, None, None], _ROW[part]])
             x1, x2, x3 = np.moveaxis(pts, -1, 0)
             pair, k = np.nonzero(np.sqrt(x1 * x1 + x2 * x2 + x3 * x3) <= 1.0)
             j = j[pair]
@@ -309,19 +304,20 @@ def _plate_candidates(u, v, y, r, pts):
     # (1 + a)^3 and rounds by < 1e-15 of it; W1, W2 scale that by (1 + a)^2
     a = max(float(np.abs(c).max()) for c in (u, v, y, s, q2, q3)) + r + b
     margin = 1e-12 * (1.0 + a) ** 5
-    # the conditions at the plate's own y, with lam = v + y u
-    w1 = (r + MEMBER_TOL) * (1.0 + sabs) + margin
-    w2 = r * r + MEMBER_TOL + sabs * (r + MEMBER_TOL) ** 2 / 2 + margin
+    # the conditions at the plate's own y, with lam = v + y u, and the
+    # membership bounds widened by MEMBER_TOL as in contains
+    w, h = r + MEMBER_TOL, r * r + MEMBER_TOL
+    w1 = w * (1.0 + sabs) + margin
+    w2 = h + sabs * w ** 2 / 2 + margin
     lam = v + y * u
     # three |s| bands, each read at its largest |s|; |s| on an edge takes
     # the lower band, whose top it equals
     smax = float(sabs.max())
     top = np.array([smax / 3, 2 * smax / 3, smax])
     band = (sabs > top[0]).astype(np.int64) + (sabs > top[1])
-    tw1 = (r + MEMBER_TOL) * (1.0 + top)
+    tw1 = w * (1.0 + top)
     hu = tw1 + top * b / 2 + margin
-    hl = (r * r + MEMBER_TOL + top * (r + MEMBER_TOL) ** 2 / 2 + b / 2 * tw1
-          + top * b * b / 8 + margin)
+    hl = h + top * w ** 2 / 2 + b / 2 * tw1 + top * b * b / 8 + margin
     hub = hu[band]
     occupied, rank = np.unique(np.floor((y - ylo) / b).astype(np.int64),
                                return_inverse=True)

@@ -87,8 +87,10 @@ def projected_ball_profile(alpha):
     Gamma(1/4).  g is largest at |alpha| = 2^(-3/4), where u = 1/2 and
     dg/du = (3 - 6 u) / (8 sqrt(1 - u)) = 0: g <= PROJECTED_BALL_PROFILE_MAX
     = 2^(-3/2), above g(0) = 1/4.  The cube root is np.cbrt, which rounds alike for any
-    blocking of alpha.
+    blocking of alpha.  u is clamped at |alpha|, its bound for |alpha| <= 1:
+    numpy's baseline cbrt rounds cbrt(alpha^2)^2 above it, and above 1 at
+    |alpha| = 1 - 2^-53, where sqrt(1 - u) would be NaN.
     """
     s = np.cbrt(np.square(alpha))
-    u = s * s
+    u = np.minimum(s * s, np.abs(alpha))
     return (1.0 + 2.0 * u) * np.sqrt(1.0 - u) / 4.0

@@ -70,10 +70,10 @@ def test_acceptance_01_duality_biconditional():
         p = line.point_at(y)
         q = (p[0], p[1], p[2] + off)
         for pt in (p, q):
-            on_line = incident_point_line(pt, line, tol=0)
-            on_ray = incident_point_ray((a, b, c), dual_ray(pt), tol=0)
+            on_line = incident_point_line(pt, line)
+            on_ray = incident_point_ray((a, b, c), dual_ray(pt))
             assert on_line == on_ray
-        assert incident_point_line(p, line, tol=0)
+        assert incident_point_line(p, line)
     print("PASS duality biconditional: max float residual %.3g" % worst)
 
 

@@ -102,12 +102,12 @@ def test_tangent_is_horizontal_exactly(a, b, c, s):
 def test_exact_biconditional(a, b, c, y, jitter):
     line = HorizontalLine(a, b, c)
     p = line.point_at(y)  # point on the line, exact arithmetic
-    assert incident_point_line(p, line, tol=0)
-    assert incident_point_ray((a, b, c), dual_ray(p), tol=0)
+    assert incident_point_line(p, line)
+    assert incident_point_ray((a, b, c), dual_ray(p))
     if jitter != 0:
         q = (p[0] + jitter, p[1], p[2])
-        assert incident_point_line(q, line, tol=0) == \
-            incident_point_ray((a, b, c), dual_ray(q), tol=0)
+        assert incident_point_line(q, line) == \
+            incident_point_ray((a, b, c), dual_ray(q))
 
 
 @given(frac, frac, frac, frac, frac, frac)

@@ -29,7 +29,8 @@ from heislab.projections import (PROJECTED_BALL_AREA,
 from heislab.reports import ExperimentReport, read_manifest, write_manifest
 from heislab.sampling import (make_rng, monte_carlo_ball_volume,
                               uniform_ball_points)
-from test_plates import Plate, compose_center, contains_ray
+from test_plates import (Plate, compose_center, contains_ray, row_layout,
+                         sample_rows)
 
 
 def projection_pixels(theta, centers, radius, pixel):
@@ -833,8 +834,9 @@ def sandwich_grid_c(rng):
     held = np.empty(n, dtype=bool)
     for sl in core.blocks(n, 800):
         u, v, y = ray.u[sl], ray.v[sl], ray.y[sl]
-        pts = ModifiedPlate(u, v, y, cr[sl]).sample(
-            rng.random((len(u), 800)))
+        uni = rng.random((len(u), 800))[:, row_layout(200)]
+        pts = ModifiedPlate(u[:, None], v[:, None], y[:, None],
+                            cr[sl, None]).sample(uni)
         rigid = Plate(u[:, None], v[:, None], y[:, None], r[sl, None])
         held[sl] = np.all(rigid.contains(pts, tol=1e-9), axis=-1)
     return float(cvals[held.reshape(-1, 40).all(axis=1)].max(initial=0.0))
@@ -857,7 +859,7 @@ def sandwich_loop_oracle(rng):
             ray = dual_ray(c)
             inner = ModifiedPlate(ray.u, ray.v, ray.y, cval * r[trial])
             rigid = Plate(ray.u, ray.v, ray.y, r[trial])
-            pts = inner.sample(uni[trial])
+            pts = inner.sample(uni[trial, row_layout(200)])
             if not bool(np.all(rigid.contains(pts, tol=1e-9))):
                 good = False
                 break
@@ -887,9 +889,11 @@ def test_sandwich_corner_fails_just_above_closed_form():
                       (SANDWICH_INNER_C * (1 + 1e-9), False),
                       (SANDWICH_INNER_C + 1e-3, False)):
         pts = ModifiedPlate(u, v, y, c * r).sample(corner)
-        assert bool(rigid.contains(pts)[0]) is inside, c
+        assert pts.tobytes() == sample_rows(
+            ModifiedPlate(u, v, y, c * r), corner)[0].tobytes()
+        assert bool(rigid.contains(pts)) is inside, c
     held = ModifiedPlate(u, v, y, SANDWICH_INNER_C * r).sample(
-        make_rng(5).random(4 * 20000))
+        make_rng(5).random(4 * 20000)[row_layout(20000)])
     assert np.all(rigid.contains(held))
 
 

@@ -86,6 +86,33 @@ def sample_rays(plate, uniforms):
     return LightRay(u + w1, v + w2 - y * w1, y + (w[2] * 2 - 1) * r)
 
 
+def row_layout(n):
+    """Columns of a row of 4n uniforms in the order rng.random((n, 2)),
+    rng.random(n), rng.random(n) draw them, as (n, 4) sample rows:
+    sample k reads 2k, 2k + 1, 2n + k and 3n + k."""
+    k = np.arange(n)
+    return np.stack([2 * k, 2 * k + 1, 2 * n + k, 3 * n + k], axis=-1)
+
+
+def sample_rows(plate, uniforms):
+    """n points per row of 4n uniforms read in row_layout(n), by strided
+    slices of the row: the oracle of ModifiedPlate.sample(uniforms[...,
+    row_layout(n)]).  Leading axes of uniforms broadcast against the
+    fields; the result has shape (..., n, 3).
+    """
+    q = np.asarray(uniforms, dtype=float)
+    n = q.shape[-1] // 4
+    q = np.moveaxis(q, -1, 0)
+    u, v, y, r = plate.u, plate.v, plate.y, plate.r
+    w1 = q[0:2 * n:2] * (2 * r) - r
+    w2 = q[1:2 * n:2] * (2 * r * r) - r * r - y * w1
+    yp = y + (q[2 * n:3 * n] * 2 - 1) * r
+    s = (q[3 * n:] * 2 - 1) * 2.0
+    return np.moveaxis(np.stack([s, u + w1 - s * yp,
+                                 v + w2 + 0.5 * s * yp ** 2], axis=-1),
+                       0, -2)
+
+
 def _plate_sample(plate, n, rng):
     """n uniform points of a fixed-direction Plate, |s| <= 2."""
     w0 = rng.random((n, 2)) * [2 * plate.r, 2 * plate.r ** 2] \
@@ -274,7 +301,7 @@ def test_plate_rejects_far_points():
 
 def test_modified_plate_samples_are_members():
     plate = ModifiedPlate(0.3, -0.1, 0.8, 0.2)
-    pts = plate.sample(make_rng(2).random(4 * 2000))
+    pts = plate.sample(make_rng(2).random(4 * 2000)[row_layout(2000)])
     assert np.all(plate.contains(pts))
 
 
@@ -287,7 +314,7 @@ def test_modified_contains_matches_grid_oracle():
                               float(rng.random() * 0.3 + 0.05))
         pts = rng.random((2000, 3)) * [4, 2, 2] - [2, 1, 1]
         # mix in near-boundary points from the plate itself
-        near = plate.sample(rng.random(4 * 500)) \
+        near = plate.sample(rng.random(4 * 500)[row_layout(500)]) \
             + (rng.random((500, 3)) - 0.5) * 0.02
         q = np.concatenate([pts, near])
         fast = plate.contains(q)
@@ -563,39 +590,67 @@ def test_same_direction_separation_validation():
 
 
 def test_modified_plate_sample_on_array_fields_matches_each_plate():
-    # one row of uniforms per plate gives that plate's own points, bit
-    # for bit, and the layout is the order of the three rng draws
+    # four uniforms a point, leading axes broadcast against the fields:
+    # each plate's own points bit for bit, and the rows of 4n uniforms of
+    # the oracle's layout give its points
     rng = make_rng(12)
-    u, v, y = rng.random((3, 5)) - 0.5
-    r = rng.random(5) * 0.2 + 0.05
+    u, v, y = rng.random((3, 5, 1)) - 0.5
+    r = rng.random((5, 1)) * 0.2 + 0.05
     uni = rng.random((5, 4 * 64))
-    pts = ModifiedPlate(u, v, y, r).sample(uni)
+    pts = ModifiedPlate(u, v, y, r).sample(uni[:, row_layout(64)])
     assert pts.shape == (5, 64, 3)
+    want = sample_rows(ModifiedPlate(u[:, 0], v[:, 0], y[:, 0], r[:, 0]), uni)
+    assert pts.tobytes() == want.tobytes()
     for i in range(5):
-        one = ModifiedPlate(u[i], v[i], y[i], r[i])
-        assert pts[i].tobytes() == one.sample(uni[i]).tobytes()
+        one = ModifiedPlate(u[i, 0], v[i, 0], y[i, 0], r[i, 0])
+        assert pts[i].tobytes() == one.sample(uni[i, row_layout(64)]).tobytes()
+        assert pts[i].tobytes() == sample_rows(one, uni[i]).tobytes()
         assert np.all(one.contains(pts[i]))
+    # on scalar fields, one point from one sample; the fields broadcast
+    # against the uniforms' leading axes too
+    one = ModifiedPlate(0.3, -0.1, 0.8, 0.2)
+    got = one.sample(uni[0, row_layout(64)])
+    assert got.tobytes() == sample_rows(one, uni[0]).tobytes()
+    assert one.sample(uni[0, row_layout(64)][7]).tobytes() == got[7].tobytes()
+    few = uni[0, row_layout(64)][:3]
+    wide = ModifiedPlate(u, v, y, r).sample(few)
+    assert wide.shape == (5, 3, 3)
+    for i in range(5):
+        one = ModifiedPlate(u[i, 0], v[i, 0], y[i, 0], r[i, 0])
+        assert wide[i].tobytes() == one.sample(few).tobytes()
     draws = make_rng(3)
     w0, yp, s = draws.random((64, 2)), draws.random(64), draws.random(64)
-    got = ModifiedPlate(0.0, 0.0, 0.0, 0.5).sample(make_rng(3).random(256))
+    got = ModifiedPlate(0.0, 0.0, 0.0, 0.5).sample(
+        make_rng(3).random(256)[row_layout(64)])
     assert np.array_equal(got[:, 0], (s * 2 - 1) * 2.0)
     assert np.array_equal(got[:, 1], w0[:, 0] - 0.5 - got[:, 0] * (yp - 0.5))
 
 
+@pytest.mark.parametrize("shape", [(8,), (3,), (64, 3), (5, 256), (0,)])
+def test_modified_plate_sample_needs_four_uniforms_a_point(shape):
+    plate = ModifiedPlate(0.3, -0.1, 0.8, 0.2)
+    with pytest.raises(ValueError, match="last axis"):
+        plate.sample(np.full(shape, 0.5))
+
+
 def test_separation_passes_split_each_row_of_samples():
-    # the two passes read each of a row's 1024 uniforms once, and map
-    # samples 0..15 and 16..255 to the points one sample call gives them
+    # the separation pass reads a row of 1024 uniforms as 256 samples in
+    # the oracle's layout, each column once, and its two passes map
+    # samples 0..15 and 16..255 to the points of the whole row
     k = heislab.plates.FIRST_SAMPLES
-    first, rest = heislab.plates._PASSES
-    assert np.array_equal(np.sort(np.concatenate([first, rest])),
-                          np.arange(1024))
+    layout = heislab.plates._ROW
+    assert np.array_equal(layout, row_layout(256))
+    assert np.array_equal(np.sort(layout.ravel()), np.arange(1024))
     rng = make_rng(13)
-    u, v, y = rng.random((3, 5)) - 0.5
+    u, v, y = rng.random((3, 5, 1)) - 0.5
     plate = ModifiedPlate(u, v, y, 0.2)
     uni = rng.random((5, 1024))
-    pts = plate.sample(uni)
-    assert plate.sample(uni[:, first]).tobytes() == pts[:, :k].tobytes()
-    assert plate.sample(uni[:, rest]).tobytes() == pts[:, k:].tobytes()
+    pts = sample_rows(ModifiedPlate(u[:, 0], v[:, 0], y[:, 0], 0.2), uni)
+    rows = np.arange(5)[:, None, None]
+    assert plate.sample(uni[rows, layout[:k]]).tobytes() == \
+        pts[:, :k].tobytes()
+    assert plate.sample(uni[rows, layout[k:]]).tobytes() == \
+        pts[:, k:].tobytes()
 
 
 def test_count_memberships_matches_bruteforce():

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -242,6 +244,32 @@ def test_projected_ball_profile_maximum():
         assert g.max() <= PROJECTED_BALL_PROFILE_MAX
         assert g.max() >= PROJECTED_BALL_PROFILE_MAX * (1 - 1e-15)
     assert projected_ball_profile(0.0) < PROJECTED_BALL_PROFILE_MAX
+
+
+# numpy's CPU features above its baseline on an AVX-512 host; a process
+# with these disabled runs the kernels of a host without AVX-512
+BASELINE_KERNELS = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def test_projected_ball_profile_on_baseline_kernels(tmp_path, child_env):
+    # the baseline cbrt rounds cbrt(alpha^2)^2 above 1 at
+    # |alpha| = 1 - 2^-53: the profile must stay finite and nonnegative
+    # there, and the ball whose edge column lands on it keeps the area
+    # it has on this host's kernels
+    code = "\n".join([
+        "import numpy as np",
+        "from heislab.experiments import projection_area",
+        "from heislab.projections import projected_ball_profile",
+        "a = 1.0 - 2.0 ** -53",
+        "g = projected_ball_profile(np.array([a, -a]))",
+        "assert np.all(np.isfinite(g)) and np.all(g >= 0), g",
+        "area = projection_area(0.0, [[0, -0.75 + 2.0 ** -53, 0]], 1.0, 0.5)",
+        "assert area == 2.25, area"])
+    r = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=child_env(NPY_DISABLE_CPU_FEATURES=BASELINE_KERNELS))
+    assert r.returncode == 0, r.stderr
 
 
 def test_projected_ball_profile_area_is_closed_form():
