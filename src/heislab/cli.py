@@ -95,6 +95,11 @@ def cmd_experiment(args):
             {"theta": scan["thetas"], "area": scan["areas"]})
         _write_reports(rep, args.out_dir, "theta")
     elif args.experiment == "plate-energy":
+        # the L^2 plate inequality holds for (delta, 3, C)-families
+        report = delta_sets.verify_delta_t_set(fam, seed=args.seed)
+        if fam.claimed_t != 3.0 or not report["passes"]:
+            raise ValueError("plate energy requires a verified "
+                             "(delta, 3, C) family")
         res = experiments.plate_l2_energy(fam, n_samples=args.samples,
                                           seed=args.seed)
         rep = ExperimentReport(

@@ -88,8 +88,8 @@ def heis_dist(p, q):
 
 def heis_dist_trunc(p, q, delta):
     """Truncated metric max(d(p, q), delta); a metric for every delta > 0."""
-    if not delta >= 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0 <= delta < math.inf:
+        raise ValueError("delta must be finite and nonnegative")
     return np.maximum(heis_dist(p, q), delta)
 
 

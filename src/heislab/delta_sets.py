@@ -9,7 +9,7 @@ Since the centers are delta-separated, counting centers inside B(x, r)
 agrees with delta-covering numbers up to a bounded factor which is folded
 into C; the verifier scans dyadic radii r = delta * 2^k only, around a
 seeded subsample of test centers on large families, and reports how many
-it tested.  Separation (BallFamily.validate) is checked exactly.
+it tested.  Separation (BallFamily.validate) is checked at every pair.
 
 Generators: the anisotropic lattice delta Z^2 x delta^2 Z inside the unit
 ball (4-regular; spacings delta, delta, delta^2 are delta-separated since
@@ -52,7 +52,11 @@ class BallFamily:
     def validate(self):
         """Check finiteness, containment in the unit ball and separation.
 
-        Separation is exact at any size: no pair of centers is missed.
+        Separation is tested at every pair, at any size, with a slack of
+        1e-12: a pair is rejected only if d < delta - 1e-12.  The slack is
+        needed when delta is not a power of two: the lattice neighbours of
+        gen_heis_lattice(0.075) and random3 at 0.075 sit at float distance
+        0.07499999999999996, just below delta.
         """
         c = self.centers
         if not np.all(np.isfinite(c)):

@@ -2,8 +2,8 @@
 
 These drive the quantitative story: projected Lebesgue measure of ball
 unions and its best-direction exponent, the L^2 energy of dual plate
-families, box dimensions in the euclidean and parabolic plane metrics,
-and the constants manifest.
+families, box dimensions in the parabolic plane metric, and the
+constants manifest.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from . import core, plates
 from .cinematic import f_eval
 from .core import UNIT_BALL_VOLUME, dilate, gauge_norm, group_mul
-from .delta_sets import dyadic_ball_counts, verify_delta_t_set
+from .delta_sets import dyadic_ball_counts
 from .duality import HorizontalLine, xray_transform
 from .projections import (PARABOLIC_BILIP_LO, PROJECTED_BALL_AREA,
                           PROJECTED_BALL_PROFILE_MAX, distinct, pi_e,
@@ -166,21 +166,16 @@ def family_regularity_constant(family, seed=0):
                default=0.0)
 
 
-def plate_l2_energy(family, n_samples=200000, seed=0, verify=True):
+def plate_l2_energy(family, n_samples=200000, seed=0):
     """Monte Carlo estimate of int_{B(2)} (sum_B 1_{plate(B)})^2.
 
     Plates are the scale-2delta modified plates dual to the family balls;
-    B(2) is the euclidean ball of the dual space.  The family must verify
-    as a (delta, 3, C)-set unless verify=False.  The normalized ratio
-    divides by C38 * delta^3 * |F| where C38 is the empirical packing
-    constant of the family.
+    B(2) is the euclidean ball of the dual space.  The L^2 plate
+    inequality bounds it only for (delta, 3, C)-families, which the
+    caller verifies (the plate-energy command does).  The normalized
+    ratio divides by C38 * delta^3 * |F| where C38 is the empirical
+    packing constant of the family.
     """
-    report = None
-    if verify:
-        report = verify_delta_t_set(family, seed=seed)
-        if family.claimed_t != 3.0 or not report["passes"]:
-            raise ValueError("plate energy requires a verified "
-                             "(delta, 3, C) family")
     plate = plates.ball_to_modified_plate(family.centers, family.delta)
     rng = make_rng(seed)
     pts = uniform_euclidean_ball(n_samples, rng, 2.0)
@@ -201,32 +196,25 @@ def plate_l2_energy(family, n_samples=200000, seed=0, verify=True):
         "mean_count": float(counts.mean()),
         "max_count": int(counts.max()),
         "n_samples": n_samples,
-        "verify": report,
     }
 
 
-def covering_count_2d(points, scale, metric="euclidean"):
-    """Occupied-cell covering count in a plane metric.
+def covering_count_2d(points, scale):
+    """Occupied-cell covering count in the parabolic plane metric.
 
-    Cells are scale x scale for the euclidean metric and
-    scale x scale^2 for the parabolic one; within a bounded factor of
-    greedy-net covering numbers, which leaves log-log slopes unchanged.
+    Cells are scale x scale^2, the metric bilipschitz to the gauge metric
+    on W_e; within a bounded factor of greedy-net covering numbers, which
+    leaves log-log slopes unchanged.
     """
-    if metric == "euclidean":
-        h = scale
-    elif metric == "parabolic":
-        h = (scale, scale * scale)
-    else:
-        raise ValueError("metric must be euclidean or parabolic")
-    return len(distinct(pixel_keys(points, h)))
+    return len(distinct(pixel_keys(points, (scale, scale * scale))))
 
 
-def box_dimension(points, scales, metric="euclidean"):
-    """Box dimension of a plane point cloud via covering counts."""
-    counts = [covering_count_2d(points, s, metric) for s in scales]
+def box_dimension(points, scales):
+    """Parabolic box dimension of a plane point cloud via covering counts."""
+    counts = [covering_count_2d(points, s) for s in scales]
     slope, intercept, resid = fit_loglog(scales, counts)
     return {"slope": slope, "residual": resid, "counts": counts,
-            "scales": list(map(float, scales)), "metric": metric}
+            "scales": list(map(float, scales))}
 
 
 def _cell_counts(vals, cells):

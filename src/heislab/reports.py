@@ -103,12 +103,14 @@ def write_manifest(path, entries):
 
 
 def read_manifest(path):
+    """The entries of a manifest; a line of fewer than four fields raises."""
     out = {}
     with open(path) as fh:
-        for line in fh:
+        for k, line in enumerate(fh, 1):
             parts = line.rstrip("\n").split(" ", 4)
             if len(parts) < 4:
-                continue
+                raise ValueError("%s:%d: a manifest line needs name, value, "
+                                 "samples and seed" % (path, k))
             out[parts[0]] = {
                 "value": float(parts[1]),
                 "samples": int(parts[2]),

@@ -256,7 +256,7 @@ def test_acceptance_09_plate_energy_growth_and_violation():
     pts = pts[gauge_norm(pts) <= 10 * delta]
     bad = BallFamily(pts, delta, 3.0, 8.0, kind="concentrated")
     bad.validate()
-    out_bad = plate_l2_energy(bad, n_samples=200000, seed=3, verify=False)
+    out_bad = plate_l2_energy(bad, n_samples=200000, seed=3)
     ratio = out_bad["normalized_claimed"] / claimed[-1]
     assert ratio >= 4.0, (out_bad["normalized_claimed"], claimed[-1])
     print("PASS plate energy: normalized %s (slope %.3f), concentrated "
@@ -309,7 +309,7 @@ def test_acceptance_11_parabolic_metric_slopes():
     scales = [2.0 ** -k for k in range(4, 8)]
 
     def slope_of(w):
-        return box_dimension(w, scales, metric="parabolic")["slope"]
+        return box_dimension(w, scales)["slope"]
 
     n = 200001
     u = np.linspace(-1.0, 1.0, n)

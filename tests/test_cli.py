@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from heislab.cli import main
-from heislab.delta_sets import BallFamily, read_family, write_family
+from heislab.delta_sets import (BallFamily, gen_t_axis, read_family,
+                                write_family)
 
 
 def run_cli(argv, capsys):
@@ -109,6 +110,27 @@ def test_experiment_plate_energy(tmp_path, capsys):
     assert code == 0
     payload = json.loads((out_dir / "plate_energy.json").read_text())
     assert payload["scalars"]["energy"] > 0
+
+
+@pytest.mark.parametrize("claim", [None, (3.0, 1.0)],
+                         ids=["t-axis", "failed-claim"])
+def test_plate_energy_requires_a_verified_dim3_family(tmp_path, capsys,
+                                                        claim):
+    # a t-axis of dimension 1, and the same centers claiming (3, 1): the
+    # first is no dim-3 family, the second fails verify; neither is reported
+    argv = ["--kind", "t-axis", "--delta", "0.125", "--s", "1"]
+    if claim:
+        fam = gen_t_axis(0.125, s=1.0)
+        write_family(tmp_path / "fam.txt",
+                     BallFamily(fam.centers, fam.delta, *claim))
+        argv = ["--input", str(tmp_path / "fam.txt")]
+    out_dir = tmp_path / "pe"
+    code, _, stderr = run_cli(["experiment", "plate-energy", *argv,
+                               "--out-dir", str(out_dir)], capsys)
+    assert_one_error_line(code, stderr)
+    assert stderr == ("error: plate energy requires a verified "
+                      "(delta, 3, C) family\n")
+    assert not out_dir.exists()
 
 
 def test_experiment_requires_delta_or_input(tmp_path, capsys):

@@ -173,6 +173,9 @@ def test_truncated_metric():
         heis_dist_trunc(p, q, -1.0)
     with pytest.raises(ValueError):
         heis_dist_trunc(p, q, np.nan)
+    # an infinite delta would make every truncated distance inf
+    with pytest.raises(ValueError, match="finite"):
+        heis_dist_trunc(p, q, np.inf)
 
 
 def test_ball_volume_closed_form_vs_quadrature():

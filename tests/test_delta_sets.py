@@ -44,6 +44,17 @@ def test_validate_accepts_lattice():
     assert fam.validate()
 
 
+def test_validate_slack_accepts_lattice_neighbours_below_delta():
+    # off a power of two, lattice neighbours round to just below delta
+    # (0.07499999999999996 at 0.075), so d < delta alone would reject both
+    for fam in (gen_heis_lattice(0.075), gen_random3(0.075, seed=7)):
+        least = min(float(d[i != j].min())
+                    for i, j, d in core.gauge_pairs(fam.centers, fam.delta)
+                    if np.any(i != j))
+        assert fam.delta - 1e-12 <= least < fam.delta
+        assert fam.validate()
+
+
 def test_validate_rejects_bad_families():
     with pytest.raises(ValueError):
         BallFamily(np.array([[0, 0, np.nan]]), 0.1, 1, 4).validate()

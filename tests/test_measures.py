@@ -41,7 +41,7 @@ def test_discrete_measure_validation():
     with pytest.raises(ValueError):
         DiscreteMeasure(np.zeros((1, 3)), np.array([-1.0]))
     mu = DiscreteMeasure.uniform(np.zeros((4, 3)))
-    assert mu.total_mass == pytest.approx(1.0)
+    assert mu.weights.sum() == pytest.approx(1.0)
     assert len(mu) == 4
     # an empty uniform measure has no weight 1/n to give
     with pytest.raises(ValueError, match="at least one point"):
@@ -77,6 +77,7 @@ def test_riesz_energy_blocking_invariance(monkeypatch):
                                                              rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_riesz_energy_validation():
     mu = DiscreteMeasure.uniform(np.zeros((2, 3)))
     with pytest.raises(ValueError):
@@ -88,6 +89,11 @@ def test_riesz_energy_validation():
         riesz_energy(mu, 3.0, np.nan)
     with pytest.raises(ValueError, match="s must"):
         riesz_energy(mu, np.nan, 0.1)
+    # an infinite delta would give 0.0, and an infinite s a division by zero
+    with pytest.raises(ValueError, match="delta must be finite"):
+        riesz_energy(mu, 3.0, np.inf)
+    with pytest.raises(ValueError, match="s must be finite"):
+        riesz_energy(mu, np.inf, 0.1)
 
 
 def test_riesz_diagonal_term():
@@ -101,7 +107,8 @@ def test_convolution_is_group_pushforward():
     nu = DiscreteMeasure(rng.random((7, 3)), rng.random(7))
     conv = heis_convolve(mu, nu)
     assert len(conv) == 35
-    assert conv.total_mass == pytest.approx(mu.total_mass * nu.total_mass)
+    assert conv.weights.sum() == pytest.approx(mu.weights.sum()
+                                               * nu.weights.sum())
     k = 0
     for i in range(5):
         for j in range(7):
@@ -178,7 +185,7 @@ def test_rasterize_preserves_mass():
     rng = make_rng(3)
     mu = DiscreteMeasure(rng.random((2000, 3)) - 0.5, rng.random(2000))
     g = rasterize(mu, [0.1, 0.1, 0.01])
-    assert g.total_mass == pytest.approx(mu.total_mass, rel=1e-12)
+    assert g.total_mass == pytest.approx(mu.weights.sum(), rel=1e-12)
 
 
 def test_rasterize_keeps_an_atom_just_below_its_origin():
@@ -212,10 +219,9 @@ def test_delta_measure_report_uniform_grid_passes():
     vals = np.ones((k, k, k))
     g = GridDensity(origin=[-0.5, -0.5, -0.05],
                     spacing=[0.1, 0.1, 0.01], values=vals)
-    rep = delta_measure_report(g, delta, C=4.0)
-    assert rep["passes"]
+    rep = delta_measure_report(g, delta)
     assert rep["cells"] == k ** 3
-    assert 0 < rep["max_ratio"] <= 1.0
+    assert 0 < rep["max_ratio"] <= 4.0
 
 
 def test_delta_measure_report_flags_spike():
@@ -224,8 +230,8 @@ def test_delta_measure_report_flags_spike():
     vals[5, 5, 5] = 1e6
     g = GridDensity(origin=[-0.5, -0.5, -0.05],
                     spacing=[0.1, 0.1, 0.01], values=vals)
-    rep = delta_measure_report(g, delta, C=4.0)
-    assert not rep["passes"]
+    rep = delta_measure_report(g, delta)
+    assert rep["max_ratio"] > 4.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -241,7 +247,7 @@ def test_delta_measure_report_rejects_bad_delta(bad):
 def test_delta_measure_report_empty():
     g = GridDensity([0, 0, 0], [1, 1, 1], np.zeros((2, 2, 2)))
     rep = delta_measure_report(g, 0.1)
-    assert rep == {"passes": True, "max_ratio": 0.0, "cells": 0}
+    assert rep == {"max_ratio": 0.0, "cells": 0}
 
 
 def test_layer_decomposition_partition_and_bounds():
